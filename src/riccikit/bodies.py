@@ -38,6 +38,9 @@ class ConvexBody:
     def gauge_grad(self, x):
         raise NotImplementedError
 
+    def gauge_grad_many(self, pts):
+        return np.array([self.gauge_grad(p) for p in np.atleast_2d(pts)])
+
     def normal(self, x):
         """Outer unit normal at the radial projection of x to the boundary."""
         g = self.gauge_grad(x)
@@ -108,10 +111,11 @@ def diagonality_bounds(body: ConvexBody, samples):
 @dataclass
 class ConeMeasureSampler:
     """i.i.d. draws from the cone measure: uniform in the body, projected to
-    the boundary along rays."""
+    the boundary along rays.  `seed` is anything numpy's default_rng takes,
+    an int or a SeedSequence."""
 
     body: ConvexBody
-    seed: int = 0
+    seed: object = 0
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
@@ -148,6 +152,14 @@ class Ball(ConvexBody):
         if r == 0.0:
             raise UndefinedAtOrigin("ball gauge gradient at the origin")
         return x / (r * self.radius)
+
+    def gauge_grad_many(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        # row dot products round like the pointwise np.linalg.norm(x)
+        r = np.sqrt(np.vecdot(pts, pts))
+        if np.any(r == 0.0):
+            raise UndefinedAtOrigin("ball gauge gradient at the origin")
+        return pts / (r[:, None] * self.radius)
 
     def boundary_curvature(self, x):
         n = self.normal(x)
@@ -260,6 +272,9 @@ class Simplex(ConvexBody):
     def gauge_grad(self, x):
         return np.full(self.dim, 1.0 / self.scale)
 
+    def gauge_grad_many(self, pts):
+        return np.full((len(np.atleast_2d(pts)), self.dim), 1.0 / self.scale)
+
     def boundary_curvature(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x < self.scale * _CORNER_MARGIN):
@@ -318,6 +333,18 @@ class LpBall(ConvexBody):
             s ** (1.0 / self.p - 1.0)
             * np.sign(x)
             * np.abs(x) ** (self.p - 1.0)
+            / self.radius
+        )
+
+    def gauge_grad_many(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        s = np.sum(np.abs(pts) ** self.p, axis=1)
+        if np.any(s <= 0.0):
+            raise UndefinedAtOrigin("l_p gauge gradient at the origin")
+        return (
+            (s ** (1.0 / self.p - 1.0))[:, None]
+            * np.sign(pts)
+            * np.abs(pts) ** (self.p - 1.0)
             / self.radius
         )
 

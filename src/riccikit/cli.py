@@ -152,8 +152,9 @@ def _instance_params(config: ExperimentConfig, d: int) -> dict:
 
 
 def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
-    """Run one config over its dims; instantiation failures become error rows
-    instead of aborting the suite."""
+    """Run one config over its dims; a failure while instantiating or
+    checking one dimension becomes an error row instead of aborting the
+    suite."""
     report = engine.VerificationReport()
     seed = config.seed
     env_seed = os.environ.get("RG_SEED")
@@ -162,6 +163,13 @@ def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
     for d in config.dims:
         try:
             inst = catalog.instantiate(config.inequality, _instance_params(config, d))
+            functions = engine.default_suite(d, seed=seed)
+            if config.function_filter:
+                functions = [f for f in functions if f.id in config.function_filter]
+            sub = engine.check_inequality(
+                inst, functions=functions, budget=config.samples,
+                seed=seed, workers=config.workers, suite_name=config.suite,
+            )
         except RicciKitError as exc:
             report.add(engine.ReportRow(
                 suite=config.suite, inequality=config.inequality, dim=d,
@@ -171,13 +179,6 @@ def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
             ))
             report.attachments[f"{config.inequality}:d={d}:error"] = str(exc)
             continue
-        functions = engine.default_suite(d, seed=seed)
-        if config.function_filter:
-            functions = [f for f in functions if f.id in config.function_filter]
-        sub = engine.check_inequality(
-            inst, functions=functions, budget=config.samples,
-            seed=seed, workers=config.workers, suite_name=config.suite,
-        )
         report.extend(sub)
     return report
 

@@ -1,7 +1,9 @@
 """Numerical evaluation of inequality instances.
 
-Both sides are estimated from i.i.d. samples with bootstrap standard errors;
-boundary terms use exact moments or antithetic Monte Carlo on the boundary;
+Both sides are estimated from i.i.d. samples; each standard error is the
+sample standard deviation of the statistic's influence function over the
+points already drawn, divided by sqrt(n) (the delta method).  Boundary
+terms use exact moments or antithetic Monte Carlo on the boundary;
 the 1-D Sturm-Liouville eigensolver provides exact spectral-gap oracles.
 
 Determinism contract: a report is a pure function of (instance, suite,
@@ -28,7 +30,6 @@ from .errors import (
     HypothesisViolated,
 )
 
-BOOTSTRAP_RESAMPLES = 200
 REL_TOL = 0.02  # relative slack allowance in the pass/fail rule
 SIGMA_FACTOR = 3.0
 
@@ -144,7 +145,7 @@ def dirichlet_wrap(f: TestFunction, body) -> TestFunction:
 
     def grad(p):
         g = body.gauge_many(p)
-        gg = np.array([body.gauge_grad(x) for x in p])
+        gg = body.gauge_grad_many(p)
         return (1.0 - g**2)[:, None] * f.grad(p) - 2.0 * (g * f.fn(p))[:, None] * gg
 
     return TestFunction(
@@ -199,45 +200,36 @@ def _row_seed(seed, *labels):
     return np.random.SeedSequence([seed, h])
 
 
-def _bootstrap(stat, columns, rng, n_resamples=BOOTSTRAP_RESAMPLES):
-    """Standard error of stat(columns...) under i.i.d. resampling."""
-    n = len(columns[0])
-    vals = np.empty(n_resamples)
-    for b in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        vals[b] = stat(*(c[idx] for c in columns))
-    return float(vals.std(ddof=1))
+def _mean_se(influence):
+    """Standard error of a mean from per-sample influence values."""
+    return float(influence.std(ddof=1) / math.sqrt(len(influence)))
 
 
-def _variance_stat(f_vals):
-    n = len(f_vals)
-    return float(f_vals.var(ddof=0) * n / (n - 1))
-
-
-def _entropy_sq_stat(f_vals):
-    t = np.clip(f_vals**2, 1e-300, None)
-    m = t.mean()
-    return float((t * np.log(t)).mean() - m * math.log(m))
-
-
-def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, seed=0):
-    """LHS functional (variance, entropy of the square, or L^2 mass) with a
-    bootstrap standard error; entropy recenters f first."""
+def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples):
+    """LHS functional (variance, entropy of the square, or L^2 mass) with the
+    delta-method standard error of its influence function; entropy recenters
+    f first."""
     if len(samples) < 100:
         raise DegenerateSample("need at least 100 samples")
     vals = f.fn(samples)
-    rng = np.random.default_rng(_row_seed(seed, instance.id, f.id, "lhs"))
+    n = len(vals)
     if instance.lhs_kind == "variance":
-        est = _variance_stat(vals)
-        err = _bootstrap(_variance_stat, [vals], rng)
+        est = float(vals.var(ddof=0) * n / (n - 1))
+        err = _mean_se((vals - vals.mean()) ** 2)
     elif instance.lhs_kind == "entropy_of_square":
         vals = vals - vals.mean()
-        est = _entropy_sq_stat(vals)
-        err = _bootstrap(_entropy_sq_stat, [vals], rng)
+        t = np.clip(vals**2, 1e-300, None)
+        log_t = np.log(t)
+        m = t.mean()
+        est = float((t * log_t).mean() - m * math.log(m))
+        # the last term is the influence of recentering at the sample mean
+        err = _mean_se(
+            t * log_t - (math.log(m) + 1.0) * t - 2.0 * np.mean(vals * log_t) * vals
+        )
     elif instance.lhs_kind == "l2_dirichlet":
         sq = vals**2
         est = float(sq.mean())
-        err = float(sq.std(ddof=1) / math.sqrt(len(sq)))
+        err = _mean_se(sq)
     else:
         raise ValueError(f"unknown lhs kind {instance.lhs_kind!r}")
     return instance.lhs_scale * est, instance.lhs_scale * err
@@ -245,15 +237,18 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, seed=0)
 
 def boundary_quadrature(instance, f: TestFunction, n, seed):
     """Boundary term: (1/Vol) min_C int w(x) (f-C)^2 dH^{d-1}, with the free
-    constant minimized in closed form (C* = int w f / int w)."""
+    constant minimized in closed form (C* = int w f / int w).
+
+    On a ball the points come in antithetic pairs (z, -z); for even n the
+    influence values are averaged over each pair before the standard error
+    is taken, since the two halves of a pair are not independent."""
     term = instance.boundary
     body = term.body
+    rng = np.random.default_rng(_row_seed(seed, instance.id, f.id, "bnd"))
     if isinstance(body, Ball):
-        rng = np.random.default_rng(_row_seed(seed, instance.id, f.id, "bnd"))
         pts = body.sample_boundary(n, rng, antithetic=True)
         scale = body.surface_area() / body.volume()
     elif isinstance(body, Simplex):
-        rng = np.random.default_rng(_row_seed(seed, instance.id, f.id, "bnd"))
         pts = body.sample_facet(n, rng)
         scale = body.facet_area() / body.volume()
     else:
@@ -263,17 +258,15 @@ def boundary_quadrature(instance, f: TestFunction, n, seed):
     w = np.asarray(term.weight(pts), dtype=float)
     fv = f.fn(pts)
     if term.free_constant:
-        def stat(w, fv):
-            mw = w.mean()
-            return float(
-                (w * fv**2).mean() - (w * fv).mean() ** 2 / mw
-            ) * scale
+        mw, mwf = w.mean(), (w * fv).mean()
+        est = float((w * fv**2).mean() - mwf**2 / mw) * scale
+        influence = scale * w * (fv - mwf / mw) ** 2
     else:
-        def stat(w, fv):
-            return float((w * fv**2).mean()) * scale
-    est = stat(w, fv)
-    err = _bootstrap(stat, [w, fv], rng)
-    return est, err
+        est = float((w * fv**2).mean()) * scale
+        influence = scale * w * fv**2
+    if isinstance(body, Ball) and n % 2 == 0:
+        influence = 0.5 * (influence[: n // 2] + influence[n // 2:])
+    return est, _mean_se(influence)
 
 
 def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
@@ -300,7 +293,7 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
             grads**2, axis=1
         )
     est = float(per_sample.mean())
-    err = float(per_sample.std(ddof=1) / math.sqrt(len(per_sample)))
+    err = _mean_se(per_sample)
     if instance.boundary is not None:
         bn = boundary_n or len(samples)
         best, berr = boundary_quadrature(instance, f, bn, seed)
@@ -459,7 +452,7 @@ def check_inequality(
         from .bodies import ConeMeasureSampler
 
         sampler = ConeMeasureSampler(
-            instance.body, seed=int(_row_seed(seed, instance.id, "cone").entropy[1])
+            instance.body, seed=_row_seed(seed, instance.id, "cone")
         )
         samples = sampler.sample(budget)
     else:
@@ -484,7 +477,7 @@ def check_inequality(
     lip_variances = []
     for f in prepared:
         try:
-            lhs, lhs_err = estimate_lhs(instance, f, samples, seed=seed)
+            lhs, lhs_err = estimate_lhs(instance, f, samples)
             if instance.eval_mode == "poincare_ratio":
                 grads = f.grad(samples)
                 energy = float(np.sum(grads**2, axis=1).mean())

@@ -48,6 +48,20 @@ class TestGaugeAndNormal:
         with pytest.raises(UndefinedAtOrigin):
             bd.gauge_and_normal(bd.Ball(2), [0.0, 0.0])
 
+    def test_gauge_grad_many_matches_pointwise(self, rng):
+        pts = rng.uniform(0.05, 1.0, size=(32, 4))
+        for body in (bd.Ball(4, 2.0), bd.LpBall(4, 3.0, 1.5), bd.Simplex(4, 2.0),
+                     bd.Box(np.array([1.0, 2.0, 0.5, 1.0]))):
+            want = np.array([body.gauge_grad(x) for x in pts])
+            got = body.gauge_grad_many(pts)
+            assert got.shape == (32, 4)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        for body in (bd.Ball(4), bd.LpBall(4, 3.0), bd.Box(np.ones(4))):
+            with pytest.raises(UndefinedAtOrigin):
+                body.gauge_grad_many(np.vstack([pts[:3], np.zeros(4)]))
+        with pytest.raises(NonSmoothBoundaryPoint):
+            bd.Box(np.ones(4)).gauge_grad_many([[0.5, 0.5, 0.1, 0.2]])
+
     @given(t=st.floats(0.1, 10.0), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_gauge_homogeneity(self, t, seed):

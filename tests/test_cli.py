@@ -147,6 +147,25 @@ class TestExitCodes:
                        str(tmp_path / "out.csv")])
         assert rc == 3
 
+    def test_check_error_becomes_error_row(self):
+        # boundary quadrature has no rule for an l_p ball, so the first
+        # document fails inside check_inequality; the second must survive
+        docs = [
+            {"inequality": "hardy_boundary", "body": {"kind": "lp", "p": 3.0},
+             "dims": [6], "samples": 2000, "params": {"N": -1.0}},
+            {**MINIMAL, "samples": 2000},
+        ]
+        rep = cli.run_documents(docs)
+        errors = [r for r in rep.rows if r.status == "error"]
+        assert [(r.inequality, r.dim, r.function) for r in errors] == [
+            ("hardy_boundary", 6, "-")
+        ]
+        assert "boundary quadrature" in rep.attachments["hardy_boundary:d=6:error"]
+        others = [r for r in rep.rows if r.status != "error"]
+        assert others and all(r.inequality == "classical_bl" for r in others)
+        assert len(others) == len(engine.default_suite(2))
+        assert cli.exit_code_for(rep) == 3
+
     def test_rg_seed_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL))

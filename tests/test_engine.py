@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from riccikit import catalog as cat, engine as eng, measures as ms
-from riccikit.bodies import Ball
+from riccikit.bodies import Ball, Simplex
 from riccikit.errors import DegenerateSample, EigensolveFailure
 
 
@@ -121,6 +121,81 @@ class TestBoundaryQuadrature:
         assert abs(est - want) < 4 * err + 1e-4
 
 
+def _coverage(z):
+    """SD of the z-scores and the share of them beyond 3."""
+    z = np.asarray(z)
+    return float(z.std(ddof=1)), float(np.mean(np.abs(z) > 3.0))
+
+
+def _lhs_z_scores(inst, f, want, n=5000, seeds=range(400)):
+    z = []
+    for s in seeds:
+        est, err = eng.estimate_lhs(inst, f, eng.sample_measure(inst.measure, n, s))
+        z.append((est - want) / err)
+    return _coverage(z)
+
+
+class TestStandardErrorCoverage:
+    """Seed sweeps on known-value rows: (estimate - truth) / SE should have
+    SD near 1 and exceed 3 about as rarely as a standard normal (0.27%)."""
+
+    def test_gaussian_variance(self):
+        # classical_bl under N(0, sigma^2 I): Var(x1) = sigma^2
+        sigma = 1.3
+        inst = cat.instantiate("classical_bl", {"measure": ms.gaussian(2, sigma)})
+        sd, rate = _lhs_z_scores(inst, eng.default_suite(2)[0], sigma**2)
+        assert 0.85 <= sd <= 1.15
+        assert rate <= 0.02
+
+    def test_ball_variance(self):
+        # uniform on the ball of radius R: Var(x1) = R^2 / (d + 2)
+        d, radius = 6, 1.5
+        inst = cat.instantiate("hardy_n0", {"body": Ball(d, radius)})
+        assert inst.lhs_kind == "variance" and inst.lhs_scale == 1.0
+        sd, rate = _lhs_z_scores(inst, eng.default_suite(d)[0], radius**2 / (d + 2))
+        assert 0.85 <= sd <= 1.15
+        assert rate <= 0.02
+
+    def test_entropy_of_square_skewed(self):
+        # Ent(f^2) for f = x^2 - 1/3 under uniform[0, 1], a skewed case where
+        # the recentering at the sample mean moves the SE; quadrature oracle
+        mu = ms.uniform_interval(0.0, 1.0)
+        inst = cat.InequalityInstance(
+            id="probe", lhs_kind="entropy_of_square", measure=mu
+        )
+        f = [f for f in eng.default_suite(1) if f.id == "|x|^2"][0]
+
+        def t_log_t(x):
+            t = (x * x - 1.0 / 3.0) ** 2
+            return t * math.log(t) if t > 0.0 else 0.0
+
+        m2, _ = integrate.quad(lambda x: (x * x - 1.0 / 3.0) ** 2, 0.0, 1.0)
+        tln, _ = integrate.quad(t_log_t, 0.0, 1.0, points=[3.0**-0.5], limit=200)
+        sd, rate = _lhs_z_scores(inst, f, tln - m2 * math.log(m2))
+        assert 0.85 <= sd <= 1.15
+        assert rate <= 0.02
+
+    def test_ball_boundary_antithetic_pairs(self):
+        # On the sphere the points come in pairs (z, -z), so (x1 - C*)^2 is
+        # equal within a pair; an SE that treats the 2000 points as i.i.d.
+        # is too small by about sqrt(2).
+        d, n = 6, 2000
+        body = Ball(d)
+        inst = cat.instantiate("hardy_boundary", {"body": body, "N": -1.0})
+        pole = np.zeros((1, d))
+        pole[0, 0] = 1.0
+        w = float(inst.boundary.weight(pole)[0])  # constant on the sphere
+        want = body.surface_area() / body.volume() * w / d
+        f = eng.default_suite(d)[0]
+        z = []
+        for s in range(200):
+            est, err = eng.boundary_quadrature(inst, f, n, seed=s)
+            z.append((est - want) / err)
+        sd, rate = _coverage(z)
+        assert 0.85 <= sd <= 1.15
+        assert rate <= 0.02
+
+
 class TestSpectralGap:
     def test_uniform_interval_pi_squared(self):
         lam, cp = eng.spectral_gap_1d(lambda t: 0.0, (0.0, 1.0), n=4096)
@@ -190,6 +265,16 @@ class TestDeterminism:
         a = eng.check_inequality(inst, budget=20000, seed=3, workers=1)
         b = eng.check_inequality(inst, budget=20000, seed=3, workers=4)
         assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
+
+    def test_seed_reaches_cone_measure_sampler(self):
+        # sum_x, cos1 and cos2 are constant on the facet, so leave them out
+        inst = cat.instantiate("cone_variance", {"body": Simplex(4)})
+        functions = [f for f in eng.default_suite(4) if f.id in ("x1", "x1*x2")]
+        a, b = (
+            eng.check_inequality(inst, functions=functions, budget=2000, seed=s)
+            for s in (1, 2)
+        )
+        assert all(x.lhs != y.lhs for x, y in zip(a.rows, b.rows))
 
     def test_seed_changes_digits_not_statuses(self):
         inst = cat.instantiate("classical_bl", {"measure": ms.gaussian(2)})
