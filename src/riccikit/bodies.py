@@ -49,6 +49,14 @@ class ConvexBody:
             raise UndefinedAtOrigin("gauge gradient vanishes")
         return g / n
 
+    def normal_many(self, pts):
+        """Outer unit normals for the rows of an (n, d) array of points."""
+        g = self.gauge_grad_many(pts)
+        norm = np.sqrt(np.vecdot(g, g))
+        if np.any(norm <= 0.0):
+            raise UndefinedAtOrigin("gauge gradient vanishes")
+        return g / norm[:, None]
+
     def contains(self, x):
         return self.gauge(x) <= 1.0
 
@@ -96,16 +104,15 @@ def polar_map_norm(body: ConvexBody, x):
 
 def diagonality_bounds(body: ConvexBody, samples):
     """Empirical (inf, sup) over boundary samples of <n, e_i>/<n, x>."""
-    lam, big = math.inf, -math.inf
-    for x in np.atleast_2d(samples):
-        n = body.normal(x)
-        xn = float(x @ n)
-        if xn <= 0.0:
-            raise NonPositiveAngle(f"<x, n> = {xn:.3e} at {x}")
-        r = n / xn
-        lam = min(lam, float(r.min()))
-        big = max(big, float(r.max()))
-    return lam, big
+    x = np.atleast_2d(np.asarray(samples, dtype=float))
+    n = body.normal_many(x)
+    xn = np.vecdot(x, n)
+    bad = np.flatnonzero(xn <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise NonPositiveAngle(f"<x, n> = {xn[i]:.3e} at {x[i]}")
+    r = n / xn[:, None]
+    return float(r.min()), float(r.max())
 
 
 @dataclass
@@ -501,16 +508,17 @@ class Curve2D(ConvexBody):
         return {"kind": self.kind, "dim": 2}
 
 
+CONSTRUCTORS = {
+    "ball": lambda s: Ball(s["dim"], s.get("radius", 1.0), s.get("orthant", False)),
+    "box": lambda s: Box(s["half_widths"]),
+    "simplex": lambda s: Simplex(s["dim"], s.get("scale", 1.0)),
+    "lp": lambda s: LpBall(s["dim"], s["p"], s.get("radius", 1.0)),
+    "ellipse": lambda s: Curve2D.ellipse(s.get("a", 2.0), s.get("b", 1.0)),
+}
+
+
 def body_from_spec(spec):
     kind = spec["kind"]
-    if kind == "ball":
-        return Ball(spec["dim"], spec.get("radius", 1.0), spec.get("orthant", False))
-    if kind == "box":
-        return Box(spec["half_widths"])
-    if kind == "simplex":
-        return Simplex(spec["dim"], spec.get("scale", 1.0))
-    if kind == "lp":
-        return LpBall(spec["dim"], spec["p"], spec.get("radius", 1.0))
-    if kind == "ellipse":
-        return Curve2D.ellipse(spec.get("a", 2.0), spec.get("b", 1.0))
-    raise ValueError(f"unknown body kind {kind!r}")
+    if kind not in CONSTRUCTORS:
+        raise ValueError(f"unknown body kind {kind!r}")
+    return CONSTRUCTORS[kind](spec)

@@ -19,12 +19,7 @@ import numpy as np
 from . import families, measures, transport
 from .bodies import ConeMeasureSampler, ConvexBody, Simplex
 from .errors import HypothesisViolated, UnknownInequalityId
-from .fields import (
-    QuadraticFormField,
-    constant_form_field,
-    diagonal_form_field,
-    scalar_form_field,
-)
+from .fields import QuadraticFormField
 
 _HYPOTHESIS_SEED = 2025
 _HYPOTHESIS_SAMPLES = 512
@@ -93,18 +88,20 @@ def _min_eig_batch(mats):
 # ---------------------------------------------------------------------------
 
 
+def _identity_field(d):
+    return QuadraticFormField(dim=d, batch=lambda pts: np.ones(len(pts)), name="Id")
+
+
 def _inverse_hessian_field(measure):
-    if measure.hess_batch is None:
+    if measure.coord_d2 is not None and measure.coord_d2[0] is not None:
+        # product measure: D^2 V = diag(V_i''(x_i))
+        batch = lambda pts: 1.0 / measures.coord_columns(measure.coord_d2, pts)
+    elif measure.hess_batch is not None:
+        batch = lambda pts: np.linalg.inv(measure.hess_batch(pts))
+    else:
         hess = measure.potential.hessian
-        return QuadraticFormField(
-            dim=measure.dim, fn=lambda x: np.linalg.inv(hess(x)), name="(D2V)^-1"
-        )
-    return QuadraticFormField(
-        dim=measure.dim,
-        fn=lambda x: np.linalg.inv(measure.potential.hessian(x)),
-        batch=lambda pts: np.linalg.inv(measure.hess_batch(pts)),
-        name="(D2V)^-1",
-    )
+        batch = lambda pts: np.linalg.inv(np.array([hess(p) for p in pts]))
+    return QuadraticFormField(dim=measure.dim, batch=batch, name="(D2V)^-1")
 
 
 def _negdim_weight_field(measure):
@@ -116,14 +113,7 @@ def _negdim_weight_field(measure):
         return h + np.einsum("ni,nj->nij", g, g) / (2.0 * d)
 
     return QuadraticFormField(
-        dim=d,
-        fn=lambda x: np.linalg.inv(
-            measure.potential.hessian(x)
-            + np.outer(measure.potential.gradient(x), measure.potential.gradient(x))
-            / (2.0 * d)
-        ),
-        batch=lambda pts: np.linalg.inv(combined(pts)),
-        name="negdim^-1",
+        dim=d, batch=lambda pts: np.linalg.inv(combined(pts)), name="negdim^-1"
     )
 
 
@@ -189,10 +179,7 @@ def _build_generalized_bl(params):
     i = int(np.argmin(eigs))
     _margin(report, "ric_positive", eigs[i], location=pts[i], tol=-1e-12)
     weight = QuadraticFormField(
-        dim=mu.dim,
-        fn=lambda x: np.linalg.inv(batch(np.atleast_2d(x))[0]),
-        batch=lambda p: np.linalg.inv(batch(p)),
-        name="Ric^-1",
+        dim=mu.dim, batch=lambda p: np.linalg.inv(batch(p)), name="Ric^-1"
     )
     return InequalityInstance(
         id="generalized_bl",
@@ -214,14 +201,10 @@ def _refined_q_1d(mu, nu):
 
     def q_scalar(pts):
         x = pts[:, 0]
-        t = np.array([phi.gradient([xi])[0] for xi in x])
-        tp = np.array([phi.hessian([xi])[0, 0] for xi in x])
-        dv1 = np.vectorize(v1)(x)
-        dv2 = np.vectorize(v2)(x)
-        dw1 = np.vectorize(w1)(t)
-        dw2 = np.vectorize(w2)(t)
-        u = dv1 - tp * dw1
-        return 0.5 * dv2 + 0.5 * tp * tp * dw2 + 0.25 * u * u
+        t = phi.grad(pts[:, :1])[:, 0]
+        tp = phi.hess(pts[:, :1])[:, 0, 0]
+        u = v1(x) - tp * w1(t)
+        return 0.5 * v2(x) + 0.5 * tp * tp * w2(t) + 0.25 * u * u
 
     return q_scalar, phi
 
@@ -235,9 +218,11 @@ def _build_refined_bl(params):
     i = int(np.argmin(qv))
     _margin(report, "q_positive", qv[i], location=pts[i], tol=-1e-12)
     tgrid = nu.coord_densities[0].ppf_many(np.linspace(1e-6, 1.0 - 1e-6, 257))
-    wvals = np.vectorize(nu.coord_d2[0])(tgrid)
-    _margin(report, "target_log_concave", float(wvals.min()), tol=1e-12)
-    weight = scalar_form_field(1, lambda pts: 1.0 / q_scalar(pts), name="Q^-1")
+    wvals = nu.coord_d2[0](tgrid)
+    _margin(report, "target_log_concave", float(np.min(wvals)), tol=1e-12)
+    weight = QuadraticFormField(
+        dim=1, batch=lambda pts: 1.0 / q_scalar(pts), name="Q^-1"
+    )
     return InequalityInstance(
         id="refined_bl",
         lhs_kind="variance",
@@ -285,8 +270,8 @@ def _build_compact_bl(params):
     r = params.get("R") or _compact_support_radius(nu)
     _margin(report, "support_radius", r - _compact_support_radius(nu), tol=1e-12)
     grid = np.linspace(*dens.support, 257)[1:-1]
-    w2 = np.vectorize(nu.coord_d2[0])(grid) if nu.coord_d1[0] else np.zeros_like(grid)
-    _margin(report, "log_concave", float(w2.min()), tol=1e-12)
+    w2 = nu.coord_d2[0](grid) if nu.coord_d1[0] else np.zeros_like(grid)
+    _margin(report, "log_concave", float(np.min(w2)), tol=1e-12)
     if params.get("run_ke", True):
         sol = transport.ke_solve_1d(dens, tol=params.get("ke_tol", 1e-8))
         _margin(report, "ke_residual", params.get("ke_tol", 1e-8) - sol.residual_sup)
@@ -296,11 +281,10 @@ def _build_compact_bl(params):
             "trace_bound",
             2.0 * r * r - float(sol.second_derivative()[mask].max()),
         )
-    w2_field = nu.coord_d2[0]
-    weight = scalar_form_field(
-        1,
-        lambda pts: 1.0
-        / (1.0 / (2.0 * r * r) + np.vectorize(w2_field)(pts[:, 0])),
+    weight = QuadraticFormField(
+        dim=1,
+        batch=lambda pts: 1.0
+        / (1.0 / (2.0 * r * r) + measures.coord_columns(nu.coord_d2, pts)),
         name="(Id/2R^2 + D2W)^-1",
     )
     return InequalityInstance(
@@ -324,7 +308,7 @@ def _build_payne_weinberger(params):
         id="payne_weinberger",
         lhs_kind="variance",
         measure=nu,
-        rhs_weight=constant_form_field(np.eye(nu.dim)),
+        rhs_weight=_identity_field(nu.dim),
         rhs_constant=2.0 * r * r,
         hypothesis_report=report,
         params={"R": r},
@@ -356,7 +340,7 @@ def _build_bakry_emery_lsi(params):
     eigs = _min_eig_batch(gap)
     i = int(np.argmin(eigs))
     _margin(report, "curvature_level", eigs[i], location=pts[i], tol=1e-7)
-    weight = diagonal_form_field(d, inv_diag, name="g^-1")
+    weight = QuadraticFormField(dim=d, batch=inv_diag, name="g^-1")
     return InequalityInstance(
         id="bakry_emery_lsi",
         lhs_kind="entropy_of_square",
@@ -425,7 +409,9 @@ def _build_muq_lsi(params):
     q, c = mu.params["q"], mu.params["c"]
     report = {}
     _margin(report, "q_in_range", min(q - 1.0, 2.0 - q), tol=1e-12)
-    weight = diagonal_form_field(mu.dim, lambda pts: pts ** (2.0 - q), name="x^(2-q)")
+    weight = QuadraticFormField(
+        dim=mu.dim, batch=lambda pts: pts ** (2.0 - q), name="x^(2-q)"
+    )
     return InequalityInstance(
         id="muq_lsi",
         lhs_kind="entropy_of_square",
@@ -450,7 +436,7 @@ def _build_bakry_t_lsi(params):
     report = {}
     _margin(report, "q_in_range", min(q - 1.0, 2.0 - q), tol=1e-12)
     mu = measures.gamma_power_product(d, q, c)
-    weight = diagonal_form_field(d, lambda pts: pts, name="t")
+    weight = QuadraticFormField(dim=d, batch=lambda pts: pts, name="t")
     return InequalityInstance(
         id="bakry_t_lsi",
         lhs_kind="entropy_of_square",
@@ -469,8 +455,10 @@ def _build_qgt2_lsi(params):
     if q <= 2.0:
         raise HypothesisViolated("q_gt_2", None, q - 2.0)
     report["q_gt_2"] = q - 2.0
-    weight = diagonal_form_field(
-        1, lambda pts: np.minimum(1.0, pts ** (2.0 - q)), name="min(1,x^(2-q))"
+    weight = QuadraticFormField(
+        dim=1,
+        batch=lambda pts: np.minimum(1.0, pts ** (2.0 - q)),
+        name="min(1,x^(2-q))",
     )
     if mode == "modified":
         mu = measures.flat_power_1d(q)
@@ -488,7 +476,7 @@ def _build_qgt2_lsi(params):
         # stated weight min(1, x^(2-q)) into the effective level:
         # K_q = sup (V'')^{-1} / min(1, x^(2-q)), rho_q = rho_max / max(K_q, 1)
         xg = np.concatenate([np.linspace(1e-3, 10.0, 2001), np.geomspace(10.0, 1e5, 501)])
-        ratio = (1.0 / np.vectorize(fp.d2)(xg)) / np.minimum(1.0, xg ** (2.0 - q))
+        ratio = (1.0 / fp.d2(xg)) / np.minimum(1.0, xg ** (2.0 - q))
         k_tail = (1.0 / fp.p) * (fp.p * (fp.p - 1.0)) ** ((fp.p - 2.0) / (fp.p - 1.0))
         k_q = max(float(ratio.max()), k_tail)
         _margin(report, "weight_comparison_finite", 1e6 - k_q)
@@ -547,10 +535,7 @@ def _build_poly_product(params):
         eigs = _min_eig_batch(batch(pts))
         _margin(report, "ric_positive", float(eigs.min()), tol=-1e-12)
         weight = QuadraticFormField(
-            dim=d,
-            fn=lambda x: np.linalg.inv(batch(np.atleast_2d(x))[0]),
-            batch=lambda q: np.linalg.inv(batch(q)),
-            name="Ric_p^-1",
+            dim=d, batch=lambda q: np.linalg.inv(batch(q)), name="Ric_p^-1"
         )
         return InequalityInstance(
             id="poly_product", lhs_kind="variance", measure=mu,
@@ -559,7 +544,7 @@ def _build_poly_product(params):
         )
     if part == 2:
         _poly_orthant_checks(mu, report)
-        weight = diagonal_form_field(d, lambda pts: pts**2, name="x^2")
+        weight = QuadraticFormField(dim=d, batch=lambda pts: pts**2, name="x^2")
         return InequalityInstance(
             id="poly_product", lhs_kind="variance", measure=mu,
             rhs_weight=weight, rhs_constant=4.0,
@@ -568,7 +553,7 @@ def _build_poly_product(params):
     if part == 3:
         lam = params["lam"]
         _poly_orthant_checks(mu, report, lam=lam)
-        weight = diagonal_form_field(d, lambda pts: pts, name="x")
+        weight = QuadraticFormField(dim=d, batch=lambda pts: pts, name="x")
         return InequalityInstance(
             id="poly_product", lhs_kind="variance", measure=mu,
             rhs_weight=weight, rhs_constant=1.0 / lam,
@@ -587,7 +572,9 @@ def _build_poly_product(params):
         rho = families.rho_p_slope(p, lam)
     else:
         raise UnknownInequalityId(f"poly_product part {part}")
-    weight = diagonal_form_field(d, lambda pts: pts ** (2.0 * p), name="x^(2p)")
+    weight = QuadraticFormField(
+        dim=d, batch=lambda pts: pts ** (2.0 * p), name="x^(2p)"
+    )
     return InequalityInstance(
         id="poly_product", lhs_kind="entropy_of_square", measure=mu,
         rhs_weight=weight, rhs_constant=2.0 / rho,
@@ -607,7 +594,7 @@ def _build_exp_product(params):
         _poly_orthant_checks(mu, report, lam=lam)
         return InequalityInstance(
             id="exp_product", lhs_kind="variance", measure=mu,
-            rhs_weight=constant_form_field(np.eye(d)),
+            rhs_weight=_identity_field(d),
             rhs_constant=4.0 / lam**2,
             hypothesis_report=report, params={"mode": mode, "lam": lam},
         )
@@ -622,25 +609,12 @@ def _build_exp_product(params):
         g = mu.grad_batch(pts)
         return 1.0 / (lams * (g - lams))
 
-    weight = QuadraticFormField(
-        dim=d,
-        fn=lambda x: np.diag(weights(np.atleast_2d(x))[0]),
-        batch=lambda p: _diag_embed(weights(p)),
-        name="1/(lam (V_xi - lam))",
-    )
+    weight = QuadraticFormField(dim=d, batch=weights, name="1/(lam (V_xi - lam))")
     return InequalityInstance(
         id="exp_product", lhs_kind="variance", measure=mu,
         rhs_weight=weight, rhs_constant=1.0,
         hypothesis_report=report, params={"mode": mode, "lams": lams.tolist()},
     )
-
-
-def _diag_embed(w):
-    n, d = w.shape
-    out = np.zeros((n, d, d))
-    idx = np.arange(d)
-    out[:, idx, idx] = w
-    return out
 
 
 def _conditioned_orthant(mu):
@@ -678,14 +652,9 @@ def _build_klartag_transfer(params):
     report.update({f"base:{k}": v for k, v in base.hypothesis_report.items()})
     surcharge = float(mu.coordinate_moment(2).max())
     base_weight = base.rhs_weight
-
-    def batch(pts):
-        return base_weight.values(np.abs(pts))
-
     weight = QuadraticFormField(
         dim=mu.dim,
-        fn=lambda x: base_weight.value(np.abs(x)),
-        batch=batch,
+        batch=lambda pts: base_weight.batch(np.abs(pts)),
         name=base_weight.name + "(|x|)",
     )
     return InequalityInstance(
@@ -708,7 +677,7 @@ def _cone_second_moment_ratio(body, report, lam, seed=11):
         return val, 0.0
     sampler = ConeMeasureSampler(body, seed=seed)
     pts = sampler.sample(20000)
-    vals = np.array([float(p @ p) / float(p @ body.normal(p)) ** 2 for p in pts])
+    vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal_many(pts)) ** 2
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
@@ -795,14 +764,7 @@ def _radial_weight_field(d, theta, n_param):
         eye = np.broadcast_to(np.eye(d), outer.shape)
         return r2[:, None, None] * ((eye - outer) / tc + outer / rc)
 
-    return (
-        QuadraticFormField(
-            dim=d, fn=lambda x: batch(np.atleast_2d(x))[0], batch=batch,
-            name="Ric_N^-1(radial)"
-        ),
-        tc,
-        rc,
-    )
+    return QuadraticFormField(dim=d, batch=batch, name="Ric_N^-1(radial)"), tc, rc
 
 
 def _ball_boundary_geometry(body, pts):
@@ -881,8 +843,8 @@ def _build_hardy_boundary(params, instance_id="hardy_boundary"):
     _margin(report, "small_cond", (0.5 - _inv_or_zero(n_param)) * d - 3.0)
     mu = measures.uniform_body(body)
     const = 4.0 / (d * (d - n_param))
-    weight = scalar_form_field(
-        d, lambda pts: const * np.sum(pts**2, axis=1), name="4|x|^2/(d(d-N))"
+    weight = QuadraticFormField(
+        dim=d, batch=lambda pts: const * np.sum(pts**2, axis=1), name="4|x|^2/(d(d-N))"
     )
 
     def bweight(pts):
@@ -922,8 +884,10 @@ def _build_hardy_dirichlet(params):
     body = params["body"]
     d = body.dim
     mu = measures.uniform_body(body)
-    weight = scalar_form_field(
-        d, lambda pts: (4.0 / d**2) * np.sum(pts**2, axis=1), name="4|x|^2/d^2"
+    weight = QuadraticFormField(
+        dim=d,
+        batch=lambda pts: (4.0 / d**2) * np.sum(pts**2, axis=1),
+        name="4|x|^2/d^2",
     )
     return InequalityInstance(
         id="hardy_dirichlet",
@@ -951,14 +915,16 @@ def _build_strong_boundary(params):
     _margin(report, "ii_lower", 1.0 / r0 - theta / r0, tol=1e-12)
     mu = measures.uniform_body(body)
     if mode == "variance":
-        weight = scalar_form_field(
-            d, lambda pts: np.sum(pts**2, axis=1), name="|x|^2"
+        weight = QuadraticFormField(
+            dim=d, batch=lambda pts: np.sum(pts**2, axis=1), name="|x|^2"
         )
         const = 2.0 / (d * theta)
         lhs_kind = "variance"
     else:
-        weight = scalar_form_field(
-            d, lambda pts: np.sum(pts**2, axis=1) ** theta, name="|x|^(2theta)"
+        weight = QuadraticFormField(
+            dim=d,
+            batch=lambda pts: np.sum(pts**2, axis=1) ** theta,
+            name="|x|^(2theta)",
         )
         const = 4.0 * body.radius_bound() ** (2.0 * (1.0 - theta)) / (d * theta)
         lhs_kind = "entropy_of_square"

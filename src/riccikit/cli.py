@@ -19,8 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import catalog, engine, families, fields, measures, tensor_core, transport
-from .bodies import body_from_spec
+from . import bodies, catalog, engine, families, fields, measures, tensor_core, transport
 from .errors import (
     IOFailure,
     RicciKitError,
@@ -111,18 +110,28 @@ def parse_config(document) -> ExperimentConfig:
     measure = document.get("measure")
     if ineq in _MEASURE_IDS and measure is None and ineq != "bakry_t_lsi":
         raise SchemaViolation("/measure", f"{ineq} requires a measure spec")
-    if measure is not None and "kind" not in measure:
-        raise SchemaViolation("/measure/kind", "measure spec needs a kind")
+    for key in ("measure", "target"):
+        _check_spec(document.get(key), f"/{key}", measures.CONSTRUCTORS, dims)
     body = document.get("body")
-    if ineq in _BODY_IDS:
-        if body is None:
-            raise SchemaViolation("/body", f"{ineq} requires a body spec")
-        if "kind" not in body:
-            raise SchemaViolation("/body/kind", "body spec needs a kind")
+    if ineq in _BODY_IDS and body is None:
+        raise SchemaViolation("/body", f"{ineq} requires a body spec")
+    _check_spec(body, "/body", bodies.CONSTRUCTORS, dims)
 
     params = document.get("params", {})
     if not isinstance(params, dict):
         raise SchemaViolation("/params", "params must be an object")
+
+    function_filter = document.get("function_filter")
+    if function_filter is not None:
+        if not isinstance(function_filter, list):
+            raise SchemaViolation("/function_filter", "must be a list of function ids")
+        known = {f.id for d in dims for f in engine.default_suite(d)}
+        for i, fid in enumerate(function_filter):
+            if not isinstance(fid, str) or fid not in known:
+                raise SchemaViolation(
+                    f"/function_filter/{i}",
+                    f"unknown function id {fid!r}; known: {sorted(known)}",
+                )
 
     return ExperimentConfig(
         suite=document.get("suite", ineq),
@@ -135,8 +144,29 @@ def parse_config(document) -> ExperimentConfig:
         target=document.get("target"),
         body=body,
         params=dict(params),
-        function_filter=document.get("function_filter"),
+        function_filter=function_filter,
     )
+
+
+def _check_spec(spec, pointer, kinds, dims):
+    """Reject a measure or body spec whose kind is missing or unknown, and a
+    box whose half-widths do not match every listed dimension."""
+    if spec is None:
+        return
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in kinds:
+        raise SchemaViolation(
+            f"{pointer}/kind", f"kind {kind!r} is not one of {sorted(kinds)}"
+        )
+    if kind != "box":
+        return
+    half_widths = spec.get("half_widths")
+    for i, d in enumerate(dims):
+        if not isinstance(half_widths, list) or len(half_widths) != d:
+            raise SchemaViolation(
+                f"{pointer}/half_widths",
+                f"a box of dimension {d} (/dims/{i}) needs {d} half-widths",
+            )
 
 
 def _instance_params(config: ExperimentConfig, d: int) -> dict:
@@ -147,7 +177,7 @@ def _instance_params(config: ExperimentConfig, d: int) -> dict:
     if config.target is not None:
         params["target"] = measures.from_spec(config.target, d)
     if config.body is not None:
-        params["body"] = body_from_spec({**config.body, "dim": d})
+        params["body"] = bodies.body_from_spec({**config.body, "dim": d})
     return params
 
 
@@ -184,9 +214,12 @@ def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
 
 
 def run_documents(documents) -> engine.VerificationReport:
+    """Parse every document, so a config error stops the batch before any
+    work, then run them in order."""
+    configs = [parse_config(doc) for doc in documents]
     report = engine.VerificationReport()
-    for doc in documents:
-        report.extend(run_suite(parse_config(doc)))
+    for config in configs:
+        report.extend(run_suite(config))
     return report
 
 

@@ -29,6 +29,7 @@ from .errors import (
     EigensolveFailure,
     HypothesisViolated,
 )
+from .fields import quad_form
 
 REL_TOL = 0.02  # relative slack allowance in the pass/fail rule
 SIGMA_FACTOR = 3.0
@@ -109,9 +110,9 @@ def default_suite(d, seed=0, n_random=5) -> List[TestFunction]:
             TestFunction(
                 id=f"cos{k}",
                 fn=lambda p, w=w: np.cos(w * p.sum(axis=1)),
-                grad=lambda p, w=w: (
-                    -w * np.sin(w * p.sum(axis=1))[:, None]
-                ) * np.ones((1, d)),
+                grad=lambda p, w=w: np.repeat(
+                    -w * np.sin(w * p.sum(axis=1))[:, None], d, axis=1
+                ),
                 lipschitz_bound=k * math.pi,
             )
         )
@@ -123,14 +124,15 @@ def default_suite(d, seed=0, n_random=5) -> List[TestFunction]:
         al, be = 0.5 * rng.uniform(), 0.2 * rng.uniform()
 
         def fn(p, a=a, b=b, c=c, al=al, be=be):
-            return p @ a + al * (p @ b) ** 2 + be * (p @ c) ** 3
+            u = p @ c
+            return p @ a + al * (p @ b) ** 2 + be * (u * u * u)
 
-        def grad(p, a=a, b=b, c=c, al=al, be=be):
-            return (
-                np.broadcast_to(a, p.shape).copy()
-                + 2.0 * al * (p @ b)[:, None] * b
-                + 3.0 * be * ((p @ c) ** 2)[:, None] * c
-            )
+        def grad(p, abc=np.stack([a, b, c]), al=al, be=be):
+            # a + (2 al p.b) b + (3 be (p.c)^2) c as one (n, 3) @ (3, d)
+            # product: broadcast row-by-vector products are several times slower
+            pb, pc = p @ abc[1], p @ abc[2]
+            ones = np.ones(len(p))
+            return np.column_stack([ones, 2.0 * al * pb, 3.0 * be * (pc * pc)]) @ abc
 
         funcs.append(TestFunction(id=f"poly3_{j}", fn=fn, grad=grad))
     return funcs
@@ -273,17 +275,16 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
                  boundary_n=None, weight_values=None):
     """Interior weighted Dirichlet energy plus surcharge and boundary terms.
 
-    `weight_values` may carry precomputed (n, d, d) weight matrices for the
-    sample set.  Raises HypothesisViolated if the weight fails PSD at a
-    sample point.
+    `weight_values` may carry the weights at the sample set, precomputed by
+    `rhs_weight.compact`.  Raises HypothesisViolated if the weight fails PSD
+    at a sample point.
     """
     if instance.eval_mode == "fixed_rhs":
         return instance.rhs_fixed, instance.rhs_fixed_err
     grads = f.grad(samples)
     if weight_values is None:
-        vals = instance.rhs_weight.quad(samples, grads)
-    else:
-        vals = np.einsum("nij,ni,nj->n", weight_values, grads, grads)
+        weight_values = instance.rhs_weight.compact(samples)
+    vals = quad_form(weight_values, grads)
     if np.any(vals < -1e-10):
         i = int(np.argmin(vals))
         raise HypothesisViolated("rhs_weight_psd", samples[i], float(vals[i]))
@@ -471,7 +472,7 @@ def check_inequality(
 
     weight_values = None
     if instance.eval_mode == "standard" and instance.rhs_weight is not None:
-        weight_values = instance.rhs_weight.values(samples)
+        weight_values = instance.rhs_weight.compact(samples)
 
     ratios = []
     lip_variances = []

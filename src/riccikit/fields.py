@@ -1,7 +1,10 @@
 """Scalar, metric and quadratic-form fields over convex domains.
 
 Conventions:
-  * points are 1-D float arrays of shape (d,);
+  * potentials and metrics take one point, a 1-D float array of shape (d,);
+  * quadratic-form fields take an (n, d) array of points and return their
+    weights in one of three shapes, (n,) for s(x) * Id, (n, d) for
+    diag(w(x)) and (n, d, d) for a full matrix; one point is a batch of one;
   * metric derivative arrays have shape (d, d, d) with axis 0 the
     differentiation direction: deriv(x)[k] = d g / d x_k;
   * third-derivative tensors of potentials are fully symmetric (d, d, d)
@@ -261,77 +264,55 @@ def hessian_metric(phi: PotentialField, d, domain=None):
 class QuadraticFormField:
     """Map from points to symmetric matrices (curvature tensors, RHS weights).
 
-    `batch` may be supplied for vectorized evaluation over an (n, d) array of
-    points; otherwise evaluation loops.
+    `batch` maps an (n, d) array of points to the weights at all of them in
+    their natural shape, and the shape encodes the structure:
+      (n,)       s(x) * Id;
+      (n, d)     diag(w(x));
+      (n, d, d)  a full matrix (symmetrized on evaluation).
     """
 
     dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch: Callable[[np.ndarray], np.ndarray]
     name: str = "form"
 
-    def value(self, x):
-        return numdiff.symmetrize(np.asarray(self.fn(as_point(x, self.dim)), float))
-
-    def values(self, points):
+    def compact(self, points):
+        """Weights at an (n, d) array of points in the shape `batch` gives."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.batch is not None:
-            out = np.asarray(self.batch(points), dtype=float)
-            return 0.5 * (out + np.swapaxes(out, 1, 2))
-        return np.array([self.value(p) for p in points])
-
-    def quad(self, points, vectors):
-        """<W(x) v, v> row-wise for (n,d) points and vectors."""
-        w = self.values(points)
-        return np.einsum("nij,ni,nj->n", w, vectors, vectors)
-
-    def inverse_field(self, name=None):
-        return QuadraticFormField(
-            dim=self.dim,
-            fn=lambda x: np.linalg.inv(self.value(x)),
-            batch=None if self.batch is None else (
-                lambda pts: np.linalg.inv(self.values(pts))
-            ),
-            name=name or f"{self.name}^-1",
-        )
-
-
-def diagonal_form_field(d, weights, name="diag"):
-    """W(x) = diag(w(x)) from a vectorized map (n, d) -> (n, d)."""
-
-    def batch(pts):
-        w = np.asarray(weights(pts), dtype=float)
-        out = np.zeros((pts.shape[0], d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = w
+        out = np.asarray(self.batch(points), dtype=float)
+        n, d = len(points), self.dim
+        if out.shape not in ((n,), (n, d), (n, d, d)):
+            raise ValueError(
+                f"{self.name}: weights of shape {out.shape} at {n} points "
+                f"of dimension {d}"
+            )
+        if out.ndim == 3:
+            out = 0.5 * (out + np.swapaxes(out, 1, 2))
         return out
 
-    return QuadraticFormField(
-        dim=d, fn=lambda x: np.diag(weights(x[None, :])[0]), batch=batch, name=name
-    )
+    def values(self, points):
+        """(n, d, d) weight matrices at an (n, d) array of points."""
+        return as_matrices(self.compact(points), self.dim)
+
+    def value(self, x):
+        return self.values(as_point(x, self.dim)[None, :])[0]
 
 
-def scalar_form_field(d, scale, name="scalar*id"):
-    """W(x) = s(x) * Id from a vectorized scalar map (n, d) -> (n,)."""
-
-    def batch(pts):
-        s = np.asarray(scale(pts), dtype=float)
-        return s[:, None, None] * np.eye(d)[None, :, :]
-
-    return QuadraticFormField(
-        dim=d,
-        fn=lambda x: float(scale(x[None, :])[0]) * np.eye(d),
-        batch=batch,
-        name=name,
-    )
+def as_matrices(w, d):
+    """(n, d, d) matrices from weights in one of the compact shapes of
+    QuadraticFormField: (n,) scalars, (n, d) diagonals or (n, d, d)."""
+    if w.ndim == 3:
+        return w
+    out = np.zeros((len(w), d, d))
+    idx = np.arange(d)
+    out[:, idx, idx] = w if w.ndim == 2 else w[:, None]
+    return out
 
 
-def constant_form_field(a, name="const"):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    d = a.shape[0]
-    return QuadraticFormField(
-        dim=d,
-        fn=lambda x: a,
-        batch=lambda pts: np.broadcast_to(a, (pts.shape[0], d, d)).copy(),
-        name=name,
-    )
+def quad_form(w, vectors):
+    """<W(x) v, v> row-wise for compact weights `w` (the shapes of
+    QuadraticFormField.compact) and an (n, d) array of vectors."""
+    if w.ndim == 1:
+        return w * np.einsum("ni,ni->n", vectors, vectors)
+    if w.ndim == 2:
+        return np.einsum("ni,ni,ni->n", w, vectors, vectors)
+    return np.einsum("ni,ni->n", np.einsum("nij,nj->ni", w, vectors), vectors)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bodies import Box, ConvexBody, body_from_spec
 from .errors import NonNormalizable
-from .fields import PotentialField
+from .fields import PotentialField, as_matrices
 from .transport import Density1D, FlattenedPowerPotential
 
 N_SHARDS = 8  # logical sampling shards, independent of worker count
@@ -23,7 +23,15 @@ N_SHARDS = 8  # logical sampling shards, independent of worker count
 @dataclass
 class MeasureSpec:
     """A sampleable probability measure with derivative access to its
-    potential.  `grad_batch`/`hess_batch` are vectorized over (n, d) arrays."""
+    potential.
+
+    `grad_batch`/`hess_batch` map an (n, d) array of points to (n, d)
+    gradients and (n, d, d) Hessians.  A product measure also carries one
+    callback per coordinate in `coord_d1`/`coord_d2`: each takes an array of
+    abscissae and returns V_i' or V_i'' at every entry, or a scalar when the
+    derivative is constant (`coord_columns` broadcasts it).  A single point
+    is a batch of one.
+    """
 
     kind: str
     dim: int
@@ -56,8 +64,15 @@ class MeasureSpec:
             raise NonNormalizable(f"{self.kind}: no coordinate densities")
         return np.array([d.moment(k) for d in self.coord_densities])
 
-    def spec_dict(self):
-        return {"kind": self.kind, "dim": self.dim, **self.params}
+
+def coord_columns(fns, pts):
+    """(n, d) array whose column i is fns[i] called once on column i of the
+    (n, d) points."""
+    pts = np.asarray(pts, dtype=float)
+    return np.column_stack([
+        np.broadcast_to(np.asarray(f(pts[:, i]), dtype=float), len(pts))
+        for i, f in enumerate(fns)
+    ])
 
 
 def _product_spec(kind, densities, d1=None, d2=None, **flags):
@@ -75,20 +90,11 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
     gb = None
     hb = None
     if d1s[0] is not None:
-        grad = lambda x: np.array([g(t) for g, t in zip(d1s, x)])
-        gb = lambda pts: np.column_stack(
-            [np.vectorize(g)(pts[:, i]) for i, g in enumerate(d1s)]
-        )
+        gb = lambda pts: coord_columns(d1s, pts)
+        grad = lambda x: gb(x[None, :])[0]
     if d2s[0] is not None:
-        hess = lambda x: np.diag([h(t) for h, t in zip(d2s, x)])
-
-        def hb(pts):
-            out = np.zeros((pts.shape[0], dim, dim))
-            idx = np.arange(dim)
-            out[:, idx, idx] = np.column_stack(
-                [np.vectorize(h)(pts[:, i]) for i, h in enumerate(d2s)]
-            )
-            return out
+        hb = lambda pts: as_matrices(coord_columns(d2s, pts), dim)
+        hess = lambda x: hb(x[None, :])[0]
 
     def sampler(n, rng):
         return np.column_stack([dens.sample(n, rng) for dens in densities])
@@ -148,7 +154,10 @@ def power_product(d, q, c=1.0):
         "power_product",
         [dens] * d,
         d1=lambda t: c * q * t ** (q - 1.0),
-        d2=lambda t: c * q * (q - 1.0) * t ** (q - 2.0) if t > 0 else 0.0,
+        # np.where evaluates both branches, so keep the t <= 0 one finite
+        d2=lambda t: np.where(
+            t > 0, c * q * (q - 1.0) * np.where(t > 0, t, 1.0) ** (q - 2.0), 0.0
+        ),
         log_concave=q >= 1.0,
         orthant=True,
     )
@@ -241,8 +250,8 @@ def cos_interval(half_width=0.5):
     dens = Density1D(pot, (-half_width, half_width), name="cos")
     spec = _product_spec(
         "cos_interval", [dens],
-        d1=lambda t: w * math.tan(min(max(w * t, -1.5707), 1.5707)),
-        d2=lambda t: w * w / math.cos(min(max(w * t, -1.5707), 1.5707)) ** 2,
+        d1=lambda t: w * np.tan(np.clip(w * t, -1.5707, 1.5707)),
+        d2=lambda t: w * w / np.cos(np.clip(w * t, -1.5707, 1.5707)) ** 2,
         log_concave=True, unconditional=True,
     )
     spec.params = {"half_width": half_width}
@@ -322,8 +331,8 @@ def flat_power_1d(q):
     spec = _product_spec(
         "flat_power_1d",
         [dens],
-        d1=lambda t: fp.d1(t),
-        d2=lambda t: fp.d2(t),
+        d1=fp.d1,
+        d2=fp.d2,
         log_concave=True,
         orthant=True,
     )
@@ -332,7 +341,7 @@ def flat_power_1d(q):
     return spec
 
 
-_BUILDERS = {
+CONSTRUCTORS = {
     "gaussian": lambda d, p: gaussian(d, p.get("sigma", 1.0)),
     "exp_product": lambda d, p: exp_product(d, p.get("rate", 1.0)),
     "power_product": lambda d, p: power_product(d, p["q"], p.get("c", 1.0)),
@@ -353,7 +362,7 @@ _BUILDERS = {
 def from_spec(doc, dim):
     """Build a MeasureSpec from a JSON-style {kind, params...} document."""
     kind = doc["kind"]
-    if kind not in _BUILDERS:
+    if kind not in CONSTRUCTORS:
         raise NonNormalizable(f"unknown measure kind {kind!r}")
     params = {k: v for k, v in doc.items() if k != "kind"}
-    return _BUILDERS[kind](dim, params)
+    return CONSTRUCTORS[kind](dim, params)

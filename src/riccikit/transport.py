@@ -150,14 +150,7 @@ class Density1D:
         u = float(u)
         if not 0.0 < u < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
-        left = int(np.searchsorted(self.cdf_grid, u, side="left"))
-        right = int(np.searchsorted(self.cdf_grid, u, side="right"))
-        if right - left >= 2:
-            raise CDFInversionFailure(
-                f"{self.name}: CDF flat at level {u:.10g} on "
-                f"[{self.grid[left]:.6g}, {self.grid[right - 1]:.6g}]; "
-                "density vanishes inside support"
-            )
+        left = self._refuse_flat(u)
         # 0 < u < 1 = cdf_grid[-1] and cdf_grid[0] = 0, so 1 <= left <= n - 1
         # and the bracket [grid[i], grid[i + 2]] straddles u
         i = left - 1
@@ -184,6 +177,20 @@ class Density1D:
                 f"CDF residual {f:.3e} at x = {x:.17g}"
             )
         return x
+
+    def _refuse_flat(self, u):
+        """Raise CDFInversionFailure if the cached CDF is flat at level u (the
+        level is attained on two or more grid nodes); else return the index
+        of the first node at or above u."""
+        left = int(np.searchsorted(self.cdf_grid, u, side="left"))
+        right = int(np.searchsorted(self.cdf_grid, u, side="right"))
+        if right - left >= 2:
+            raise CDFInversionFailure(
+                f"{self.name}: CDF flat at level {u:.10g} on "
+                f"[{self.grid[left]:.6g}, {self.grid[right - 1]:.6g}]; "
+                "density vanishes inside support"
+            )
+        return left
 
     # -- vectorized paths (sampling accuracy) ---------------------------------
 
@@ -302,12 +309,23 @@ def transport_potential_1d(mu: Density1D, nu: Density1D, n=2049) -> PotentialFie
     """Convex potential Phi with Phi' = monotone map of mu onto nu.
 
     Built on the interior quantile range of mu; Phi'' comes from the density
-    ratio, Phi''' from differencing it.
+    ratio, Phi''' from differencing it.  The callbacks take one point of
+    shape (1,) or a column of n points of shape (n, 1), and return the value,
+    gradient, Hessian and third derivative with that leading shape.
+
+    Raises CDFInversionFailure when the CDF of nu is flat at a level that the
+    map reaches or crosses: the density of nu vanishes on a stretch inside
+    its support, so T jumps there and Phi'' is not defined.
     """
     qs = np.linspace(1e-6, 1.0 - 1e-6, n)
     xs = mu.ppf_many(qs)
     xs = np.unique(xs)
-    ts = nu.ppf_many(mu.cdf_many(xs))
+    us = mu.cdf_many(xs)
+    flat = nu.cdf_grid[np.flatnonzero(np.diff(nu.cdf_grid) == 0.0)]
+    crossed = flat[(flat >= us[0]) & (flat <= us[-1])]
+    if crossed.size:
+        nu._refuse_flat(crossed[0])
+    ts = nu.ppf_many(us)
     tp = mu.pdf(xs) / np.maximum(nu.pdf(ts), 1e-300)
     phi_vals = integrate.cumulative_simpson(ts, x=xs, initial=0.0)
     spl = interpolate.CubicSpline(xs, phi_vals)
@@ -315,12 +333,10 @@ def transport_potential_1d(mu: Density1D, nu: Density1D, n=2049) -> PotentialFie
     tp_spl = interpolate.CubicSpline(xs, tp)
 
     return PotentialField(
-        fn=lambda x: float(spl(float(np.atleast_1d(x)[0]))),
-        grad=lambda x: np.array([float(t_spl(float(np.atleast_1d(x)[0])))]),
-        hess=lambda x: np.array([[float(tp_spl(float(np.atleast_1d(x)[0])))]]),
-        third=lambda x: np.array(
-            [[[float(tp_spl(float(np.atleast_1d(x)[0]), 1))]]]
-        ),
+        fn=lambda x: spl(x)[..., 0],
+        grad=t_spl,
+        hess=lambda x: tp_spl(x)[..., None],
+        third=lambda x: tp_spl(x, 1)[..., None, None],
         convex=True,
     )
 
@@ -517,19 +533,18 @@ class FlattenedPowerPotential:
 
     # primal-side derivatives (x >= 0; extend evenly)
 
-    def d1(self, x):
+    def _d1_outer(self, x):
+        """V'(x) beyond the knee; finite for every x >= 0, since 2 - p > 0."""
         p = self.p
-        x = abs(float(x))
-        if x <= self.x_knee:
-            return p * x
         return (p * (p - 1.0) * x + (2.0 - p)) ** (1.0 / (p - 1.0))
+
+    def d1(self, x):
+        x = np.abs(x)
+        return np.where(x <= self.x_knee, self.p * x, self._d1_outer(x))
 
     def d2(self, x):
         p = self.p
-        x = abs(float(x))
-        if x <= self.x_knee:
-            return p
-        return p * self.d1(x) ** (2.0 - p)
+        return np.where(np.abs(x) <= self.x_knee, p, p * self.d1(x) ** (2.0 - p))
 
     def value(self, x):
         p = self.p
@@ -537,23 +552,13 @@ class FlattenedPowerPotential:
         if x <= self.x_knee:
             return 0.5 * p * x * x
         # V(x) = x y - V*(y) at y = V'(x)
-        y = self.d1(x)
+        y = self._d1_outer(x)
         vstar = (
             0.5 / p
             + (y - 1.0) / p
             + ((y**p - 1.0) / p - (y - 1.0)) / (p * (p - 1.0))
         )
         return x * y - vstar
-
-    def potential_field(self) -> PotentialField:
-        return PotentialField(
-            fn=lambda x: self.value(float(np.atleast_1d(x)[0])),
-            grad=lambda x: np.array(
-                [math.copysign(self.d1(t), t) for t in np.atleast_1d(x)]
-            ),
-            hess=lambda x: np.array([[self.d2(float(np.atleast_1d(x)[0]))]]),
-            convex=True,
-        )
 
     def dual_criterion(self, y_grid) -> DualCriterion:
         """Closed-form dual arrays: for |y| <= 1, F'' = 2/p; for |y| > 1,
@@ -567,8 +572,7 @@ class FlattenedPowerPotential:
         ld = np.where(inner, 0.0, (p - 2.0) / ys)
         return DualCriterion(y_grid=y, ddvstar=dd, f_second=f2, logd_prime=ld)
 
-    def density(self, x_max=None) -> Density1D:
-        x_max = x_max or (8.0 * _TAIL_LOG) ** (1.0 / self.q) + 5.0
+    def density(self) -> Density1D:
         return Density1D(self.value, (0.0, np.inf), name=f"flatpower{self.q}")
 
 

@@ -253,8 +253,8 @@ def _seeded_1d_logconcave(seed):
         (-np.inf, np.inf),
         name=f"lc{seed}",
     )
-    d1 = lambda t: a * t + b * math.tanh(t - c)
-    d2 = lambda t: a + b / math.cosh(t - c) ** 2
+    d1 = lambda t: a * t + b * np.tanh(t - c)
+    d2 = lambda t: a + b / np.cosh(t - c) ** 2
     return ms.density_1d(dens, d1=d1, d2=d2)
 
 

@@ -199,6 +199,17 @@ class TestDiagonality:
         assert 0.0 < lam < 0.05
         assert 0.5 < big <= 1.0
 
+    @pytest.mark.parametrize(
+        "body",
+        [bd.LpBall(3, 3.0), bd.Ball(4, orthant=True), bd.Box([1.0, 0.5, 2.0])],
+    )
+    def test_batched_bounds_match_pointwise(self, body):
+        pts = bd.ConeMeasureSampler(body, seed=4).sample(500)
+        ratios = np.array([body.normal(x) / float(x @ body.normal(x)) for x in pts])
+        lam, big = bd.diagonality_bounds(body, pts)
+        assert abs(lam - ratios.min()) <= 1e-14 * abs(ratios.min())
+        assert abs(big - ratios.max()) <= 1e-14 * abs(ratios.max())
+
     def test_nonpositive_angle_detected(self):
         # a sample outside the cone of definition pairs negatively with the
         # facet normal and must be rejected

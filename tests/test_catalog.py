@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riccikit import catalog as cat, measures as ms
-from riccikit.bodies import Ball, Simplex
+from riccikit.bodies import Ball, ConeMeasureSampler, LpBall, Simplex
 from riccikit.errors import HypothesisViolated, UnknownInequalityId
 
 
@@ -129,6 +129,35 @@ class TestStructuralRelations:
         wr = inst.rhs_weight.values(pts)[:, 0, 0]
         wc = classical.rhs_weight.values(pts)[:, 0, 0]
         assert np.all(wr <= 2.0 * wc + 1e-8)
+
+    def test_refined_q_batch_matches_pointwise(self):
+        # one spline call on the sample column against the pointwise
+        # potential-field path, on a target with curvature in W''
+        mu, nu = ms.gaussian(1), ms.cos_interval(0.5)
+        q, phi = cat._refined_q_1d(mu, nu)
+        pts = mu.sample(1000, 4)
+        v1, v2 = mu.coord_d1[0], mu.coord_d2[0]
+        w1, w2 = nu.coord_d1[0], nu.coord_d2[0]
+        want = []
+        for x in pts[:, 0]:
+            t = phi.gradient([x])[0]
+            tp = phi.hessian([x])[0, 0]
+            u = float(v1(x)) - tp * float(w1(t))
+            want.append(
+                0.5 * float(v2(x)) + 0.5 * tp * tp * float(w2(t)) + 0.25 * u * u
+            )
+        got = q(pts)
+        assert got.shape == (1000,)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_cone_second_moment_ratio_matches_pointwise(self):
+        body = LpBall(3, 3.0)
+        ratio, err = cat._cone_second_moment_ratio(body, {}, None, seed=11)
+        pts = ConeMeasureSampler(body, seed=11).sample(20000)
+        vals = np.array([float(p @ p) / float(p @ body.normal(p)) ** 2 for p in pts])
+        assert abs(ratio - vals.mean()) <= 1e-14 * vals.mean()
+        want_err = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(err - want_err) <= 1e-12 * want_err
 
     def test_qgt2_rho_analytic(self):
         inst = cat.instantiate("qgt2_lsi", {"q": 3.0})

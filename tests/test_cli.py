@@ -54,6 +54,39 @@ class TestParseConfig:
             cli.parse_config({"inequality": "classical_bl", "dims": [2]})
         assert err.value.pointer == "/measure"
 
+    def test_unknown_function_filter_id(self):
+        with pytest.raises(SchemaViolation) as err:
+            cli.parse_config({**MINIMAL, "function_filter": ["x1", "x9"]})
+        assert err.value.pointer == "/function_filter/1"
+        assert "'x9'" in str(err.value)
+
+    def test_box_half_widths_length(self):
+        doc = {"inequality": "one_lip_reduction", "dims": [2, 3],
+               "body": {"kind": "box", "half_widths": [1.0, 0.5]}}
+        assert cli.parse_config({**doc, "dims": [2]}).body["kind"] == "box"
+        with pytest.raises(SchemaViolation) as err:
+            cli.parse_config(doc)
+        assert err.value.pointer == "/body/half_widths"
+        assert "/dims/1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "doc,pointer",
+        [
+            ({"inequality": "hardy_dirichlet", "body": {"kind": "lp_ball"}},
+             "/body/kind"),
+            ({"inequality": "classical_bl", "measure": {"kind": "gauss"}},
+             "/measure/kind"),
+            ({"inequality": "refined_bl", "measure": {"kind": "gaussian"},
+              "target": {"kind": "gausian"}}, "/target/kind"),
+        ],
+    )
+    def test_unknown_kind(self, doc, pointer):
+        # rejected before any document runs, not as a bare ValueError from
+        # the body or measure constructor midway through the batch
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([MINIMAL, {**doc, "dims": [2]}])
+        assert err.value.pointer == pointer
+
     def test_json_string_accepted(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
         assert cfg.samples == 5000

@@ -223,17 +223,19 @@ class TestSpectralGap:
 
 class TestPsdVerify:
     def test_identity_field(self):
-        from riccikit.fields import constant_form_field
+        from riccikit.fields import QuadraticFormField
 
-        val, _ = eng.psd_verify(constant_form_field(np.eye(2)), np.zeros((3, 2)))
+        identity = QuadraticFormField(dim=2, batch=lambda pts: np.ones(len(pts)))
+        val, _ = eng.psd_verify(identity, np.zeros((3, 2)))
         assert val == 1.0
 
     def test_indefinite_field(self):
-        from riccikit.fields import constant_form_field
+        from riccikit.fields import QuadraticFormField
 
-        val, _ = eng.psd_verify(
-            constant_form_field(np.diag([1.0, -1.0])), np.zeros((3, 2))
+        field = QuadraticFormField(
+            dim=2, batch=lambda pts: np.tile([1.0, -1.0], (len(pts), 1))
         )
+        val, _ = eng.psd_verify(field, np.zeros((3, 2)))
         assert val == -1.0
 
     def test_product_metric_ricci_nonnegative(self):
@@ -242,6 +244,40 @@ class TestPsdVerify:
         batch = cat._product_ricci_batch(mu, "power", 0.5)
         eigs = np.linalg.eigvalsh(batch(pts))[:, 0]
         assert eigs.min() > -1e-8
+
+
+class TestWeightContraction:
+    @pytest.mark.parametrize(
+        "inequality,params,shape",
+        [
+            ("hardy_dirichlet", {"body": Ball(4)}, "scalar"),
+            ("poly_product", {"measure": ms.exp_product(4), "part": 2},
+             "diagonal"),
+            ("dim_bl_boundary", {"body": Ball(4), "N": -8.0}, "full"),
+        ],
+    )
+    def test_compact_contraction_matches_dense(self, inequality, params, shape):
+        from riccikit.fields import quad_form
+
+        inst = cat.instantiate(inequality, params)
+        pts = eng.sample_measure(inst.measure, 2000, 5)
+        w = inst.rhs_weight.compact(pts)
+        assert w.ndim == {"scalar": 1, "diagonal": 2, "full": 3}[shape]
+        dense = inst.rhs_weight.values(pts)
+        assert dense.shape == (2000, 4, 4)
+        assert np.array_equal(inst.rhs_weight.value(pts[7]), dense[7])
+        for f in eng.default_suite(4, seed=2):
+            g = f.grad(pts)
+            want = np.einsum("nij,ni,nj->n", dense, g, g)
+            got = quad_form(w, g)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), f.id
+
+    def test_compact_rejects_unshaped_weights(self):
+        from riccikit.fields import QuadraticFormField
+
+        field = QuadraticFormField(dim=2, batch=lambda pts: 1.0, name="const")
+        with pytest.raises(ValueError, match="shape"):
+            field.compact(np.zeros((3, 2)))
 
 
 class TestSlackRule:

@@ -75,12 +75,12 @@ class TestSpectralCrossOracle:
         # inverse-Hessian form to the plain Dirichlet form
         a, b_ = 1.0, 0.6
         pot = lambda t: 0.5 * a * t * t + b_ * math.log(math.cosh(t))
-        d2 = lambda t: a + b_ / math.cosh(t) ** 2
+        d2 = lambda t: a + b_ / np.cosh(t) ** 2
         lam, cp = eng.spectral_gap_1d(pot, (-8.0, 8.0), n=4096)
         from riccikit import transport as tr
 
         dens = tr.Density1D(pot, (-np.inf, np.inf))
-        mu = ms.density_1d(dens, d1=lambda t: a * t + b_ * math.tanh(t), d2=d2)
+        mu = ms.density_1d(dens, d1=lambda t: a * t + b_ * np.tanh(t), d2=d2)
         samples = eng.sample_measure(mu, 200000, 3)
         worst = 0.0
         for f in eng.default_suite(1, seed=0):

@@ -285,6 +285,19 @@ class TestMoreGuards:
         with pytest.raises(CDFInversionFailure, match="flat"):
             tr.monotone_map_1d(tr.uniform_density(0.0, 1.0), nu, level)
 
+    def test_transport_potential_onto_gapped_target_refused(self):
+        # the interpolated quantile function steps over the dead zone, so
+        # only the flat CDF shows that Phi'' = T' is not defined there
+        from riccikit.errors import CDFInversionFailure
+
+        nu = tr.Density1D(
+            lambda t: 0.0 if (t <= 1.0 or t >= 2.0) else 300.0,
+            (0.0, 3.0),
+            name="gapped300",
+        )
+        with pytest.raises(CDFInversionFailure, match=r"flat at .* on \[1\.0"):
+            tr.transport_potential_1d(tr.uniform_density(0.0, 1.0), nu)
+
     def test_ppf_on_gapped_density_off_the_dead_zone(self):
         from riccikit.errors import CDFInversionFailure
 
