@@ -133,10 +133,6 @@ class ConeMeasureSampler:
         return pts / g[:, None]
 
 
-def cone_measure_sample(sampler: ConeMeasureSampler, count):
-    return sampler.sample(count)
-
-
 # ---------------------------------------------------------------------------
 
 

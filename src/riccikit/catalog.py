@@ -12,7 +12,7 @@ pass/fail.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class InequalityInstance:
     lipschitz_only: bool = False
     dirichlet: bool = False
     eval_mode: str = "standard"  # standard | fixed_rhs | poincare_ratio
-    cone_sampler: Optional[ConeMeasureSampler] = None
     body: Optional[ConvexBody] = None
     hypothesis_report: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
@@ -63,10 +62,17 @@ class InequalityInstance:
 
 @dataclass
 class CatalogEntry:
+    """One theorem: its builder and what a config must supply for it, the
+    specs (`measure`, `target`, `body`), the top-level `params` keys and the
+    smallest dimension of its admissibility window."""
+
     id: str
     builder: Callable
     description: str
     constant_known: bool = True
+    specs: Tuple[str, ...] = ()
+    params: Tuple[str, ...] = ()
+    min_dim: int = 1
 
 
 def _margin(report, name, value, location=None, tol=1e-9, enforce=True):
@@ -255,6 +261,13 @@ def _build_negdim_bl(params):
     )
 
 
+def _ball_radius(body):
+    """Radius of a ball-like body, which the mean-curvature terms read."""
+    if not hasattr(body, "radius"):
+        raise HypothesisViolated(f"ball_like_body ({body.kind})", None, -math.inf)
+    return body.radius
+
+
 def _compact_support_radius(nu):
     a, b = nu.coord_densities[0].support
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -406,6 +419,8 @@ def _coordinate_field_1d(mu):
 
 def _build_muq_lsi(params):
     mu = params["measure"]
+    if mu.kind != "power_product":
+        raise HypothesisViolated(f"power_product_measure ({mu.kind})", None, -math.inf)
     q, c = mu.params["q"], mu.params["c"]
     report = {}
     _margin(report, "q_in_range", min(q - 1.0, 2.0 - q), tol=1e-12)
@@ -706,7 +721,6 @@ def _build_cone_variance(params):
         rhs_fixed_err=const * ratio_err,
         lipschitz_only=True,
         eval_mode="fixed_rhs",
-        cone_sampler=ConeMeasureSampler(body, seed=params.get("seed", 5) + 1),
         body=body,
         hypothesis_report=report,
         params={"lam": lam},
@@ -802,7 +816,7 @@ def _build_dim_bl_boundary(params):
             hgmu = h0 + theta * xn / r2
             return 1.0 / hgmu
 
-        r0 = body.radius
+        r0 = _ball_radius(body)
         _margin(
             report,
             "boundary_mean_convex",
@@ -851,7 +865,7 @@ def _build_hardy_boundary(params, instance_id="hardy_boundary"):
         r2, xn, h0 = _ball_boundary_geometry(body, pts)
         return 1.0 / (0.5 * (d - n_param) * xn / r2 - n_param * h0)
 
-    r0 = body.radius
+    r0 = _ball_radius(body)
     _margin(
         report,
         "boundary_mean_convex",
@@ -911,7 +925,7 @@ def _build_strong_boundary(params):
     _margin(report, "dimension_rule", d - 8.0, tol=1e-12)
     _margin(report, "theta_range", min(theta, 0.5 - theta), tol=1e-12)
     # II_0 >= theta <x,n>/|x|^2 Id on the boundary (exact on balls)
-    r0 = body.radius
+    r0 = _ball_radius(body)
     _margin(report, "ii_lower", 1.0 / r0 - theta / r0, tol=1e-12)
     mu = measures.uniform_body(body)
     if mode == "variance":
@@ -956,54 +970,77 @@ def _build_one_lip_reduction(params):
     )
 
 
+_MEASURE, _BODY = ("measure",), ("body",)
+
 CATALOG = {
     e.id: e
     for e in [
         CatalogEntry("classical_bl", _build_classical_bl,
-                     "variance bounded by the inverse-Hessian Dirichlet form"),
+                     "variance bounded by the inverse-Hessian Dirichlet form",
+                     specs=_MEASURE),
         CatalogEntry("generalized_bl", _build_generalized_bl,
-                     "variance bound with the generalized Ricci weight"),
+                     "variance bound with the generalized Ricci weight",
+                     specs=_MEASURE, params=("family",)),
         CatalogEntry("refined_bl", _build_refined_bl,
-                     "transport-refined variance bound (weight Q)"),
+                     "transport-refined variance bound (weight Q)",
+                     specs=("measure", "target")),
         CatalogEntry("negdim_bl", _build_negdim_bl,
-                     "negative-dimensional variance bound, constant 2"),
+                     "negative-dimensional variance bound, constant 2",
+                     specs=_MEASURE),
         CatalogEntry("compact_bl", _build_compact_bl,
-                     "compact-support variance bound through the 1-D fixed point"),
+                     "compact-support variance bound through the 1-D fixed point",
+                     specs=_MEASURE),
         CatalogEntry("payne_weinberger", _build_payne_weinberger,
-                     "2R^2 spectral-gap estimate on a ball of radius R"),
+                     "2R^2 spectral-gap estimate on a ball of radius R",
+                     specs=_MEASURE),
         CatalogEntry("bakry_emery_lsi", _build_bakry_emery_lsi,
-                     "log-Sobolev from a uniform curvature lower bound"),
+                     "log-Sobolev from a uniform curvature lower bound",
+                     specs=_MEASURE, params=("family", "rho")),
         CatalogEntry("entropic_bl", _build_entropic_bl,
-                     "entropic variance bound via the dual convexity criterion"),
+                     "entropic variance bound via the dual convexity criterion",
+                     specs=_MEASURE),
         CatalogEntry("muq_lsi", _build_muq_lsi,
-                     "weighted log-Sobolev for exp(-c sum x_i^q), q in [1,2]"),
+                     "weighted log-Sobolev for exp(-c sum x_i^q), q in [1,2]",
+                     specs=_MEASURE),
         CatalogEntry("bakry_t_lsi", _build_bakry_t_lsi,
-                     "weighted log-Sobolev for the exponential measure, weight t^(1/q)"),
+                     "weighted log-Sobolev for the exponential measure, weight t^(1/q)",
+                     params=("q",)),
         CatalogEntry("qgt2_lsi", _build_qgt2_lsi,
-                     "q > 2 log-Sobolev with flattened potential", constant_known=False),
+                     "q > 2 log-Sobolev with flattened potential",
+                     constant_known=False, params=("q",)),
         CatalogEntry("poly_product", _build_poly_product,
-                     "power-profile product-metric bounds, parts 1-5"),
+                     "power-profile product-metric bounds, parts 1-5",
+                     specs=_MEASURE, params=("part",)),
         CatalogEntry("exp_product", _build_exp_product,
-                     "exponential-profile product-metric bounds"),
+                     "exponential-profile product-metric bounds",
+                     specs=_MEASURE),
         CatalogEntry("klartag_transfer", _build_klartag_transfer,
-                     "orthant-to-full-space transfer of weighted variance bounds"),
+                     "orthant-to-full-space transfer of weighted variance bounds",
+                     specs=_MEASURE),
         CatalogEntry("cone_variance", _build_cone_variance,
-                     "cone-measure variance of 1-Lipschitz functions"),
+                     "cone-measure variance of 1-Lipschitz functions",
+                     specs=_BODY, min_dim=3),
         CatalogEntry("l1_type", _build_l1_type,
-                     "diagonal-boundary Poincare bound", constant_known=False),
+                     "diagonal-boundary Poincare bound",
+                     constant_known=False, specs=_BODY, min_dim=3),
         CatalogEntry("dim_bl_boundary", _build_dim_bl_boundary,
-                     "dimensional boundary bound via the radial conformal metric"),
+                     "dimensional boundary bound via the radial conformal metric",
+                     specs=_BODY, params=("N",), min_dim=4),
         CatalogEntry("hardy_boundary", _build_hardy_boundary,
-                     "Hardy-type bound with mean-curvature boundary term"),
+                     "Hardy-type bound with mean-curvature boundary term",
+                     specs=_BODY, min_dim=6),
         CatalogEntry("hardy_dirichlet", _build_hardy_dirichlet,
-                     "classical Hardy bound under vanishing boundary data"),
+                     "classical Hardy bound under vanishing boundary data",
+                     specs=_BODY),
         CatalogEntry("hardy_n0", _build_hardy_n0,
-                     "Hardy-type bound, zero generalized dimension"),
+                     "Hardy-type bound, zero generalized dimension",
+                     specs=_BODY, min_dim=6),
         CatalogEntry("strong_boundary", _build_strong_boundary,
-                     "variance/entropy bounds for strongly convex boundaries"),
+                     "variance/entropy bounds for strongly convex boundaries",
+                     specs=_BODY, params=("theta",), min_dim=8),
         CatalogEntry("one_lip_reduction", _build_one_lip_reduction,
                      "Poincare vs worst 1-Lipschitz variance",
-                     constant_known=False),
+                     constant_known=False, specs=_BODY),
     ]
 }
 
@@ -1035,6 +1072,9 @@ def manifest():
         eid: {
             "description": e.description,
             "constant_known": e.constant_known,
+            "specs": list(e.specs),
+            "params": list(e.params),
+            "min_dim": e.min_dim,
         }
         for eid, e in sorted(CATALOG.items())
     }

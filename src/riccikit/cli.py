@@ -32,25 +32,6 @@ CSV_COLUMNS = [
     "lhs", "lhs_err", "rhs", "rhs_err", "slack", "status", "seed", "n",
 ]
 
-_MEASURE_IDS = {
-    "classical_bl", "generalized_bl", "refined_bl", "negdim_bl", "compact_bl",
-    "payne_weinberger", "bakry_emery_lsi", "entropic_bl", "muq_lsi",
-    "bakry_t_lsi", "poly_product", "exp_product", "klartag_transfer",
-}
-_BODY_IDS = {
-    "cone_variance", "l1_type", "dim_bl_boundary", "hardy_boundary",
-    "hardy_dirichlet", "hardy_n0", "strong_boundary", "one_lip_reduction",
-}
-_MIN_DIMS = {
-    "hardy_boundary": 6,
-    "hardy_n0": 6,
-    "cone_variance": 3,
-    "l1_type": 3,
-    "strong_boundary": 8,
-    "dim_bl_boundary": 4,
-}
-
-
 @dataclass
 class ExperimentConfig:
     suite: str
@@ -58,7 +39,6 @@ class ExperimentConfig:
     dims: List[int]
     samples: int = 200000
     seed: int = 0
-    workers: int = 1
     measure: Optional[dict] = None
     target: Optional[dict] = None
     body: Optional[dict] = None
@@ -80,7 +60,8 @@ def parse_config(document) -> ExperimentConfig:
     ineq = document.get("inequality")
     if not isinstance(ineq, str):
         raise SchemaViolation("/inequality", "missing or non-string inequality id")
-    if ineq not in catalog.CATALOG:
+    entry = catalog.CATALOG.get(ineq)
+    if entry is None:
         raise UnknownInequalityId(ineq)
 
     dims = document.get("dims")
@@ -89,11 +70,10 @@ def parse_config(document) -> ExperimentConfig:
     for i, d in enumerate(dims):
         if not isinstance(d, int) or d < 1:
             raise SchemaViolation(f"/dims/{i}", f"invalid dimension {d!r}")
-        floor = _MIN_DIMS.get(ineq)
-        if floor is not None and d < floor:
+        if d < entry.min_dim:
             raise SchemaViolation(
                 f"/dims/{i}",
-                f"{ineq} requires dimension >= {floor} "
+                f"{ineq} requires dimension >= {entry.min_dim} "
                 f"(the admissibility window of the theorem)",
             )
 
@@ -103,23 +83,20 @@ def parse_config(document) -> ExperimentConfig:
     seed = document.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise SchemaViolation("/seed", "seed must be a non-negative integer")
-    workers = document.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise SchemaViolation("/workers", "workers must be a positive integer")
 
-    measure = document.get("measure")
-    if ineq in _MEASURE_IDS and measure is None and ineq != "bakry_t_lsi":
-        raise SchemaViolation("/measure", f"{ineq} requires a measure spec")
-    for key in ("measure", "target"):
-        _check_spec(document.get(key), f"/{key}", measures.CONSTRUCTORS, dims)
-    body = document.get("body")
-    if ineq in _BODY_IDS and body is None:
-        raise SchemaViolation("/body", f"{ineq} requires a body spec")
-    _check_spec(body, "/body", bodies.CONSTRUCTORS, dims)
+    for key in ("measure", "target", "body"):
+        spec = document.get(key)
+        if spec is None and key in entry.specs:
+            raise SchemaViolation(f"/{key}", f"{ineq} requires a {key} spec")
+        kinds = bodies.CONSTRUCTORS if key == "body" else measures.CONSTRUCTORS
+        _check_spec(spec, f"/{key}", kinds, dims)
 
     params = document.get("params", {})
     if not isinstance(params, dict):
         raise SchemaViolation("/params", "params must be an object")
+    for name in entry.params:
+        if name not in params:
+            raise SchemaViolation(f"/params/{name}", f"{ineq} requires params.{name}")
 
     function_filter = document.get("function_filter")
     if function_filter is not None:
@@ -139,10 +116,9 @@ def parse_config(document) -> ExperimentConfig:
         dims=list(dims),
         samples=samples,
         seed=seed,
-        workers=workers,
-        measure=measure,
+        measure=document.get("measure"),
         target=document.get("target"),
-        body=body,
+        body=document.get("body"),
         params=dict(params),
         function_filter=function_filter,
     )
@@ -198,7 +174,7 @@ def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
                 functions = [f for f in functions if f.id in config.function_filter]
             sub = engine.check_inequality(
                 inst, functions=functions, budget=config.samples,
-                seed=seed, workers=config.workers, suite_name=config.suite,
+                seed=seed, suite_name=config.suite,
             )
         except RicciKitError as exc:
             report.add(engine.ReportRow(
@@ -307,8 +283,6 @@ def _cmd_check(args):
         overrides["seed"] = args.seed
     if args.samples is not None:
         overrides["samples"] = args.samples
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     documents = [{**doc, **overrides} for doc in documents]
     report = run_documents(documents)
     emit_report(report, fmt=args.format, path=args.out)
@@ -405,7 +379,6 @@ def build_parser():
                    help="path to a JSON config, or a bundled suite name")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_check)

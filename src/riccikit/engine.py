@@ -7,14 +7,12 @@ terms use exact moments or antithetic Monte Carlo on the boundary;
 the 1-D Sturm-Liouville eigensolver provides exact spectral-gap oracles.
 
 Determinism contract: a report is a pure function of (instance, suite,
-budget, seed).  Sampling is sharded into a fixed number of logical shards
-regardless of worker count, and every reduction runs in fixed shard order,
-so worker parallelism cannot change a single bit of the output.
+budget, seed).  Sampling draws a fixed number of logical shards, each from
+its own stream spawned from the seed, and concatenates them in shard order.
 """
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -175,26 +173,11 @@ def lipschitz_normalize(f: TestFunction, points) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def sample_measure(spec, n, seed, workers=1):
-    """n i.i.d. points from a MeasureSpec; shard layout is fixed so the
-    result is independent of `workers`."""
-    from .measures import N_SHARDS
-
+def sample_measure(spec, n, seed):
+    """n i.i.d. points from a MeasureSpec, drawn by `MeasureSpec.sample`."""
     if n < 100:
         raise DegenerateSample(f"budget {n} < 100")
-    seqs = np.random.SeedSequence(seed).spawn(N_SHARDS)
-    counts = [n // N_SHARDS] * N_SHARDS
-    counts[-1] += n - sum(counts)
-
-    def one(i):
-        return spec.sampler(counts[i], np.random.default_rng(seqs[i]))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(N_SHARDS)))
-    else:
-        parts = [one(i) for i in range(N_SHARDS)]
-    return np.concatenate(parts, axis=0)
+    return spec.sample(n, seed)
 
 
 def _row_seed(seed, *labels):
@@ -438,7 +421,6 @@ def check_inequality(
     functions=None,
     budget=200000,
     seed=0,
-    workers=1,
     suite_name="adhoc",
 ) -> VerificationReport:
     """One report row per test function, following the slack rule
@@ -457,7 +439,7 @@ def check_inequality(
         )
         samples = sampler.sample(budget)
     else:
-        samples = sample_measure(instance.measure, budget, seed, workers=workers)
+        samples = sample_measure(instance.measure, budget, seed)
 
     if functions is None:
         functions = default_suite(d, seed=seed)

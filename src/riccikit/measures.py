@@ -17,7 +17,7 @@ from .errors import NonNormalizable
 from .fields import PotentialField, as_matrices
 from .transport import Density1D, FlattenedPowerPotential
 
-N_SHARDS = 8  # logical sampling shards, independent of worker count
+N_SHARDS = 8  # logical sampling shards; the layout fixes the random streams
 
 
 @dataclass
@@ -49,7 +49,8 @@ class MeasureSpec:
     params: dict = field(default_factory=dict)
 
     def sample(self, n, seed):
-        """n i.i.d. points, sharded deterministically from the root seed."""
+        """n i.i.d. points: shard i draws its share from the i-th stream
+        spawned from the root seed, and the shards are concatenated in order."""
         seqs = np.random.SeedSequence(seed).spawn(N_SHARDS)
         counts = [n // N_SHARDS] * N_SHARDS
         counts[-1] += n - sum(counts)

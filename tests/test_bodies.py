@@ -132,18 +132,18 @@ class TestBoundaryCurvature:
 class TestConeMeasure:
     def test_samples_on_relative_boundary(self):
         s = bd.Simplex(4)
-        pts = bd.cone_measure_sample(bd.ConeMeasureSampler(s, seed=1), 5000)
+        pts = bd.ConeMeasureSampler(s, seed=1).sample(5000)
         assert np.abs(s.gauge_many(pts) - 1.0).max() < 1e-10
 
     def test_ball_gives_uniform_sphere(self):
-        pts = bd.cone_measure_sample(bd.ConeMeasureSampler(bd.Ball(4), seed=2), 40000)
+        pts = bd.ConeMeasureSampler(bd.Ball(4), seed=2).sample(40000)
         assert np.abs(pts.mean(axis=0)).max() < 3.0 / math.sqrt(40000)
 
     def test_simplex_facet_is_dirichlet(self):
         # Var(x_1) under Dirichlet(1,...,1) is (1/d)(1-1/d)/(d+1) = 3/80 at d=4
         d = 4
         n = 200000
-        pts = bd.cone_measure_sample(bd.ConeMeasureSampler(bd.Simplex(d), seed=3), n)
+        pts = bd.ConeMeasureSampler(bd.Simplex(d), seed=3).sample(n)
         var = pts[:, 0].var(ddof=1)
         se = 3.0 / math.sqrt(n)
         assert abs(var - 3.0 / 80.0) < se * 0.05
@@ -154,7 +154,7 @@ class TestConeMeasure:
         body = bd.Ball(d)
         rng = np.random.default_rng(17)
         inner = body.sample_uniform(200000, rng)
-        cone = bd.cone_measure_sample(bd.ConeMeasureSampler(body, seed=11), 200000)
+        cone = bd.ConeMeasureSampler(body, seed=11).sample(200000)
         lhs = (cone**2).sum(axis=1).mean()
         rhs_vals = (inner**2).sum(axis=1)
         rhs = (1.0 + 2.0 / d) * rhs_vals.mean()
@@ -167,7 +167,7 @@ class TestConeMeasure:
 
         d = 4
         s = bd.Simplex(d)
-        a = bd.cone_measure_sample(bd.ConeMeasureSampler(s, seed=5), 20000)[:, 0]
+        a = bd.ConeMeasureSampler(s, seed=5).sample(20000)[:, 0]
         b = s.sample_facet(20000, np.random.default_rng(6))[:, 0]
         ks = stats.ks_2samp(a, b).statistic
         assert ks < 3.0 / math.sqrt(20000)

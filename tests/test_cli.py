@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from riccikit import cli, engine
+from riccikit import catalog, cli, engine
 from riccikit.errors import IOFailure, SchemaViolation, UnknownInequalityId
 
 
@@ -86,6 +86,55 @@ class TestParseConfig:
         with pytest.raises(SchemaViolation) as err:
             cli.run_documents([MINIMAL, {**doc, "dims": [2]}])
         assert err.value.pointer == pointer
+
+    @pytest.mark.parametrize(
+        "doc,pointer",
+        [
+            ({"inequality": "refined_bl", "measure": {"kind": "gaussian"},
+              "dims": [1]}, "/target"),
+            ({"inequality": "generalized_bl", "measure": {"kind": "exp_product"},
+              "dims": [2]}, "/params/family"),
+            ({"inequality": "bakry_emery_lsi", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"family": {"type": "product_power", "p": 0.5}}},
+             "/params/rho"),
+            ({"inequality": "bakry_t_lsi", "dims": [2]}, "/params/q"),
+            ({"inequality": "qgt2_lsi", "dims": [1],
+              "params": {"potential": "modified"}}, "/params/q"),
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2]}, "/params/part"),
+            ({"inequality": "dim_bl_boundary", "body": {"kind": "ball"},
+              "dims": [8], "params": {"part": 1}}, "/params/N"),
+            ({"inequality": "strong_boundary", "body": {"kind": "ball"},
+              "dims": [8]}, "/params/theta"),
+        ],
+    )
+    def test_missing_required_param(self, doc, pointer):
+        # rejected before any document runs, not as a bare KeyError from the
+        # catalog builder that loses the rows of the valid document after it
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([{**doc, "samples": 2000}, MINIMAL])
+        assert err.value.pointer == pointer
+
+    @pytest.mark.parametrize("entry", sorted(catalog.CATALOG))
+    def test_catalog_requirements_enforced(self, entry):
+        # every entry's paper-smoke document parses, and dropping any one
+        # requirement the catalog declares is rejected at its pointer
+        req = catalog.CATALOG[entry]
+        (doc,) = [d for d in cli.load_bundled("paper-smoke") if d["inequality"] == entry]
+        cli.parse_config(doc)
+        for key in req.specs:
+            with pytest.raises(SchemaViolation) as err:
+                cli.parse_config({k: v for k, v in doc.items() if k != key})
+            assert err.value.pointer == f"/{key}"
+        for name in req.params:
+            params = {k: v for k, v in doc["params"].items() if k != name}
+            with pytest.raises(SchemaViolation) as err:
+                cli.parse_config({**doc, "params": params})
+            assert err.value.pointer == f"/params/{name}"
+        if req.min_dim > 1:
+            with pytest.raises(SchemaViolation) as err:
+                cli.parse_config({**doc, "dims": [req.min_dim - 1]})
+            assert err.value.pointer == "/dims/0"
 
     def test_json_string_accepted(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
@@ -199,6 +248,35 @@ class TestExitCodes:
         assert len(others) == len(engine.default_suite(2))
         assert cli.exit_code_for(rep) == 3
 
+    @pytest.mark.parametrize(
+        "doc,hypothesis",
+        [
+            ({"inequality": "hardy_boundary", "dims": [6], "params": {"N": -1.0}},
+             "ball_like_body"),
+            ({"inequality": "hardy_n0", "dims": [6]}, "ball_like_body"),
+            ({"inequality": "dim_bl_boundary", "dims": [8], "params": {"N": -8.0}},
+             "ball_like_body"),
+            ({"inequality": "strong_boundary", "dims": [8], "params": {"theta": 0.5}},
+             "ball_like_body"),
+            ({"inequality": "muq_lsi", "measure": {"kind": "gaussian"}, "dims": [2]},
+             "power_product_measure"),
+        ],
+    )
+    def test_kind_mismatch_becomes_error_row(self, doc, hypothesis):
+        # the mean-curvature entries need a ball-like body and muq_lsi a
+        # power-product measure; anything else is one error row, not a crash
+        # that loses the rows of the next document
+        bad = {"body": {"kind": "simplex"}, "samples": 2000, **doc}
+        rep = cli.run_documents([bad, {**MINIMAL, "samples": 2000}])
+        ineq, d = doc["inequality"], doc["dims"][0]
+        errors = [r for r in rep.rows if r.status == "error"]
+        assert [(r.inequality, r.dim, r.function) for r in errors] == [(ineq, d, "-")]
+        assert hypothesis in rep.attachments[f"{ineq}:d={d}:error"]
+        others = [r for r in rep.rows if r.status != "error"]
+        assert [r.inequality for r in others] == ["classical_bl"] * len(
+            engine.default_suite(2)
+        )
+
     def test_rg_seed_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL))
@@ -254,13 +332,12 @@ class TestSubcommands:
 
 
 class TestDeterminismContract:
-    def test_worker_count_bit_identical(self, tmp_path):
+    def test_repeated_check_bit_identical(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**MINIMAL, "samples": 20000}))
         outs = []
-        for workers in (1, 3):
-            out = tmp_path / f"w{workers}.csv"
-            cli.main(["check", "--config", str(path), "--workers", str(workers),
-                      "--out", str(out)])
+        for run in (1, 2):
+            out = tmp_path / f"run{run}.csv"
+            cli.main(["check", "--config", str(path), "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -296,12 +296,6 @@ class TestDeterminism:
         b = eng.check_inequality(inst, budget=20000, seed=3)
         assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
 
-    def test_worker_count_invariance(self):
-        inst = cat.instantiate("poly_product", {"measure": ms.exp_product(2), "part": 2})
-        a = eng.check_inequality(inst, budget=20000, seed=3, workers=1)
-        b = eng.check_inequality(inst, budget=20000, seed=3, workers=4)
-        assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
-
     def test_seed_reaches_cone_measure_sampler(self):
         # sum_x, cos1 and cos2 are constant on the facet, so leave them out
         inst = cat.instantiate("cone_variance", {"body": Simplex(4)})
