@@ -63,8 +63,9 @@ class InequalityInstance:
 @dataclass
 class CatalogEntry:
     """One theorem: its builder and what a config must supply for it, the
-    specs (`measure`, `target`, `body`), the top-level `params` keys and the
-    smallest dimension of its admissibility window."""
+    specs (`measure`, `target`, `body`), the top-level `params` keys and its
+    admissibility window of dimensions, `min_dim` to `max_dim` (None: no
+    upper end)."""
 
     id: str
     builder: Callable
@@ -73,6 +74,7 @@ class CatalogEntry:
     specs: Tuple[str, ...] = ()
     params: Tuple[str, ...] = ()
     min_dim: int = 1
+    max_dim: Optional[int] = None
 
 
 def _margin(report, name, value, location=None, tol=1e-9, enforce=True):
@@ -983,22 +985,22 @@ CATALOG = {
                      specs=_MEASURE, params=("family",)),
         CatalogEntry("refined_bl", _build_refined_bl,
                      "transport-refined variance bound (weight Q)",
-                     specs=("measure", "target")),
+                     specs=("measure", "target"), max_dim=1),
         CatalogEntry("negdim_bl", _build_negdim_bl,
                      "negative-dimensional variance bound, constant 2",
                      specs=_MEASURE),
         CatalogEntry("compact_bl", _build_compact_bl,
                      "compact-support variance bound through the 1-D fixed point",
-                     specs=_MEASURE),
+                     specs=_MEASURE, max_dim=1),
         CatalogEntry("payne_weinberger", _build_payne_weinberger,
                      "2R^2 spectral-gap estimate on a ball of radius R",
-                     specs=_MEASURE),
+                     specs=_MEASURE, max_dim=1),
         CatalogEntry("bakry_emery_lsi", _build_bakry_emery_lsi,
                      "log-Sobolev from a uniform curvature lower bound",
                      specs=_MEASURE, params=("family", "rho")),
         CatalogEntry("entropic_bl", _build_entropic_bl,
                      "entropic variance bound via the dual convexity criterion",
-                     specs=_MEASURE),
+                     specs=_MEASURE, max_dim=1),
         CatalogEntry("muq_lsi", _build_muq_lsi,
                      "weighted log-Sobolev for exp(-c sum x_i^q), q in [1,2]",
                      specs=_MEASURE),
@@ -1007,7 +1009,7 @@ CATALOG = {
                      params=("q",)),
         CatalogEntry("qgt2_lsi", _build_qgt2_lsi,
                      "q > 2 log-Sobolev with flattened potential",
-                     constant_known=False, params=("q",)),
+                     constant_known=False, params=("q",), max_dim=1),
         CatalogEntry("poly_product", _build_poly_product,
                      "power-profile product-metric bounds, parts 1-5",
                      specs=_MEASURE, params=("part",)),
@@ -1075,6 +1077,7 @@ def manifest():
             "specs": list(e.specs),
             "params": list(e.params),
             "min_dim": e.min_dim,
+            "max_dim": e.max_dim,
         }
         for eid, e in sorted(CATALOG.items())
     }

@@ -70,12 +70,6 @@ def parse_config(document) -> ExperimentConfig:
     for i, d in enumerate(dims):
         if not isinstance(d, int) or d < 1:
             raise SchemaViolation(f"/dims/{i}", f"invalid dimension {d!r}")
-        if d < entry.min_dim:
-            raise SchemaViolation(
-                f"/dims/{i}",
-                f"{ineq} requires dimension >= {entry.min_dim} "
-                f"(the admissibility window of the theorem)",
-            )
 
     samples = document.get("samples", 200000)
     if not isinstance(samples, int) or samples < 100:
@@ -90,6 +84,22 @@ def parse_config(document) -> ExperimentConfig:
             raise SchemaViolation(f"/{key}", f"{ineq} requires a {key} spec")
         kinds = bodies.CONSTRUCTORS if key == "body" else measures.CONSTRUCTORS
         _check_spec(spec, f"/{key}", kinds, dims)
+
+    # the theorem's dimension window, after the specs, so an unknown kind is
+    # reported at its own pointer whatever the dimension
+    for i, d in enumerate(dims):
+        if d < entry.min_dim:
+            raise SchemaViolation(
+                f"/dims/{i}",
+                f"{ineq} requires dimension >= {entry.min_dim} "
+                f"(the admissibility window of the theorem)",
+            )
+        if entry.max_dim is not None and d > entry.max_dim:
+            raise SchemaViolation(
+                f"/dims/{i}",
+                f"{ineq} requires dimension <= {entry.max_dim} "
+                f"(the admissibility window of the theorem)",
+            )
 
     params = document.get("params", {})
     if not isinstance(params, dict):

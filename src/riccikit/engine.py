@@ -304,6 +304,8 @@ def spectral_gap_1d(potential, interval, n=4096, richardson=True):
     -exp(V) d/dx (exp(-V) d/dx) on an interval.
 
     Three-point flux discretization; Richardson extrapolation over n and 2n.
+    `potential` is evaluated once per grid, on the whole 1-D array of nodes;
+    it returns an array of the same shape or a scalar, which is broadcast.
     Returns (lambda_1, 1/lambda_1).
     """
     if n < 256:
@@ -312,7 +314,7 @@ def spectral_gap_1d(potential, interval, n=4096, richardson=True):
     def solve(m):
         x = np.linspace(interval[0], interval[1], m)
         h = x[1] - x[0]
-        v = np.array([float(potential(t)) for t in x])
+        v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
         v = v - v.min()
         w = np.exp(-v)
         wh = np.exp(-0.5 * (v[1:] + v[:-1]))  # midpoint weights

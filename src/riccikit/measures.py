@@ -15,7 +15,15 @@ import numpy as np
 from .bodies import Box, ConvexBody, body_from_spec
 from .errors import NonNormalizable
 from .fields import PotentialField, as_matrices
-from .transport import Density1D, FlattenedPowerPotential
+from .transport import (
+    Density1D,
+    FlattenedPowerPotential,
+    cos_density,
+    exponential_density,
+    gaussian_density,
+    power_density,
+    uniform_density,
+)
 
 N_SHARDS = 8  # logical sampling shards; the layout fixes the random streams
 
@@ -118,9 +126,7 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
 
 
 def gaussian(d, sigma=1.0):
-    dens = Density1D(
-        lambda t: 0.5 * (t / sigma) ** 2, (-np.inf, np.inf), name="gauss"
-    )
+    dens = gaussian_density(sigma)
     spec = _product_spec(
         "gaussian",
         [dens] * d,
@@ -135,7 +141,7 @@ def gaussian(d, sigma=1.0):
 
 def exp_product(d, rate=1.0):
     """exp(-rate * sum x_i) on the positive orthant."""
-    dens = Density1D(lambda t: rate * t, (0.0, np.inf), name="exp")
+    dens = exponential_density(rate)
     spec = _product_spec(
         "exp_product",
         [dens] * d,
@@ -150,7 +156,7 @@ def exp_product(d, rate=1.0):
 
 def power_product(d, q, c=1.0):
     """mu_q^(x) d = exp(-c sum x_i^q) on the positive orthant, q >= 1."""
-    dens = Density1D(lambda t: c * abs(t) ** q, (0.0, np.inf), name=f"power{q}")
+    dens = power_density(q, c)
     spec = _product_spec(
         "power_product",
         [dens] * d,
@@ -230,7 +236,7 @@ def laplace_product(d):
 
 def uniform_interval(a=-0.5, b=0.5):
     """Uniform measure on an interval as a 1-D product spec."""
-    dens = Density1D(lambda t: 0.0, (a, b), name=f"uniform[{a},{b}]")
+    dens = uniform_density(a, b)
     spec = _product_spec(
         "uniform_interval", [dens],
         d1=lambda t: 0.0, d2=lambda t: 0.0,
@@ -243,14 +249,8 @@ def uniform_interval(a=-0.5, b=0.5):
 def cos_interval(half_width=0.5):
     """Density proportional to cos(pi x / (2 hw)) on [-hw, hw]."""
     w = math.pi / (2.0 * half_width)
-
-    def pot(t):
-        c = math.cos(w * t)
-        return -math.log(c) if c > 1e-300 else 700.0
-
-    dens = Density1D(pot, (-half_width, half_width), name="cos")
     spec = _product_spec(
-        "cos_interval", [dens],
+        "cos_interval", [cos_density(half_width)],
         d1=lambda t: w * np.tan(np.clip(w * t, -1.5707, 1.5707)),
         d2=lambda t: w * w / np.cos(np.clip(w * t, -1.5707, 1.5707)) ** 2,
         log_concave=True, unconditional=True,

@@ -6,6 +6,10 @@ optimal-transport map; its potential Phi (T = Phi') provides the Hessian
 metric used by the refined inequalities.  All CDF work is grid-based with
 local quadrature corrections, so map values are good to ~1e-10 well inside
 the support of a density whose potential is continuous there.
+
+A raw 1-D potential is batch-first: it is called with a 1-D float array of
+abscissae and returns an array of the same shape, or a scalar, which is
+broadcast.  A single point is a batch of one.
 """
 
 import math
@@ -28,6 +32,7 @@ from .fields import PotentialField, as_point
 _BASE_GRID = 4096
 _TAIL_LOG = 42.0  # truncate unbounded supports where the density has fallen
                   # below exp(-42) of its peak (past the 1e-12 quantile)
+_ANDERSON_DEPTH = 5  # difference columns of the KE fixed point's Anderson step
 
 
 class Density1D:
@@ -37,6 +42,10 @@ class Density1D:
     concentrates (equal-mass re-gridding).  `cdf`/`ppf` use the cached grid
     plus a local quadrature/Newton correction; the vectorized `cdf_many` /
     `ppf_many` paths interpolate and are meant for sampling.
+
+    `potential` is the raw (unnormalized) potential V.  It is always called
+    with a 1-D float array and returns an array of the same shape, or a
+    scalar, which is broadcast; a build evaluates it on whole grids.
 
     The ~1e-10 accuracy well inside the support holds for potentials that are
     continuous on the support.  Across a jump of the potential the cumulative
@@ -77,9 +86,14 @@ class Density1D:
             raise NoConvergence(f"{self.name}: normalization failed")
 
     def _raw(self, x):
+        """Raw potential at a point or an array of points; the potential is
+        called once, with the points flattened to a 1-D array (a point is a
+        batch of one), and a scalar it returns is broadcast."""
         x = np.asarray(x, dtype=float)
-        out = np.array([self.raw_potential(t) for t in np.atleast_1d(x)])
-        return out if x.ndim else out[0]
+        pts = x.reshape(-1)
+        out = np.asarray(self.raw_potential(pts), dtype=float)
+        out = np.broadcast_to(out, pts.shape)
+        return out.reshape(x.shape) if x.ndim else out[0]
 
     @staticmethod
     def _cumulative(grid, pdf):
@@ -109,7 +123,7 @@ class Density1D:
                 nxt = x + direction * step
                 if (direction < 0 and nxt <= bound) or (direction > 0 and nxt >= bound):
                     return bound
-                if self.raw_potential(nxt) - vmin > _TAIL_LOG:
+                if self._raw(nxt) - vmin > _TAIL_LOG:
                     return nxt
                 x, step = nxt, step * 1.5
 
@@ -269,8 +283,8 @@ def cos_density(half_width=0.5):
     w = math.pi / (2.0 * half_width)
 
     def pot(t):
-        c = math.cos(w * t)
-        return -math.log(c) if c > 1e-300 else 700.0
+        c = np.cos(w * t)
+        return np.where(c > 1e-300, -np.log(np.maximum(c, 1e-300)), 700.0)
 
     return Density1D(pot, (-half_width, half_width), name="cos")
 
@@ -548,17 +562,15 @@ class FlattenedPowerPotential:
 
     def value(self, x):
         p = self.p
-        x = abs(float(x))
-        if x <= self.x_knee:
-            return 0.5 * p * x * x
-        # V(x) = x y - V*(y) at y = V'(x)
+        x = np.abs(x)
+        # beyond the knee V(x) = x y - V*(y) at y = V'(x)
         y = self._d1_outer(x)
         vstar = (
             0.5 / p
             + (y - 1.0) / p
             + ((y**p - 1.0) / p - (y - 1.0)) / (p * (p - 1.0))
         )
-        return x * y - vstar
+        return np.where(x <= self.x_knee, 0.5 * p * x * x, x * y - vstar)
 
     def dual_criterion(self, y_grid) -> DualCriterion:
         """Closed-form dual arrays: for |y| <= 1, F'' = 2/p; for |y| > 1,
@@ -664,10 +676,14 @@ def ke_solve_1d(
     """Fixed point Phi of exp(-Phi) = Phi'' exp(-W(Phi')) for a compactly
     supported log-concave target exp(-W).
 
-    Damped Picard iteration: transport exp(-Phi_k) onto nu by monotone
-    rearrangement, integrate the map into a new potential, normalize and
-    recenter.  The residual is measured in sup norm over the interior
-    quantile range of the solution.
+    The Picard map transports exp(-Phi_k) onto nu by monotone
+    rearrangement, integrates the map into a new potential, damps, normalizes
+    and recenters.  An Anderson step of depth 5 (`_ANDERSON_DEPTH`) mixes it:
+    with the last six pairs (Phi_j, F_j = map(Phi_j) - Phi_j) and their
+    differences dX, dF, gamma = lstsq(dF, F_k) and
+    Phi_{k+1} = Phi_k + F_k - (dX + dF) gamma, normalized and recentered
+    again.  The residual is measured in sup norm over the interior quantile
+    range of the solution.
     """
     a, b = nu.support
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -711,6 +727,18 @@ def ke_solve_1d(
         z = integrate.simpson(np.exp(-(p - m)), x=grid)
         return p + (math.log(z) - m)
 
+    def settle(p):
+        p = normalize(p)
+        if recenter:
+            m1 = integrate.simpson(grid * np.exp(-p), x=grid)
+            if abs(m1) > 0.1 * h:
+                spl = interpolate.CubicSpline(grid, p, extrapolate=True)
+                p = normalize(np.asarray(spl(grid + m1), dtype=float))
+            elif abs(m1) > 1e-15:
+                # first-order argument shift: exact to O(m1^2), no resample noise
+                p = normalize(p + m1 * _fd5(p, h, order=1))
+        return p
+
     def transport(p):
         cdf = _normalized_cdf_smooth(np.exp(-p), h)
         u = np.clip(cdf, u_lo, u_hi)
@@ -731,21 +759,24 @@ def ke_solve_1d(
         r = d2[mask] * np.exp(-np.asarray(w_pot(t), dtype=float)) - np.exp(-p[mask])
         return float(np.abs(r).max())
 
+    def picard(p):
+        new = normalize(_primitive_smooth_symmetric(transport(p), h))
+        return settle((1.0 - damping) * p + damping * new)
+
     res = math.inf
     iterations = 0
+    xs, fs = [], []  # the last _ANDERSON_DEPTH + 1 pairs (phi, picard(phi) - phi)
     for k in range(max_iter):
         iterations = k + 1
-        new = normalize(_primitive_smooth_symmetric(transport(phi), h))
-        phi_next = (1.0 - damping) * phi + damping * new
-        phi_next = normalize(phi_next)
-        if recenter:
-            m1 = integrate.simpson(grid * np.exp(-phi_next), x=grid)
-            if abs(m1) > 0.1 * h:
-                spl = interpolate.CubicSpline(grid, phi_next, extrapolate=True)
-                phi_next = normalize(np.asarray(spl(grid + m1), dtype=float))
-            elif abs(m1) > 1e-15:
-                # first-order argument shift: exact to O(m1^2), no resample noise
-                phi_next = normalize(phi_next + m1 * _fd5(phi_next, h, order=1))
+        f = picard(phi) - phi
+        xs.append(phi)
+        fs.append(f)
+        del xs[:-_ANDERSON_DEPTH - 1], fs[:-_ANDERSON_DEPTH - 1]
+        step = f
+        if len(fs) > 1:
+            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            step = f - (dx + df) @ np.linalg.lstsq(df, f, rcond=None)[0]
+        phi_next = settle(phi + step)
         delta = float(np.abs(phi_next - phi).max())
         phi = phi_next
         if delta < 0.25 * tol or (k > 10 and k % 5 == 0):

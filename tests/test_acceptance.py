@@ -249,7 +249,7 @@ def _seeded_1d_logconcave(seed):
     b = rng.uniform(0.0, 0.8)
     c = rng.uniform(-0.5, 0.5)
     dens = tr.Density1D(
-        lambda t: 0.5 * a * t * t + b * math.log(math.cosh(t - c)),
+        lambda t: 0.5 * a * t * t + b * np.log(np.cosh(t - c)),
         (-np.inf, np.inf),
         name=f"lc{seed}",
     )

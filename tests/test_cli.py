@@ -136,6 +136,21 @@ class TestParseConfig:
                 cli.parse_config({**doc, "dims": [req.min_dim - 1]})
             assert err.value.pointer == "/dims/0"
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["refined_bl", "compact_bl", "payne_weinberger", "entropic_bl", "qgt2_lsi"],
+    )
+    def test_one_dimensional_entries_reject_d2(self, entry):
+        # these builders read one coordinate density: at d = 2 they checked a
+        # theorem outside its window (refined_bl passed 12 rows) or raised a
+        # bare numpy ValueError (qgt2_lsi) that lost the other documents' rows
+        assert catalog.CATALOG[entry].max_dim == 1
+        (doc,) = [d for d in cli.load_bundled("paper-smoke") if d["inequality"] == entry]
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([{**doc, "dims": [2]}, MINIMAL])
+        assert err.value.pointer == "/dims/0"
+        assert "<= 1" in str(err.value)
+
     def test_json_string_accepted(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
         assert cfg.samples == 5000

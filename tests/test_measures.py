@@ -74,7 +74,7 @@ class TestSpectralCrossOracle:
         # 1/lambda_1 never exceeds the worst suite ratio of the
         # inverse-Hessian form to the plain Dirichlet form
         a, b_ = 1.0, 0.6
-        pot = lambda t: 0.5 * a * t * t + b_ * math.log(math.cosh(t))
+        pot = lambda t: 0.5 * a * t * t + b_ * np.log(np.cosh(t))
         d2 = lambda t: a + b_ / np.cosh(t) ** 2
         lam, cp = eng.spectral_gap_1d(pot, (-8.0, 8.0), n=4096)
         from riccikit import transport as tr
@@ -88,3 +88,28 @@ class TestSpectralCrossOracle:
             w = 1.0 / np.vectorize(d2)(samples[:, 0])
             worst = max(worst, float((w * g * g).mean() / (g * g).mean()))
         assert cp <= worst * 1.02
+
+
+class TestBatchFirstDensities:
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": k} for k in sorted(ms.CONSTRUCTORS)
+         if k not in ("power_product", "flat_power_1d", "uniform_body")]
+        + [{"kind": "power_product", "q": 1.5}, {"kind": "flat_power_1d", "q": 3.0}],
+        ids=lambda doc: doc["kind"],
+    )
+    def test_density_build_calls_potential_on_arrays(self, doc):
+        # a build evaluates its potential on whole grids, not once per node
+        from riccikit import transport as tr
+
+        dens = ms.from_spec(doc, 1).coord_densities[0]
+        shapes = []
+
+        def counted(t):
+            shapes.append(np.shape(t))
+            return dens.raw_potential(t)
+
+        rebuilt = tr.Density1D(counted, dens.support, name=dens.name)
+        assert len(shapes) <= 32
+        assert all(len(s) == 1 for s in shapes)
+        assert np.array_equal(rebuilt.cdf_grid, dens.cdf_grid)

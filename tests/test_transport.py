@@ -223,6 +223,28 @@ class TestKESolver:
         oracle = -np.log(np.cosh(sol.grid / 4.0) ** -2 / 8.0)
         assert np.abs(sol.phi_vals - oracle)[mask].max() < 1e-6
 
+    def test_uniform_target_closed_form_tight(self):
+        # the Anderson-mixed iteration stops well inside the plain Picard
+        # iteration's 4e-8 distance from the exact solution
+        sol = tr.ke_solve_1d(tr.uniform_density(-0.5, 0.5))
+        oracle = -np.log(np.cosh(sol.grid / 4.0) ** -2 / 8.0)
+        assert np.abs(sol.phi_vals - oracle)[sol.interior_mask()].max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "make,max_steps",
+        [
+            (lambda: tr.uniform_density(-0.5, 0.5), 20),
+            (lambda: tr.cos_density(0.5), 20),
+            (lambda: tr.Density1D(lambda t: t**2 / 0.18, (-0.3, 1.0), name="skew"), 25),
+        ],
+        ids=["uniform", "cos", "skewed"],
+    )
+    def test_anderson_step_count(self, make, max_steps):
+        # the damped Picard iteration alone needs 41, 46 and 46 steps here
+        sol = tr.ke_solve_1d(make())
+        assert sol.residual_sup < 1e-8
+        assert sol.iterations <= max_steps
+
     def test_trace_bound(self):
         sol = tr.ke_solve_1d(tr.uniform_density(-0.5, 0.5))
         mask = sol.interior_mask(1e-4, 1 - 1e-4)
@@ -261,7 +283,7 @@ class TestMoreGuards:
         from riccikit.errors import CDFInversionFailure
 
         dens = tr.Density1D(
-            lambda t: 0.0 if (t <= 1.0 or t >= 2.0) else 700.0,
+            lambda t: np.where((t <= 1.0) | (t >= 2.0), 0.0, 700.0),
             (0.0, 3.0),
             name="gapped",
         )
@@ -276,7 +298,7 @@ class TestMoreGuards:
         from riccikit.errors import CDFInversionFailure
 
         nu = tr.Density1D(
-            lambda t: 0.0 if (t <= 1.0 or t >= 2.0) else 300.0,
+            lambda t: np.where((t <= 1.0) | (t >= 2.0), 0.0, 300.0),
             (0.0, 3.0),
             name="gapped300",
         )
@@ -291,7 +313,7 @@ class TestMoreGuards:
         from riccikit.errors import CDFInversionFailure
 
         nu = tr.Density1D(
-            lambda t: 0.0 if (t <= 1.0 or t >= 2.0) else 300.0,
+            lambda t: np.where((t <= 1.0) | (t >= 2.0), 0.0, 300.0),
             (0.0, 3.0),
             name="gapped300",
         )
@@ -302,7 +324,7 @@ class TestMoreGuards:
         from riccikit.errors import CDFInversionFailure
 
         dens = tr.Density1D(
-            lambda t: 0.0 if (t <= 1.0 or t >= 2.0) else 700.0,
+            lambda t: np.where((t <= 1.0) | (t >= 2.0), 0.0, 700.0),
             (0.0, 3.0),
             name="gapped",
         )
