@@ -19,7 +19,7 @@ import numpy as np
 from . import families, measures, transport
 from .bodies import ConeMeasureSampler, ConvexBody, Simplex
 from .errors import HypothesisViolated, UnknownInequalityId
-from .fields import QuadraticFormField
+from .fields import QuadraticFormField, coord_columns
 
 _HYPOTHESIS_SEED = 2025
 _HYPOTHESIS_SAMPLES = 512
@@ -103,48 +103,38 @@ def _identity_field(d):
 def _inverse_hessian_field(measure):
     if measure.coord_d2 is not None and measure.coord_d2[0] is not None:
         # product measure: D^2 V = diag(V_i''(x_i))
-        batch = lambda pts: 1.0 / measures.coord_columns(measure.coord_d2, pts)
-    elif measure.hess_batch is not None:
-        batch = lambda pts: np.linalg.inv(measure.hess_batch(pts))
+        batch = lambda pts: 1.0 / coord_columns(measure.coord_d2, pts)
     else:
-        hess = measure.potential.hessian
-        batch = lambda pts: np.linalg.inv(np.array([hess(p) for p in pts]))
+        batch = lambda pts: np.linalg.inv(measure.potential.hessian(pts))
     return QuadraticFormField(dim=measure.dim, batch=batch, name="(D2V)^-1")
 
 
-def _negdim_weight_field(measure):
-    d = measure.dim
-
-    def combined(pts):
-        h = measure.hess_batch(pts)
-        g = measure.grad_batch(pts)
-        return h + np.einsum("ni,nj->nij", g, g) / (2.0 * d)
-
-    return QuadraticFormField(
-        dim=d, batch=lambda pts: np.linalg.inv(combined(pts)), name="negdim^-1"
+def _negdim_matrix(measure, pts):
+    """D^2 V + grad V grad V^T / (2d) at an (n, d) batch."""
+    g = measure.potential.gradient(pts)
+    return measure.potential.hessian(pts) + np.einsum("ni,nj->nij", g, g) / (
+        2.0 * measure.dim
     )
 
 
-def _product_ricci_batch(measure, profile_kind, profile_param):
-    """Vectorized closed-form generalized Ricci for product metrics over a
-    product measure: D^2 V + diag(V_{x_i} u'/u - u''/u)."""
+def _negdim_weight_field(measure):
+    return QuadraticFormField(
+        dim=measure.dim,
+        batch=lambda pts: np.linalg.inv(_negdim_matrix(measure, pts)),
+        name="negdim^-1",
+    )
 
-    def ratios(pts):
-        if profile_kind == "power":
-            p = profile_param
-            return p / pts, p * (p - 1.0) / pts**2
-        lam = profile_param
-        return np.full_like(pts, lam), np.full_like(pts, lam * lam)
 
-    def batch(pts):
-        du_u, ddu_u = ratios(pts)
-        diag = measure.grad_batch(pts) * du_u - ddu_u
-        out = measure.hess_batch(pts).copy()
-        idx = np.arange(pts.shape[1])
-        out[:, idx, idx] += diag
-        return out
-
-    return batch
+def _check_product_ricci(measure, data, report, pts):
+    """Record ric_positive, the least eigenvalue of the product-metric
+    generalized Ricci tensor over pts, and return its inverse as a field."""
+    ric = lambda p: families.product_ricci(data, measure.potential, p)
+    eigs = _min_eig_batch(ric(pts))
+    i = int(np.argmin(eigs))
+    _margin(report, "ric_positive", eigs[i], location=pts[i], tol=-1e-12)
+    return QuadraticFormField(
+        dim=measure.dim, batch=lambda p: np.linalg.inv(ric(p)), name="Ric^-1"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +146,7 @@ def _build_classical_bl(params):
     mu = params["measure"]
     report = {}
     pts = _hypothesis_points(mu)
-    if mu.hess_batch is not None:
-        eigs = _min_eig_batch(mu.hess_batch(pts))
-    else:
-        eigs = np.array([np.linalg.eigvalsh(mu.potential.hessian(p))[0] for p in pts])
+    eigs = _min_eig_batch(mu.potential.hessian(pts))
     i = int(np.argmin(eigs))
     _margin(report, "hess_v_positive", eigs[i] , location=pts[i], tol=-1e-12)
     return InequalityInstance(
@@ -176,19 +163,8 @@ def _build_generalized_bl(params):
     mu = params["measure"]
     fam = params["family"]
     report = {}
-    if fam["type"] == "product_power":
-        batch = _product_ricci_batch(mu, "power", fam["p"])
-    elif fam["type"] == "product_exp":
-        batch = _product_ricci_batch(mu, "exp", fam["lam"])
-    else:
-        raise UnknownInequalityId(f"generalized_bl family {fam['type']!r}")
-    pts = _hypothesis_points(mu)
-    eigs = _min_eig_batch(batch(pts))
-    i = int(np.argmin(eigs))
-    _margin(report, "ric_positive", eigs[i], location=pts[i], tol=-1e-12)
-    weight = QuadraticFormField(
-        dim=mu.dim, batch=lambda p: np.linalg.inv(batch(p)), name="Ric^-1"
-    )
+    data = families.ProductMetricData.from_family(fam, mu.dim)
+    weight = _check_product_ricci(mu, data, report, _hypothesis_points(mu))
     return InequalityInstance(
         id="generalized_bl",
         lhs_kind="variance",
@@ -246,18 +222,17 @@ def _build_negdim_bl(params):
     mu = params["measure"]
     report = {}
     pts = _hypothesis_points(mu)
-    eigs = _min_eig_batch(mu.hess_batch(pts))
+    eigs = _min_eig_batch(mu.potential.hessian(pts))
     i = int(np.argmin(eigs))
     _margin(report, "log_concave", eigs[i], location=pts[i])
-    combo = _negdim_weight_field(mu)
-    ceigs = _min_eig_batch(np.linalg.inv(combo.values(pts)))
+    ceigs = _min_eig_batch(_negdim_matrix(mu, pts))
     j = int(np.argmin(ceigs))
     _margin(report, "weight_positive", ceigs[j], location=pts[j], tol=-1e-12)
     return InequalityInstance(
         id="negdim_bl",
         lhs_kind="variance",
         measure=mu,
-        rhs_weight=combo,
+        rhs_weight=_negdim_weight_field(mu),
         rhs_constant=2.0,
         hypothesis_report=report,
     )
@@ -298,8 +273,7 @@ def _build_compact_bl(params):
         )
     weight = QuadraticFormField(
         dim=1,
-        batch=lambda pts: 1.0
-        / (1.0 / (2.0 * r * r) + measures.coord_columns(nu.coord_d2, pts)),
+        batch=lambda pts: 1.0 / (1.0 / (2.0 * r * r) + coord_columns(nu.coord_d2, pts)),
         name="(Id/2R^2 + D2W)^-1",
     )
     return InequalityInstance(
@@ -336,26 +310,17 @@ def _build_bakry_emery_lsi(params):
     rho = params["rho"]
     report = {}
     d = mu.dim
-    if fam["type"] == "product_power":
-        p = fam["p"]
-        ric = _product_ricci_batch(mu, "power", p)
-        metric_diag = lambda pts: pts ** (-2.0 * p)
-        inv_diag = lambda pts: pts ** (2.0 * p)
-    elif fam["type"] == "product_exp":
-        lam = fam["lam"]
-        ric = _product_ricci_batch(mu, "exp", lam)
-        metric_diag = lambda pts: np.exp(-2.0 * lam * pts)
-        inv_diag = lambda pts: np.exp(2.0 * lam * pts)
-    else:
-        raise UnknownInequalityId(f"bakry_emery_lsi family {fam['type']!r}")
+    data = families.ProductMetricData.from_family(fam, d)
     pts = _hypothesis_points(mu)
-    gap = ric(pts).copy()
+    gap = families.product_ricci(data, mu.potential, pts)
     idx = np.arange(d)
-    gap[:, idx, idx] -= rho * metric_diag(pts)
+    gap[:, idx, idx] -= rho * data.metric_weights(pts)
     eigs = _min_eig_batch(gap)
     i = int(np.argmin(eigs))
     _margin(report, "curvature_level", eigs[i], location=pts[i], tol=1e-7)
-    weight = QuadraticFormField(dim=d, batch=inv_diag, name="g^-1")
+    weight = QuadraticFormField(
+        dim=d, batch=lambda p: 1.0 / data.metric_weights(p), name="g^-1"
+    )
     return InequalityInstance(
         id="bakry_emery_lsi",
         lhs_kind="entropy_of_square",
@@ -371,11 +336,17 @@ def _build_entropic_bl(params):
     mu = params["measure"]
     report = {}
     dens = mu.coord_densities[0]
-    lo = dens.ppf(1e-7)
-    hi = dens.ppf(1.0 - 1e-7)
-    grid = np.linspace(lo, hi, 1025)
-    vf = _coordinate_field_1d(mu)
-    crit = transport.dual_criterion_from_potential(vf, grid)
+    grid = np.linspace(dens.ppf(1e-7), dens.ppf(1.0 - 1e-7), 1025)
+    d2 = lambda t: mu.potential.hessian(t[:, None])[:, 0, 0]
+    # V''' and V'''' by central differences of V'' on the whole grid
+    h3 = 1e-4 * (1.0 + np.abs(grid))
+    h4 = 2e-3 * (1.0 + np.abs(grid))
+    crit = transport.DualCriterion.from_derivatives(
+        mu.potential.gradient(grid[:, None])[:, 0],
+        d2(grid),
+        (d2(grid + h3) - d2(grid - h3)) / (2.0 * h3),
+        (d2(grid + h4) - 2.0 * d2(grid) + d2(grid - h4)) / h4**2,
+    )
     rho = params.get("rho")
     if rho is None:
         rho = crit.bisect_rho(enhanced=True)
@@ -390,32 +361,6 @@ def _build_entropic_bl(params):
         rhs_constant=2.0 / rho,
         hypothesis_report=report,
         params={"rho": rho},
-    )
-
-
-def _coordinate_field_1d(mu):
-    """1-D PotentialField with numeric 3rd/4th derivatives from the
-    coordinate callbacks of a product measure."""
-    from .fields import PotentialField
-
-    d1, d2 = mu.coord_d1[0], mu.coord_d2[0]
-
-    def third(x):
-        h = 1e-4 * (1.0 + abs(float(x[0])))
-        return np.array(
-            [[[(d2(float(x[0]) + h) - d2(float(x[0]) - h)) / (2 * h)]]]
-        )
-
-    def fourth(x):
-        h = 2e-3 * (1.0 + abs(float(x[0])))
-        return (d2(float(x[0]) + h) - 2 * d2(float(x[0])) + d2(float(x[0]) - h)) / h**2
-
-    return PotentialField(
-        fn=lambda x: mu.coord_densities[0].potential(float(x[0])),
-        grad=lambda x: np.array([d1(float(x[0]))]),
-        hess=lambda x: np.array([[d2(float(x[0]))]]),
-        third=third,
-        fourth=fourth,
     )
 
 
@@ -526,10 +471,10 @@ def _poly_orthant_checks(mu, report, lam=None, r_max=None):
     if not mu.orthant:
         raise HypothesisViolated("orthant_unconditional", None, -1.0)
     report["orthant_unconditional"] = 1.0
-    eigs = _min_eig_batch(mu.hess_batch(pts))
+    eigs = _min_eig_batch(mu.potential.hessian(pts))
     i = int(np.argmin(eigs))
     _margin(report, "hess_v_psd", eigs[i], location=pts[i], tol=1e-10)
-    g = mu.grad_batch(pts)
+    g = mu.potential.gradient(pts)
     level = 0.0 if lam is None else lam
     j = int(np.argmin(g.min(axis=1)))
     _margin(report, "v_xi_lower", float(g.min()) - level, location=pts[j], tol=1e-10)
@@ -546,14 +491,9 @@ def _build_poly_product(params):
     report = {}
     if part == 1:
         p = params.get("p", 0.5)
-        _poly_orthant_checks(mu, report)
-        batch = _product_ricci_batch(mu, "power", p)
-        pts = _hypothesis_points(mu)
-        eigs = _min_eig_batch(batch(pts))
-        _margin(report, "ric_positive", float(eigs.min()), tol=-1e-12)
-        weight = QuadraticFormField(
-            dim=d, batch=lambda q: np.linalg.inv(batch(q)), name="Ric_p^-1"
-        )
+        pts = _poly_orthant_checks(mu, report)
+        data = families.ProductMetricData.power(p, d)
+        weight = _check_product_ricci(mu, data, report, pts)
         return InequalityInstance(
             id="poly_product", lhs_kind="variance", measure=mu,
             rhs_weight=weight, rhs_constant=1.0,
@@ -619,11 +559,11 @@ def _build_exp_product(params):
     if lams.size == 1:
         lams = np.full(d, lams[0])
     pts = _poly_orthant_checks(mu, report)
-    g = mu.grad_batch(pts)
+    g = mu.potential.gradient(pts)
     _margin(report, "v_xi_above_lambda", float((g - lams).min()), tol=1e-10)
 
     def weights(pts):
-        g = mu.grad_batch(pts)
+        g = mu.potential.gradient(pts)
         return 1.0 / (lams * (g - lams))
 
     weight = QuadraticFormField(dim=d, batch=weights, name="1/(lam (V_xi - lam))")

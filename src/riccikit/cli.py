@@ -2,8 +2,9 @@
 machine-readable reports.
 
 Exit codes: 0 all pass, 1 at least one inequality failure, 2 config error,
-3 runtime error (a row errored but the suite completed).  The environment
-variable RG_SEED overrides the config seed.
+3 runtime error (a row errored but the suite completed).  A report is a
+function of the config and its seed alone; `check --seed` overrides the seed
+of every document.
 """
 
 import argparse
@@ -135,8 +136,9 @@ def parse_config(document) -> ExperimentConfig:
 
 
 def _check_spec(spec, pointer, kinds, dims):
-    """Reject a measure or body spec whose kind is missing or unknown, and a
-    box whose half-widths do not match every listed dimension."""
+    """Reject a measure or body spec whose kind is missing or unknown, a
+    one-dimensional measure kind at d > 1, and a box whose half-widths do not
+    match every listed dimension."""
     if spec is None:
         return
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -144,6 +146,12 @@ def _check_spec(spec, pointer, kinds, dims):
         raise SchemaViolation(
             f"{pointer}/kind", f"kind {kind!r} is not one of {sorted(kinds)}"
         )
+    if kind in measures.ONE_DIMENSIONAL:
+        for i, d in enumerate(dims):
+            if d > 1:
+                raise SchemaViolation(
+                    f"/dims/{i}", f"measure kind {kind!r} requires dimension <= 1"
+                )
     if kind != "box":
         return
     half_widths = spec.get("half_widths")
@@ -172,26 +180,22 @@ def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
     checking one dimension becomes an error row instead of aborting the
     suite."""
     report = engine.VerificationReport()
-    seed = config.seed
-    env_seed = os.environ.get("RG_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     for d in config.dims:
         try:
             inst = catalog.instantiate(config.inequality, _instance_params(config, d))
-            functions = engine.default_suite(d, seed=seed)
+            functions = engine.default_suite(d, seed=config.seed)
             if config.function_filter:
                 functions = [f for f in functions if f.id in config.function_filter]
             sub = engine.check_inequality(
                 inst, functions=functions, budget=config.samples,
-                seed=seed, suite_name=config.suite,
+                seed=config.seed, suite_name=config.suite,
             )
         except RicciKitError as exc:
             report.add(engine.ReportRow(
                 suite=config.suite, inequality=config.inequality, dim=d,
                 function="-", lhs=math.nan, lhs_err=math.nan, rhs=math.nan,
                 rhs_err=math.nan, slack=math.nan, status="error",
-                seed=seed, n=config.samples,
+                seed=config.seed, n=config.samples,
             ))
             report.attachments[f"{config.inequality}:d={d}:error"] = str(exc)
             continue
@@ -307,22 +311,18 @@ def _cmd_ricci(args):
     mu = measures.from_spec(mspec, d)
     kind = fam.get("type", "euclidean")
     n_param = math.inf
-    if kind == "product_power":
-        data = families.ProductMetricData.power(fam["p"], d)
-        closed = families.product_ricci(data, mu.potential, x)
-        metric = fields.power_product_metric(fam["p"], d)
-    elif kind == "product_exp":
-        data = families.ProductMetricData.exponential(fam["lam"], d)
-        closed = families.product_ricci(data, mu.potential, x)
-        metric = fields.exp_product_metric([fam["lam"]] * d)
-    elif kind == "conformal_radial":
+    if kind == "conformal_radial":
         n_param = fam.get("N", math.inf)
         data = families.ConformalMetricData.radial(fam["theta"], fam.get("eps", 1e-6))
         closed = families.conformal_ricci_N(data, mu.potential, n_param, x)
         metric = fields.conformal_metric(data.phi, d)
-    else:
+    elif kind == "euclidean":
         closed = mu.potential.hessian(x)
         metric = fields.euclidean_metric(d)
+    else:
+        data = families.ProductMetricData.from_family(fam, d)
+        closed = families.product_ricci(data, mu.potential, x)
+        metric = data.metric_field()
     cp = tensor_core.generalized_ricci(metric, mu.potential, x, n_param=n_param)
     out = {
         "point": x.tolist(),

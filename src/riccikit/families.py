@@ -14,8 +14,13 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateHessian, NonUnitNormal, ProfileNotPositive
-from .fields import PotentialField, as_point
+from .errors import (
+    DegenerateHessian,
+    NonUnitNormal,
+    ProfileNotPositive,
+    UnknownInequalityId,
+)
+from .fields import PotentialField, as_point, coord_columns, product_metric
 from .tensor_core import check_dimension_param
 
 # Above this condition number of D^2 Phi, stencil third derivatives are too
@@ -191,7 +196,8 @@ def refined_Q(data: HessianMetricData, x):
 
 @dataclass
 class ProductMetricData:
-    """Coordinate profiles u_i = 1/sqrt(Phi_i'') as (u, u', u'') callables."""
+    """Coordinate profiles u_i = 1/sqrt(Phi_i'') as (u, u', u'') callables;
+    each takes an array of abscissae (or returns a scalar to broadcast)."""
 
     profiles: List[Tuple[Callable, Callable, Callable]]
 
@@ -215,9 +221,9 @@ class ProductMetricData:
             lams = np.full(d, lams[0])
         profs = [
             (
-                lambda t, l=l: math.exp(l * t),
-                lambda t, l=l: l * math.exp(l * t),
-                lambda t, l=l: l * l * math.exp(l * t),
+                lambda t, l=l: np.exp(l * t),
+                lambda t, l=l: l * np.exp(l * t),
+                lambda t, l=l: l * l * np.exp(l * t),
             )
             for l in lams
         ]
@@ -228,13 +234,46 @@ class ProductMetricData:
         prof = (lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
         return cls([prof] * d)
 
+    @classmethod
+    def from_family(cls, family, d):
+        """Profiles of a metric family document at dimension d:
+        {"type": "product_power", "p": p} gives u_i = x_i^p and
+        {"type": "product_exp", "lam": lam} gives u_i = exp(lam x_i)."""
+        if family["type"] == "product_power":
+            return cls.power(family["p"], d)
+        if family["type"] == "product_exp":
+            return cls.exponential(family["lam"], d)
+        raise UnknownInequalityId(f"product-metric family {family['type']!r}")
+
+    def _profiles_at(self, x):
+        """(u, u', u'') at the coordinates of a (d,) point or an (n, d) batch,
+        each in the shape of x; raises unless every u is positive (a NaN
+        fails too)."""
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"expected points of dimension {self.dim}, got {x.shape}")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u, du, ddu = (
+                coord_columns([p[k] for p in self.profiles], x) for k in range(3)
+            )
+        if not (u > 0.0).all():
+            at = tuple(np.argwhere(~(u > 0.0))[0])
+            raise ProfileNotPositive(
+                f"product-metric profile u_{at[-1]} = {float(u[at])} is not "
+                f"positive at x_{at[-1]} = {float(x[at])}"
+            )
+        return u, du, ddu
+
     def metric_weights(self, x):
-        """Diagonal metric entries g_ii = u_i^{-2}."""
-        x = as_point(x, self.dim)
-        u = np.array([p[0](x[i]) for i, p in enumerate(self.profiles)])
-        if np.any(u <= 0.0):
-            raise ProfileNotPositive(f"profile non-positive at {x}")
-        return u**-2.0
+        """Diagonal metric entries g_ii = u_i^{-2}, in the shape of x."""
+        return self._profiles_at(as_point(x))[0] ** -2.0
+
+    def metric_field(self):
+        """g = diag(u_i^{-2}) with analytic first derivatives -2 u_i'/u_i^3."""
+        return product_metric([
+            (lambda t, u=u: u(t) ** -2.0,
+             lambda t, u=u, du=du: -2.0 * du(t) / u(t) ** 3)
+            for u, du, _ in self.profiles
+        ])
 
     def geodesically_convex_orthant(self, grid):
         """Lemma-style check that the metric weights decrease (u_i' >= 0),
@@ -247,16 +286,14 @@ class ProductMetricData:
 
 
 def product_ricci(data: ProductMetricData, v: PotentialField, x):
-    """D^2 V + diag{ V_{x_i} u_i'/u_i - u_i''/u_i }."""
-    x = as_point(x, data.dim)
-    gv = v.gradient(x)
-    diag = np.empty(data.dim)
-    for i, (u, du, ddu) in enumerate(data.profiles):
-        ui = u(x[i])
-        if ui <= 0.0:
-            raise ProfileNotPositive(f"profile {i} non-positive at {x[i]}")
-        diag[i] = gv[i] * du(x[i]) / ui - ddu(x[i]) / ui
-    return v.hessian(x) + np.diag(diag)
+    """D^2 V + diag{ V_{x_i} u_i'/u_i - u_i''/u_i } at a (d,) point, (d, d),
+    or at each row of an (n, d) batch, (n, d, d)."""
+    x = as_point(x)
+    u, du, ddu = data._profiles_at(x)
+    ric = v.hessian(x)
+    idx = np.arange(data.dim)
+    ric[..., idx, idx] += v.gradient(x) * du / u - ddu / u
+    return ric
 
 
 def rho_p_bounded(p, r_max):

@@ -1,7 +1,13 @@
 """Scalar, metric and quadratic-form fields over convex domains.
 
 Conventions:
-  * potentials and metrics take one point, a 1-D float array of shape (d,);
+  * a potential's `gradient` and `hessian` follow the shape of their
+    argument: (d,) and (d, d) at a point of shape (d,), (n, d) and (n, d, d)
+    at an (n, d) batch.  Analytic callbacks receive the argument as passed,
+    so a callback written for one point still serves single points, and the
+    finite-difference fallbacks loop over the rows of a batch.  `value`,
+    `third_tensor` and `fourth_1d` take one point;
+  * metrics take one point, a 1-D float array of shape (d,);
   * quadratic-form fields take an (n, d) array of points and return their
     weights in one of three shapes, (n,) for s(x) * Id, (n, d) for
     diag(w(x)) and (n, d, d) for a full matrix; one point is a batch of one;
@@ -48,21 +54,29 @@ class PotentialField:
         return float(self.fn(as_point(x)))
 
     def gradient(self, x):
+        """(d,) gradient at a (d,) point, (n, d) gradients at an (n, d) batch."""
         x = as_point(x)
         if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float).reshape(x.size)
-        return numdiff.central_grad(self.fn, x, numdiff.step_first(x))
+            return np.asarray(self.grad(x), dtype=float).reshape(x.shape)
+        return _per_row(
+            lambda p: numdiff.central_grad(self.fn, p, numdiff.step_first(p)), x
+        )
 
     def hessian(self, x):
+        """(d, d) Hessian at a (d,) point, (n, d, d) at an (n, d) batch."""
         x = as_point(x)
         if self.hess is not None:
-            return numdiff.symmetrize(np.asarray(self.hess(x), dtype=float))
-        if self.grad is not None:
-            jac = numdiff.central_jacobian(self.grad, x, numdiff.step_first(x))
-            return numdiff.symmetrize(jac)
-        return numdiff.symmetrize(
-            numdiff.central_hess(self.fn, x, numdiff.step_second(x))
-        )
+            h = np.asarray(self.hess(x), dtype=float)
+        elif self.grad is not None:
+            h = _per_row(
+                lambda p: numdiff.central_jacobian(self.grad, p, numdiff.step_first(p)),
+                x,
+            )
+        else:
+            h = _per_row(
+                lambda p: numdiff.central_hess(self.fn, p, numdiff.step_second(p)), x
+            )
+        return numdiff.symmetrize(h)
 
     def third_tensor(self, x, require_analytic=False):
         x = as_point(x)
@@ -88,6 +102,31 @@ class PotentialField:
         return (tp - tm) / (2.0 * h)
 
 
+def _per_row(f, x):
+    """f at a (d,) point, or f stacked over the rows of an (n, d) batch."""
+    return f(x) if x.ndim == 1 else np.array([f(p) for p in x])
+
+
+def coord_columns(fns, x):
+    """Array of the shape of x, a (d,) point or an (n, d) batch, whose
+    column i is fns[i] called once on column i of x; a scalar a callback
+    returns is broadcast."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    for i, f in enumerate(fns):
+        out[..., i] = f(x[..., i])
+    return out
+
+
+def diag_matrices(w):
+    """(..., d, d) diagonal matrices from (..., d) diagonals."""
+    d = w.shape[-1]
+    out = np.zeros(w.shape + (d,))
+    idx = np.arange(d)
+    out[..., idx, idx] = w
+    return out
+
+
 def quadratic_potential(a, center=None):
     """V(x) = 0.5 <A (x-c), (x-c)> with all derivatives analytic."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -96,10 +135,10 @@ def quadratic_potential(a, center=None):
 
     return PotentialField(
         fn=lambda x: 0.5 * float((x - c) @ a @ (x - c)),
-        grad=lambda x: a @ (x - c),
-        hess=lambda x: a.copy(),
-        third=lambda x: np.zeros((d, d, d)),
-        fourth=lambda x: np.zeros((d,) * 4),
+        grad=lambda x: (x - c) @ a.T,
+        hess=lambda x: np.zeros(x.shape[:-1] + (d, d)) + a,
+        third=lambda x: np.zeros(x.shape[:-1] + (d,) * 3),
+        fourth=lambda x: np.zeros(x.shape[:-1] + (d,) * 4),
         convex=numdiff.min_eigenvalue(a) >= 0,
     )
 
@@ -113,33 +152,32 @@ def linear_potential(coeffs):
     d = c.size
     return PotentialField(
         fn=lambda x: float(c @ x),
-        grad=lambda x: c.copy(),
-        hess=lambda x: np.zeros((d, d)),
-        third=lambda x: np.zeros((d, d, d)),
-        fourth=lambda x: np.zeros((d,) * 4),
+        grad=lambda x: np.zeros(x.shape) + c,
+        hess=lambda x: np.zeros(x.shape[:-1] + (d, d)),
+        third=lambda x: np.zeros(x.shape[:-1] + (d,) * 3),
+        fourth=lambda x: np.zeros(x.shape[:-1] + (d,) * 4),
         convex=True,
     )
 
 
 def separable_potential(f, d1, d2, d3=None, d4=None, dim=1):
-    """V(x) = sum_i f(x_i) from 1-D profile derivatives."""
+    """V(x) = sum_i f(x_i) from array-safe 1-D profile derivatives."""
+    idx = np.arange(dim)
 
     def third(x):
-        t = np.zeros((dim, dim, dim))
-        for i in range(dim):
-            t[i, i, i] = d3(x[i])
+        t = np.zeros(x.shape[:-1] + (dim,) * 3)
+        t[..., idx, idx, idx] = coord_columns([d3] * dim, x)
         return t
 
     def fourth(x):
-        t = np.zeros((dim,) * 4)
-        for i in range(dim):
-            t[i, i, i, i] = d4(x[i])
+        t = np.zeros(x.shape[:-1] + (dim,) * 4)
+        t[..., idx, idx, idx, idx] = coord_columns([d4] * dim, x)
         return t
 
     return PotentialField(
         fn=lambda x: float(sum(f(xi) for xi in x)),
-        grad=lambda x: np.array([d1(xi) for xi in x]),
-        hess=lambda x: np.diag([d2(xi) for xi in x]),
+        grad=lambda x: coord_columns([d1] * dim, x),
+        hess=lambda x: diag_matrices(coord_columns([d2] * dim, x)),
         third=None if d3 is None else third,
         fourth=None if d4 is None else fourth,
     )
@@ -302,10 +340,7 @@ def as_matrices(w, d):
     QuadraticFormField: (n,) scalars, (n, d) diagonals or (n, d, d)."""
     if w.ndim == 3:
         return w
-    out = np.zeros((len(w), d, d))
-    idx = np.arange(d)
-    out[:, idx, idx] = w if w.ndim == 2 else w[:, None]
-    return out
+    return diag_matrices(w if w.ndim == 2 else np.repeat(w[:, None], d, axis=1))
 
 
 def quad_form(w, vectors):

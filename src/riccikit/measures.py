@@ -14,7 +14,7 @@ import numpy as np
 
 from .bodies import Box, ConvexBody, body_from_spec
 from .errors import NonNormalizable
-from .fields import PotentialField, as_matrices
+from .fields import PotentialField, coord_columns, diag_matrices
 from .transport import (
     Density1D,
     FlattenedPowerPotential,
@@ -33,12 +33,11 @@ class MeasureSpec:
     """A sampleable probability measure with derivative access to its
     potential.
 
-    `grad_batch`/`hess_batch` map an (n, d) array of points to (n, d)
-    gradients and (n, d, d) Hessians.  A product measure also carries one
-    callback per coordinate in `coord_d1`/`coord_d2`: each takes an array of
-    abscissae and returns V_i' or V_i'' at every entry, or a scalar when the
-    derivative is constant (`coord_columns` broadcasts it).  A single point
-    is a batch of one.
+    `potential.gradient` and `potential.hessian` take a (d,) point or an
+    (n, d) batch and return results of the matching shape.  A product measure
+    also carries one callback per coordinate in `coord_d1`/`coord_d2`: each
+    takes an array of abscissae and returns V_i' or V_i'' at every entry, or
+    a scalar when the derivative is constant (`coord_columns` broadcasts it).
     """
 
     kind: str
@@ -49,8 +48,6 @@ class MeasureSpec:
     coord_densities: Optional[List[Density1D]] = None
     coord_d1: Optional[List[Callable]] = None
     coord_d2: Optional[List[Callable]] = None
-    grad_batch: Optional[Callable] = None
-    hess_batch: Optional[Callable] = None
     log_concave: bool = False
     unconditional: bool = False
     orthant: bool = False
@@ -74,16 +71,6 @@ class MeasureSpec:
         return np.array([d.moment(k) for d in self.coord_densities])
 
 
-def coord_columns(fns, pts):
-    """(n, d) array whose column i is fns[i] called once on column i of the
-    (n, d) points."""
-    pts = np.asarray(pts, dtype=float)
-    return np.column_stack([
-        np.broadcast_to(np.asarray(f(pts[:, i]), dtype=float), len(pts))
-        for i, f in enumerate(fns)
-    ])
-
-
 def _product_spec(kind, densities, d1=None, d2=None, **flags):
     """Assemble a product MeasureSpec from per-coordinate densities and
     optional coordinate derivative callbacks d1, d2 (lists or shared)."""
@@ -92,18 +79,12 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
     d2s = d2 if isinstance(d2, list) else [d2] * dim
 
     def fn(x):
-        return float(sum(dens.potential(t) for dens, t in zip(densities, x)))
+        return sum(dens.potential(x[..., i]) for i, dens in enumerate(densities))
 
-    grad = None
-    hess = None
-    gb = None
-    hb = None
-    if d1s[0] is not None:
-        gb = lambda pts: coord_columns(d1s, pts)
-        grad = lambda x: gb(x[None, :])[0]
-    if d2s[0] is not None:
-        hb = lambda pts: as_matrices(coord_columns(d2s, pts), dim)
-        hess = lambda x: hb(x[None, :])[0]
+    grad = None if d1s[0] is None else (lambda x: coord_columns(d1s, x))
+    hess = None if d2s[0] is None else (
+        lambda x: diag_matrices(coord_columns(d2s, x))
+    )
 
     def sampler(n, rng):
         return np.column_stack([dens.sample(n, rng) for dens in densities])
@@ -116,8 +97,6 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
         coord_densities=list(densities),
         coord_d1=d1s,
         coord_d2=d2s,
-        grad_batch=gb,
-        hess_batch=hb,
         **flags,
     )
 
@@ -307,13 +286,11 @@ def uniform_body(body: ConvexBody):
         dim=d,
         potential=PotentialField(
             fn=lambda x: logv,
-            grad=lambda x: np.zeros(d),
-            hess=lambda x: np.zeros((d, d)),
+            grad=lambda x: np.zeros_like(x),
+            hess=lambda x: np.zeros(x.shape + (d,)),
         ),
         sampler=lambda n, rng: body.sample_uniform(n, rng),
         body=body,
-        grad_batch=lambda pts: np.zeros_like(pts),
-        hess_batch=lambda pts: np.zeros((pts.shape[0], d, d)),
         log_concave=True,
         params=body.spec(),
     )
@@ -341,6 +318,9 @@ def flat_power_1d(q):
     spec.flat_power = fp
     return spec
 
+
+# kinds whose constructor ignores d: they exist in one dimension only
+ONE_DIMENSIONAL = frozenset({"uniform_interval", "cos_interval", "flat_power_1d"})
 
 CONSTRUCTORS = {
     "gaussian": lambda d, p: gaussian(d, p.get("sigma", 1.0)),

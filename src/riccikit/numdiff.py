@@ -27,7 +27,8 @@ def step_second(x):
 
 
 def symmetrize(a):
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def central_grad(f, x, h):

@@ -257,18 +257,10 @@ class Density1D:
             grid_size=len(self.grid) // 2 + 1,
         )
 
-    def potential_field(self, d1=None, d2=None) -> PotentialField:
-        """Normalized potential as a 1-D PotentialField (analytic derivative
-        callbacks optional)."""
-        return PotentialField(
-            fn=lambda x: self.potential(float(np.atleast_1d(x)[0])),
-            grad=None if d1 is None else (
-                lambda x: np.array([d1(float(np.atleast_1d(x)[0]))])
-            ),
-            hess=None if d2 is None else (
-                lambda x: np.array([[d2(float(np.atleast_1d(x)[0]))]])
-            ),
-        )
+    def potential_field(self) -> PotentialField:
+        """Normalized potential as a 1-D PotentialField, differentiated by
+        the finite-difference fallbacks."""
+        return PotentialField(fn=lambda x: self.potential(x[..., 0]))
 
 
 # -- stock densities -----------------------------------------------------------
@@ -485,26 +477,31 @@ class DualCriterion:
                 hi = mid
         return lo
 
+    @classmethod
+    def from_derivatives(cls, d1, d2, d3, d4):
+        """Push V', V'', V''' and V'''' of a strongly convex V, given on an
+        x-grid, to the dual side by the chain rule on y = V'(x):
+            (V*)'' = 1/V'',   (log (V*)'')'(y) = -V'''/V''^2,
+            F''(y) = 2/V'' + r'/V''^2 - (y + r) V'''/V''^3,   r = V'''/V''.
+        """
+        if np.any(d2 <= 0):
+            raise NotStronglyConvex("V'' <= 0 on the criterion grid")
+        r = d3 / d2
+        rp = (d4 * d2 - d3**2) / d2**2
+        f2 = 2.0 / d2 + rp / d2**2 - (d1 + r) * d3 / d2**3
+        return cls(y_grid=d1, ddvstar=1.0 / d2, f_second=f2, logd_prime=-d3 / d2**2)
+
 
 def dual_criterion_from_potential(v: PotentialField, grid) -> DualCriterion:
-    """Push a 4-times differentiable strongly convex V to the dual side.
-
-    Uses the chain rule on y = V'(x):
-        (V*)'' = 1/V'',   (log (V*)'')'(y) = -V'''/V''^2,
-        F''(y) = 2/V'' + r'/V''^2 - (y + r) V'''/V''^3,   r = V'''/V''.
-    """
+    """`DualCriterion.from_derivatives` of a 4-times differentiable strongly
+    convex V, evaluated one grid node at a time (V''' and V'''' take one
+    point)."""
     grid = np.asarray(grid, dtype=float)
-    d1 = np.array([v.gradient([t])[0] for t in grid])
-    d2 = np.array([v.hessian([t])[0, 0] for t in grid])
-    d3 = np.array([v.third_tensor([t])[0, 0, 0] for t in grid])
-    d4 = np.array([v.fourth_1d([t]) for t in grid])
-    if np.any(d2 <= 0):
-        raise NotStronglyConvex("V'' <= 0 on the criterion grid")
-    r = d3 / d2
-    rp = (d4 * d2 - d3**2) / d2**2
-    f2 = 2.0 / d2 + rp / d2**2 - (d1 + r) * d3 / d2**3
-    return DualCriterion(
-        y_grid=d1, ddvstar=1.0 / d2, f_second=f2, logd_prime=-d3 / d2**2
+    return DualCriterion.from_derivatives(
+        np.array([v.gradient([t])[0] for t in grid]),
+        np.array([v.hessian([t])[0, 0] for t in grid]),
+        np.array([v.third_tensor([t])[0, 0, 0] for t in grid]),
+        np.array([v.fourth_1d([t]) for t in grid]),
     )
 
 

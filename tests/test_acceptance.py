@@ -274,8 +274,8 @@ def test_criterion_09_refined_dominance():
             worst = max(worst, gap)
             ok = ok and gap <= 1e-8
         # negative-dimension weight dominance at sample points
-        g = mu.grad_batch(samples)
-        h = mu.hess_batch(samples)
+        g = mu.potential.gradient(samples)
+        h = mu.potential.hessian(samples)
         combo = h + np.einsum("ni,nj->nij", g, g) / 2.0
         ok = ok and bool(np.linalg.eigvalsh(combo - h)[:, 0].min() > -1e-15)
     _announce(9, ok, f"(max RHS gap over 2x classical: {worst:.2e})")

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from riccikit import catalog as cat, measures as ms
+from riccikit import catalog as cat, families as fam, measures as ms
+from riccikit import tensor_core as tc
 from riccikit.bodies import Ball, ConeMeasureSampler, LpBall, Simplex
 from riccikit.errors import HypothesisViolated, UnknownInequalityId
+from riccikit.fields import PotentialField
 
 
 class TestInstantiate:
@@ -52,9 +54,11 @@ class TestInstantiate:
         spec = ms.MeasureSpec(
             kind="bad",
             dim=1,
-            potential=None,
+            potential=PotentialField(
+                fn=lambda x: -0.5 * float(x @ x),
+                hess=lambda pts: np.full((pts.shape[0], 1, 1), -1.0),
+            ),
             sampler=lambda n, rng: rng.uniform(-1, 1, size=(n, 1)),
-            hess_batch=lambda pts: np.full((pts.shape[0], 1, 1), -1.0),
         )
         with pytest.raises(HypothesisViolated) as err:
             cat.instantiate("classical_bl", {"measure": spec})
@@ -105,7 +109,7 @@ class TestStructuralRelations:
         pts = mu.sample(500, 1)
         extra = cat._negdim_weight_field(mu)
         inv_extra = np.linalg.inv(extra.values(pts))  # the combined matrix
-        base = mu.hess_batch(pts)
+        base = mu.potential.hessian(pts)
         eigs = np.linalg.eigvalsh(inv_extra - base)[:, 0]
         assert eigs.min() > -1e-12
 
@@ -238,3 +242,47 @@ class TestGuards:
                 {"measure": mu, "family": {"type": "product_power", "p": 0.5}},
             )
         assert err.value.hypothesis == "ric_positive"
+
+
+class TestRicciGate:
+    """The product-metric entries gate on `families.product_ricci`, the closed
+    form that criterion 01 checks against the finite-difference oracle."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "inequality,params,margin",
+        [
+            ("generalized_bl", {"family": {"type": "product_power", "p": 0.5}},
+             "ric_positive"),
+            ("generalized_bl", {"family": {"type": "product_exp", "lam": 0.5}},
+             "ric_positive"),
+            ("bakry_emery_lsi",
+             {"family": {"type": "product_power", "p": 0.5}, "rho": 0.5},
+             "curvature_level"),
+            ("poly_product", {"part": 1, "p": 0.5}, "ric_positive"),
+        ],
+    )
+    def test_margin_is_product_ricci(self, inequality, params, margin, d):
+        mu = ms.exp_product(d)
+        inst = cat.instantiate(inequality, {**params, "measure": mu})
+        pts = cat._hypothesis_points(mu)
+        family = params.get("family", {"type": "product_power", "p": params.get("p")})
+        data = fam.ProductMetricData.from_family(family, d)
+        ric = fam.product_ricci(data, mu.potential, pts)
+        pointwise = np.array([fam.product_ricci(data, mu.potential, x) for x in pts])
+        np.testing.assert_allclose(ric, pointwise, rtol=1e-14, atol=0.0)
+        gate = ric.copy()
+        if inequality == "bakry_emery_lsi":
+            idx = np.arange(d)
+            gate[:, idx, idx] -= params["rho"] * data.metric_weights(pts)
+        assert inst.hypothesis_report[margin] == np.linalg.eigvalsh(gate)[:, 0].min()
+        # the oracle's stencil, h = 1e-3 (1 + |x|), resolves the x^-1 power
+        # metric only away from the orthant's faces: it is consulted where
+        # every coordinate is >= 0.5, the range criterion 01 draws from, and
+        # its truncation error is relative to the size of the tensor
+        inner = np.flatnonzero(pts.min(axis=1) >= 0.5)[:16]
+        assert len(inner) == 16
+        metric = data.metric_field()
+        for k in inner:
+            fd = tc.generalized_ricci(metric, mu.potential, pts[k]).ric_gmu
+            assert np.abs(ric[k] - fd).max() < 1e-4 * (1.0 + np.abs(ric[k]).max())

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 
 import pytest
 
@@ -151,6 +150,21 @@ class TestParseConfig:
         assert err.value.pointer == "/dims/0"
         assert "<= 1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "measure",
+        [{"kind": "uniform_interval"}, {"kind": "cos_interval"},
+         {"kind": "flat_power_1d", "q": 3.0}],
+    )
+    def test_one_dimensional_measure_kinds_reject_d3(self, measure):
+        # these kinds ignore d and used to escape as a numpy broadcast error
+        # that lost the rows of the valid document after them
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents(
+                [{**MINIMAL, "measure": measure, "dims": [1, 3]}, MINIMAL]
+            )
+        assert err.value.pointer == "/dims/1"
+        assert "<= 1" in str(err.value)
+
     def test_json_string_accepted(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
         assert cfg.samples == 5000
@@ -275,12 +289,27 @@ class TestExitCodes:
              "ball_like_body"),
             ({"inequality": "muq_lsi", "measure": {"kind": "gaussian"}, "dims": [2]},
              "power_product_measure"),
+            # x^p profiles are undefined at the Gaussian's negative samples
+            ({"inequality": "generalized_bl", "measure": {"kind": "gaussian"},
+              "dims": [2], "params": {"family": {"type": "product_power", "p": 0.5}}},
+             "product-metric profile"),
+            ({"inequality": "bakry_emery_lsi", "measure": {"kind": "gaussian"},
+              "dims": [2], "params": {"family": {"type": "product_power", "p": 0.3},
+                                      "rho": 0.5}},
+             "product-metric profile"),
+            # the Laplace potential has no analytic derivatives
+            ({"inequality": "negdim_bl", "measure": {"kind": "laplace_product"},
+              "dims": [2]}, "weight_positive"),
+            ({"inequality": "generalized_bl", "measure": {"kind": "laplace_product"},
+              "dims": [2], "params": {"family": {"type": "product_exp", "lam": 0.5}}},
+             "ric_positive"),
         ],
     )
     def test_kind_mismatch_becomes_error_row(self, doc, hypothesis):
-        # the mean-curvature entries need a ball-like body and muq_lsi a
-        # power-product measure; anything else is one error row, not a crash
-        # that loses the rows of the next document
+        # the mean-curvature entries need a ball-like body, muq_lsi a
+        # power-product measure and the power-profile entries a measure on
+        # the orthant; anything else is one error row, not a wrong verdict or
+        # a crash that loses the rows of the next document
         bad = {"body": {"kind": "simplex"}, "samples": 2000, **doc}
         rep = cli.run_documents([bad, {**MINIMAL, "samples": 2000}])
         ineq, d = doc["inequality"], doc["dims"][0]
@@ -292,17 +321,13 @@ class TestExitCodes:
             engine.default_suite(2)
         )
 
-    def test_rg_seed_override(self, tmp_path):
+    def test_seed_flag_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL))
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         cli.main(["check", "--config", str(path), "--out", str(out1)])
-        os.environ["RG_SEED"] = "99"
-        try:
-            cli.main(["check", "--config", str(path), "--out", str(out2)])
-        finally:
-            del os.environ["RG_SEED"]
+        cli.main(["check", "--config", str(path), "--seed", "99", "--out", str(out2)])
         rows1 = list(csv.DictReader(out1.open()))
         rows2 = list(csv.DictReader(out2.open()))
         assert rows1 != rows2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from riccikit import catalog as cat, engine as eng, measures as ms
+from riccikit import catalog as cat, engine as eng, families as fam, measures as ms
 from riccikit.bodies import Ball, Simplex
 from riccikit.errors import DegenerateSample, EigensolveFailure
 
@@ -241,8 +241,8 @@ class TestPsdVerify:
     def test_product_metric_ricci_nonnegative(self):
         mu = ms.exp_product(2)
         pts = mu.sample(4096, 3)
-        batch = cat._product_ricci_batch(mu, "power", 0.5)
-        eigs = np.linalg.eigvalsh(batch(pts))[:, 0]
+        data = fam.ProductMetricData.power(0.5, 2)
+        eigs = np.linalg.eigvalsh(fam.product_ricci(data, mu.potential, pts))[:, 0]
         assert eigs.min() > -1e-8
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from riccikit import engine as eng, measures as ms
+from riccikit import engine as eng, fields, measures as ms
+
+from conftest import logcosh_phi
 
 
 class TestSampling:
@@ -113,3 +115,42 @@ class TestBatchFirstDensities:
         assert len(shapes) <= 32
         assert all(len(s) == 1 for s in shapes)
         assert np.array_equal(rebuilt.cdf_grid, dens.cdf_grid)
+
+
+def _batch_cases():
+    """(potential, d) for the stock potentials, every measure kind's
+    potential and the two finite-difference fallbacks."""
+    phi = logcosh_phi(3)
+    cases = [
+        ("quadratic", fields.quadratic_potential(
+            [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]], center=[0.1, -0.2, 0.3]
+        ), 3),
+        ("gaussian_potential", fields.gaussian_potential(3, sigma=0.7), 3),
+        ("linear", fields.linear_potential([1.0, -2.0, 0.5]), 3),
+        ("power", fields.power_potential(0.5, 2.5, dim=3), 3),
+        ("fd_from_grad", fields.PotentialField(fn=phi.fn, grad=phi.grad), 3),
+        ("fd_from_value", fields.PotentialField(fn=phi.fn), 3),
+        ("gamma_power_product", ms.gamma_power_product(3, 1.5).potential, 3),
+    ]
+    docs = [{"kind": "gaussian"}, {"kind": "exp_product"},
+            {"kind": "power_product", "q": 1.5}, {"kind": "exp_quad_orthant"},
+            {"kind": "trunc_gaussian_orthant"}, {"kind": "uniform_box_orthant"},
+            {"kind": "laplace_product"}, {"kind": "trunc_gaussian_sym"},
+            {"kind": "uniform_body", "body": {"kind": "ball"}}]
+    cases += [(doc["kind"], ms.from_spec(doc, 3).potential, 3) for doc in docs]
+    for doc in ({"kind": "uniform_interval"}, {"kind": "cos_interval"},
+                {"kind": "flat_power_1d", "q": 3.0}):
+        cases.append((doc["kind"], ms.from_spec(doc, 1).potential, 1))
+    return [pytest.param(v, d, id=label) for label, v, d in cases]
+
+
+class TestPotentialBatches:
+    @pytest.mark.parametrize("v,d", _batch_cases())
+    def test_batch_equals_stacked_points(self, v, d):
+        # every point lies inside the support of every measure above
+        pts = np.random.default_rng(4).uniform(0.05, 0.45, (16, d))
+        for method, shape in ((v.gradient, (16, d)), (v.hessian, (16, d, d))):
+            batch = method(pts)
+            stacked = np.array([method(x) for x in pts])
+            assert batch.shape == stacked.shape == shape
+            np.testing.assert_allclose(batch, stacked, rtol=1e-14, atol=1e-14)
