@@ -504,6 +504,10 @@ class Curve2D(ConvexBody):
         return {"kind": self.kind, "dim": 2}
 
 
+# spec keys a kind cannot do without (the others have defaults; a box's
+# half-widths are checked against the dimension at parse time)
+REQUIRED_KEYS = {"lp": ("p",)}
+
 CONSTRUCTORS = {
     "ball": lambda s: Ball(s["dim"], s.get("radius", 1.0), s.get("orthant", False)),
     "box": lambda s: Box(s["half_widths"]),

@@ -19,7 +19,7 @@ import numpy as np
 from . import families, measures, transport
 from .bodies import ConeMeasureSampler, ConvexBody, Simplex
 from .errors import HypothesisViolated, UnknownInequalityId
-from .fields import QuadraticFormField, coord_columns
+from .fields import QuadraticFormField, ScalarPlusRankOne, coord_columns
 
 _HYPOTHESIS_SEED = 2025
 _HYPOTHESIS_SAMPLES = 512
@@ -60,10 +60,33 @@ class InequalityInstance:
         return self.measure.dim if self.measure is not None else self.body.dim
 
 
+@dataclass(frozen=True)
+class ParamRule:
+    """Keys a params object must hold: the object is params itself when
+    `path` is empty, else params[path] (not checked when absent).  It needs
+    `keys`, and `by[v]` when its `selector` key reads v (`default` when the
+    selector is absent).  With `entry_key`, the object also names a catalog
+    entry under that key, which is built from the object and a measure
+    alone, and must satisfy that entry's requirements."""
+
+    path: str = ""
+    keys: Tuple[str, ...] = ()
+    selector: Optional[str] = None
+    default: object = None
+    by: dict = field(default_factory=dict)
+    entry_key: Optional[str] = None
+
+    def required(self, obj):
+        value = obj.get(self.selector, self.default)
+        hashable = isinstance(value, (str, int, float, type(None)))
+        return self.keys + (self.by.get(value, ()) if hashable else ())
+
+
 @dataclass
 class CatalogEntry:
     """One theorem: its builder and what a config must supply for it, the
-    specs (`measure`, `target`, `body`), the top-level `params` keys and its
+    specs (`measure`, `target`, `body`), the top-level `params` keys, the
+    `rules` for keys that depend on a mode or sit in nested objects, and its
     admissibility window of dimensions, `min_dim` to `max_dim` (None: no
     upper end)."""
 
@@ -73,6 +96,7 @@ class CatalogEntry:
     constant_known: bool = True
     specs: Tuple[str, ...] = ()
     params: Tuple[str, ...] = ()
+    rules: Tuple[ParamRule, ...] = ()
     min_dim: int = 1
     max_dim: Optional[int] = None
 
@@ -546,6 +570,8 @@ def _build_exp_product(params):
     mode = params.get("mode", "corollary")
     d = mu.dim
     report = {}
+    if mode not in ("corollary", "weighted"):
+        raise UnknownInequalityId(f"exp_product mode {mode!r}")
     if mode == "corollary":
         lam = params["lam"]
         _poly_orthant_checks(mu, report, lam=lam)
@@ -714,11 +740,8 @@ def _radial_weight_field(d, theta, n_param):
     tc, rc = ev.tangential, ev.radial  # coefficients of 1/|x|^2
 
     def batch(pts):
-        r2 = np.sum(pts**2, axis=1)
-        xhat = pts / np.sqrt(r2)[:, None]
-        outer = np.einsum("ni,nj->nij", xhat, xhat)
-        eye = np.broadcast_to(np.eye(d), outer.shape)
-        return r2[:, None, None] * ((eye - outer) / tc + outer / rc)
+        # |x|^2 ((Id - x^ x^T)/tc + x^ x^T/rc) with x^ = x/|x|
+        return ScalarPlusRankOne(np.sum(pts**2, axis=1) / tc, 1.0 / rc - 1.0 / tc, pts)
 
     return QuadraticFormField(dim=d, batch=batch, name="Ric_N^-1(radial)"), tc, rc
 
@@ -913,6 +936,10 @@ def _build_one_lip_reduction(params):
 
 
 _MEASURE, _BODY = ("measure",), ("body",)
+_FAMILY = ParamRule(
+    "family", keys=("type",), selector="type",
+    by={"product_power": ("p",), "product_exp": ("lam",)},
+)
 
 CATALOG = {
     e.id: e
@@ -922,7 +949,7 @@ CATALOG = {
                      specs=_MEASURE),
         CatalogEntry("generalized_bl", _build_generalized_bl,
                      "variance bound with the generalized Ricci weight",
-                     specs=_MEASURE, params=("family",)),
+                     specs=_MEASURE, params=("family",), rules=(_FAMILY,)),
         CatalogEntry("refined_bl", _build_refined_bl,
                      "transport-refined variance bound (weight Q)",
                      specs=("measure", "target"), max_dim=1),
@@ -937,7 +964,7 @@ CATALOG = {
                      specs=_MEASURE, max_dim=1),
         CatalogEntry("bakry_emery_lsi", _build_bakry_emery_lsi,
                      "log-Sobolev from a uniform curvature lower bound",
-                     specs=_MEASURE, params=("family", "rho")),
+                     specs=_MEASURE, params=("family", "rho"), rules=(_FAMILY,)),
         CatalogEntry("entropic_bl", _build_entropic_bl,
                      "entropic variance bound via the dual convexity criterion",
                      specs=_MEASURE, max_dim=1),
@@ -952,13 +979,18 @@ CATALOG = {
                      constant_known=False, params=("q",), max_dim=1),
         CatalogEntry("poly_product", _build_poly_product,
                      "power-profile product-metric bounds, parts 1-5",
-                     specs=_MEASURE, params=("part",)),
+                     specs=_MEASURE, params=("part",),
+                     rules=(ParamRule(selector="part", by={
+                         3: ("lam",), 4: ("p", "R"), 5: ("p", "lam")}),)),
         CatalogEntry("exp_product", _build_exp_product,
                      "exponential-profile product-metric bounds",
-                     specs=_MEASURE),
+                     specs=_MEASURE,
+                     rules=(ParamRule(selector="mode", default="corollary", by={
+                         "corollary": ("lam",), "weighted": ("lams",)}),)),
         CatalogEntry("klartag_transfer", _build_klartag_transfer,
                      "orthant-to-full-space transfer of weighted variance bounds",
-                     specs=_MEASURE),
+                     specs=_MEASURE,
+                     rules=(ParamRule("base", keys=("id",), entry_key="id"),)),
         CatalogEntry("cone_variance", _build_cone_variance,
                      "cone-measure variance of 1-Lipschitz functions",
                      specs=_BODY, min_dim=3),

@@ -83,8 +83,7 @@ def parse_config(document) -> ExperimentConfig:
         spec = document.get(key)
         if spec is None and key in entry.specs:
             raise SchemaViolation(f"/{key}", f"{ineq} requires a {key} spec")
-        kinds = bodies.CONSTRUCTORS if key == "body" else measures.CONSTRUCTORS
-        _check_spec(spec, f"/{key}", kinds, dims)
+        _check_spec(spec, f"/{key}", bodies if key == "body" else measures, dims)
 
     # the theorem's dimension window, after the specs, so an unknown kind is
     # reported at its own pointer whatever the dimension
@@ -103,11 +102,7 @@ def parse_config(document) -> ExperimentConfig:
             )
 
     params = document.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaViolation("/params", "params must be an object")
-    for name in entry.params:
-        if name not in params:
-            raise SchemaViolation(f"/params/{name}", f"{ineq} requires params.{name}")
+    _check_params(entry, params, "/params")
 
     function_filter = document.get("function_filter")
     if function_filter is not None:
@@ -135,17 +130,22 @@ def parse_config(document) -> ExperimentConfig:
     )
 
 
-def _check_spec(spec, pointer, kinds, dims):
-    """Reject a measure or body spec whose kind is missing or unknown, a
-    one-dimensional measure kind at d > 1, and a box whose half-widths do not
-    match every listed dimension."""
+def _check_spec(spec, pointer, module, dims):
+    """Reject a measure or body spec (kinds from `module`, `measures` or
+    `bodies`) whose kind is missing or unknown or that lacks a key its kind
+    requires, a one-dimensional measure kind at d > 1, and a box whose
+    half-widths do not match every listed dimension."""
     if spec is None:
         return
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in kinds:
-        raise SchemaViolation(
-            f"{pointer}/kind", f"kind {kind!r} is not one of {sorted(kinds)}"
-        )
+    if kind not in module.CONSTRUCTORS:
+        known = sorted(module.CONSTRUCTORS)
+        raise SchemaViolation(f"{pointer}/kind", f"kind {kind!r} is not one of {known}")
+    for key in module.REQUIRED_KEYS.get(kind, ()):
+        if key not in spec:
+            raise SchemaViolation(f"{pointer}/{key}", f"kind {kind!r} requires {key}")
+    if kind == "uniform_body":
+        _check_spec(spec["body"], f"{pointer}/body", bodies, dims)
     if kind in measures.ONE_DIMENSIONAL:
         for i, d in enumerate(dims):
             if d > 1:
@@ -161,6 +161,38 @@ def _check_spec(spec, pointer, kinds, dims):
                 f"{pointer}/half_widths",
                 f"a box of dimension {d} (/dims/{i}) needs {d} half-widths",
             )
+
+
+def _check_params(entry, params, pointer):
+    """Reject params that lack a key the catalog entry requires, at the
+    key's JSON pointer: its top-level params, then the keys its rules
+    require by mode and in nested objects."""
+    if not isinstance(params, dict):
+        raise SchemaViolation(pointer, "params must be an object")
+    for rule in (catalog.ParamRule(keys=entry.params),) + entry.rules:
+        obj, at = params, pointer
+        if rule.path:
+            obj, at = params.get(rule.path), f"{pointer}/{rule.path}"
+            if obj is None:
+                continue
+            if not isinstance(obj, dict):
+                raise SchemaViolation(at, f"{entry.id} needs an object here")
+        for key in rule.required(obj):
+            if key not in obj:
+                raise SchemaViolation(f"{at}/{key}", f"{entry.id} requires {key}")
+        if rule.entry_key is not None:
+            name = obj[rule.entry_key]
+            nested = catalog.CATALOG.get(name) if isinstance(name, str) else None
+            if nested is None:
+                raise UnknownInequalityId(str(name))
+            missing = sorted(set(nested.specs) - {"measure"})
+            if missing:
+                raise SchemaViolation(
+                    f"{at}/{rule.entry_key}",
+                    f"{name} needs a {missing[0]} spec; {entry.id} passes it a measure only",
+                )
+            rest = {k: v for k, v in obj.items() if k != rule.entry_key}
+            _check_params(nested, rest, at)
 
 
 def _instance_params(config: ExperimentConfig, d: int) -> dict:

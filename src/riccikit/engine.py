@@ -139,18 +139,24 @@ def default_suite(d, seed=0, n_random=5) -> List[TestFunction]:
 def dirichlet_wrap(f: TestFunction, body) -> TestFunction:
     """Multiply by (1 - gauge^2) so the function vanishes on the boundary."""
 
-    def fn(p):
-        g = body.gauge_many(p)
-        return (1.0 - g**2) * f.fn(p)
-
     def grad(p):
-        g = body.gauge_many(p)
-        gg = body.gauge_grad_many(p)
-        return (1.0 - g**2)[:, None] * f.grad(p) - 2.0 * (g * f.fn(p))[:, None] * gg
+        return _dirichlet_values(f, p, body.gauge_many(p), body.gauge_grad_many(p))[1]
 
     return TestFunction(
-        id=f.id + "*(1-p^2)", fn=fn, grad=grad, vanishes_on_boundary=True
+        id=f.id + "*(1-p^2)",
+        fn=lambda p: (1.0 - body.gauge_many(p) ** 2) * f.fn(p),
+        grad=grad,
+        vanishes_on_boundary=True,
     )
+
+
+def _dirichlet_values(f: TestFunction, points, gauge, gauge_grad):
+    """Values and gradients of dirichlet_wrap(f) at the points, given the
+    gauge and its gradient there."""
+    fv = f.fn(points)
+    cut = 1.0 - gauge**2
+    grad = cut[:, None] * f.grad(points) - 2.0 * (gauge * fv)[:, None] * gauge_grad
+    return cut * fv, grad
 
 
 def lipschitz_normalize(f: TestFunction, points) -> TestFunction:
@@ -190,13 +196,13 @@ def _mean_se(influence):
     return float(influence.std(ddof=1) / math.sqrt(len(influence)))
 
 
-def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples):
+def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=None):
     """LHS functional (variance, entropy of the square, or L^2 mass) with the
     delta-method standard error of its influence function; entropy recenters
-    f first."""
+    f first.  `values` may carry f at the samples, computed by the caller."""
     if len(samples) < 100:
         raise DegenerateSample("need at least 100 samples")
-    vals = f.fn(samples)
+    vals = f.fn(samples) if values is None else values
     n = len(vals)
     if instance.lhs_kind == "variance":
         est = float(vals.var(ddof=0) * n / (n - 1))
@@ -220,16 +226,14 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples):
     return instance.lhs_scale * est, instance.lhs_scale * err
 
 
-def boundary_quadrature(instance, f: TestFunction, n, seed):
-    """Boundary term: (1/Vol) min_C int w(x) (f-C)^2 dH^{d-1}, with the free
-    constant minimized in closed form (C* = int w f / int w).
-
-    On a ball the points come in antithetic pairs (z, -z); for even n the
-    influence values are averaged over each pair before the standard error
-    is taken, since the two halves of a pair are not independent."""
+def boundary_sample(instance, n, seed):
+    """n points on the boundary of the instance's body, the boundary weight
+    at them and Surf/Vol, drawn from the stream of (seed, instance id): the
+    stream does not depend on the test function, so one draw serves them
+    all."""
     term = instance.boundary
     body = term.body
-    rng = np.random.default_rng(_row_seed(seed, instance.id, f.id, "bnd"))
+    rng = np.random.default_rng(_row_seed(seed, instance.id, "bnd"))
     if isinstance(body, Ball):
         pts = body.sample_boundary(n, rng, antithetic=True)
         scale = body.surface_area() / body.volume()
@@ -240,7 +244,21 @@ def boundary_quadrature(instance, f: TestFunction, n, seed):
         raise BoundaryQuadratureFailure(
             f"no boundary quadrature for body kind {body.kind!r}"
         )
-    w = np.asarray(term.weight(pts), dtype=float)
+    return pts, np.asarray(term.weight(pts), dtype=float), scale
+
+
+def boundary_quadrature(instance, f: TestFunction, n, seed, sample=None):
+    """Boundary term: (1/Vol) min_C int w(x) (f-C)^2 dH^{d-1}, with the free
+    constant minimized in closed form (C* = int w f / int w).
+
+    There is one stream of boundary points per (instance, seed), shared by
+    all test functions: `sample` may carry `boundary_sample(instance, n,
+    seed)`, drawn once per check, and is drawn here otherwise.  On a ball
+    the points come in antithetic pairs (z, -z); for even n the influence
+    values are averaged over each pair before the standard error is taken,
+    since the two halves of a pair are not independent."""
+    term = instance.boundary
+    pts, w, scale = boundary_sample(instance, n, seed) if sample is None else sample
     fv = f.fn(pts)
     if term.free_constant:
         mw, mwf = w.mean(), (w * fv).mean()
@@ -249,22 +267,25 @@ def boundary_quadrature(instance, f: TestFunction, n, seed):
     else:
         est = float((w * fv**2).mean()) * scale
         influence = scale * w * fv**2
-    if isinstance(body, Ball) and n % 2 == 0:
+    if isinstance(term.body, Ball) and n % 2 == 0:
         influence = 0.5 * (influence[: n // 2] + influence[n // 2:])
     return est, _mean_se(influence)
 
 
 def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
-                 boundary_n=None, weight_values=None):
+                 boundary=None, weight_values=None, grads=None):
     """Interior weighted Dirichlet energy plus surcharge and boundary terms.
 
-    `weight_values` may carry the weights at the sample set, precomputed by
-    `rhs_weight.compact`.  Raises HypothesisViolated if the weight fails PSD
-    at a sample point.
+    The caller may pass work it has already done: `boundary`, the
+    `boundary_sample` at (len(samples), seed); `weight_values`, the weights
+    at the samples from `rhs_weight.compact`; `grads`, the gradients of f
+    at the samples.  Raises HypothesisViolated if the weight fails PSD at a
+    sample point.
     """
     if instance.eval_mode == "fixed_rhs":
         return instance.rhs_fixed, instance.rhs_fixed_err
-    grads = f.grad(samples)
+    if grads is None:
+        grads = f.grad(samples)
     if weight_values is None:
         weight_values = instance.rhs_weight.compact(samples)
     vals = quad_form(weight_values, grads)
@@ -279,8 +300,9 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     est = float(per_sample.mean())
     err = _mean_se(per_sample)
     if instance.boundary is not None:
-        bn = boundary_n or len(samples)
-        best, berr = boundary_quadrature(instance, f, bn, seed)
+        best, berr = boundary_quadrature(
+            instance, f, len(samples), seed, sample=boundary
+        )
         est += best
         err = math.hypot(err, berr)
     return est, err
@@ -426,7 +448,11 @@ def check_inequality(
     suite_name="adhoc",
 ) -> VerificationReport:
     """One report row per test function, following the slack rule
-    fail iff slack < -(3 sigma + rel_tol * rhs)."""
+    fail iff slack < -(3 sigma + rel_tol * rhs).
+
+    What does not depend on the test function is computed once per check
+    and shared: the sample, the weights at it, the boundary points with
+    their weights, and the gauge of a Dirichlet check."""
     report = VerificationReport()
     d = instance.dim
     report.attachments[f"{instance.id}:d={d}:hypotheses"] = dict(
@@ -445,24 +471,27 @@ def check_inequality(
 
     if functions is None:
         functions = default_suite(d, seed=seed)
-    prepared = []
-    for f in functions:
-        if instance.dirichlet:
-            prepared.append(dirichlet_wrap(f, instance.body))
-        elif instance.lipschitz_only:
-            prepared.append(lipschitz_normalize(f, samples[:4096]))
-        else:
-            prepared.append(f)
 
-    weight_values = None
+    weight_values = boundary = gauge = None
     if instance.eval_mode == "standard" and instance.rhs_weight is not None:
         weight_values = instance.rhs_weight.compact(samples)
+    if instance.eval_mode == "standard" and instance.boundary is not None:
+        boundary = boundary_sample(instance, budget, seed)
+    if instance.dirichlet:
+        body = instance.body
+        gauge = (body.gauge_many(samples), body.gauge_grad_many(samples))
 
     ratios = []
     lip_variances = []
-    for f in prepared:
+    for f in functions:
+        values = grads = None
+        if instance.dirichlet:
+            values, grads = _dirichlet_values(f, samples, *gauge)
+            f = dirichlet_wrap(f, instance.body)
+        elif instance.lipschitz_only:
+            f = lipschitz_normalize(f, samples[:4096])
         try:
-            lhs, lhs_err = estimate_lhs(instance, f, samples)
+            lhs, lhs_err = estimate_lhs(instance, f, samples, values=values)
             if instance.eval_mode == "poincare_ratio":
                 grads = f.grad(samples)
                 energy = float(np.sum(grads**2, axis=1).mean())
@@ -479,7 +508,8 @@ def check_inequality(
                 )
             else:
                 rhs, rhs_err = estimate_rhs(
-                    instance, f, samples, seed=seed, weight_values=weight_values
+                    instance, f, samples, seed=seed, boundary=boundary,
+                    weight_values=weight_values, grads=grads,
                 )
                 status, slack = _status(
                     lhs, lhs_err, rhs, rhs_err, instance.constant_known

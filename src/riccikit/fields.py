@@ -9,8 +9,9 @@ Conventions:
     `third_tensor` and `fourth_1d` take one point;
   * metrics take one point, a 1-D float array of shape (d,);
   * quadratic-form fields take an (n, d) array of points and return their
-    weights in one of three shapes, (n,) for s(x) * Id, (n, d) for
-    diag(w(x)) and (n, d, d) for a full matrix; one point is a batch of one;
+    weights in one of four forms: an (n,) array for s(x) * Id, (n, d) for
+    diag(w(x)), (n, d, d) for a full matrix, or a ScalarPlusRankOne for
+    s(x) * Id + c u(x) u(x)^T; one point is a batch of one;
   * metric derivative arrays have shape (d, d, d) with axis 0 the
     differentiation direction: deriv(x)[k] = d g / d x_k;
   * third-derivative tensors of potentials are fully symmetric (d, d, d)
@@ -298,15 +299,26 @@ def hessian_metric(phi: PotentialField, d, domain=None):
     )
 
 
+@dataclass(frozen=True)
+class ScalarPlusRankOne:
+    """Weights s(x) Id + c u(x) u(x)^T at n points: s of shape (n,), a
+    scalar c and u of shape (n, d)."""
+
+    s: np.ndarray
+    c: float
+    u: np.ndarray
+
+
 @dataclass
 class QuadraticFormField:
     """Map from points to symmetric matrices (curvature tensors, RHS weights).
 
     `batch` maps an (n, d) array of points to the weights at all of them in
-    their natural shape, and the shape encodes the structure:
-      (n,)       s(x) * Id;
-      (n, d)     diag(w(x));
-      (n, d, d)  a full matrix (symmetrized on evaluation).
+    their natural form, and the form encodes the structure:
+      (n,)               s(x) * Id;
+      (n, d)             diag(w(x));
+      (n, d, d)          a full matrix (symmetrized on evaluation);
+      ScalarPlusRankOne  s(x) * Id + c u(x) u(x)^T.
     """
 
     dim: int
@@ -314,16 +326,25 @@ class QuadraticFormField:
     name: str = "form"
 
     def compact(self, points):
-        """Weights at an (n, d) array of points in the shape `batch` gives."""
+        """Weights at an (n, d) array of points in the form `batch` gives."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.batch(points), dtype=float)
+        out = self.batch(points)
         n, d = len(points), self.dim
-        if out.shape not in ((n,), (n, d), (n, d, d)):
+        if isinstance(out, ScalarPlusRankOne):
+            out = ScalarPlusRankOne(
+                np.asarray(out.s, dtype=float), out.c, np.asarray(out.u, dtype=float)
+            )
+            shape = (out.s.shape, np.shape(out.c), out.u.shape)
+            allowed = [((n,), (), (n, d))]
+        else:
+            out = np.asarray(out, dtype=float)
+            shape, allowed = out.shape, [(n,), (n, d), (n, d, d)]
+        if shape not in allowed:
             raise ValueError(
-                f"{self.name}: weights of shape {out.shape} at {n} points "
+                f"{self.name}: weights of shape {shape} at {n} points "
                 f"of dimension {d}"
             )
-        if out.ndim == 3:
+        if isinstance(out, np.ndarray) and out.ndim == 3:
             out = 0.5 * (out + np.swapaxes(out, 1, 2))
         return out
 
@@ -336,16 +357,22 @@ class QuadraticFormField:
 
 
 def as_matrices(w, d):
-    """(n, d, d) matrices from weights in one of the compact shapes of
-    QuadraticFormField: (n,) scalars, (n, d) diagonals or (n, d, d)."""
+    """(n, d, d) matrices from weights in one of the compact forms of
+    QuadraticFormField: (n,) scalars, (n, d) diagonals, (n, d, d) or a
+    ScalarPlusRankOne."""
+    if isinstance(w, ScalarPlusRankOne):
+        return w.s[:, None, None] * np.eye(d) + w.c * np.einsum("ni,nj->nij", w.u, w.u)
     if w.ndim == 3:
         return w
     return diag_matrices(w if w.ndim == 2 else np.repeat(w[:, None], d, axis=1))
 
 
 def quad_form(w, vectors):
-    """<W(x) v, v> row-wise for compact weights `w` (the shapes of
+    """<W(x) v, v> row-wise for compact weights `w` (the forms of
     QuadraticFormField.compact) and an (n, d) array of vectors."""
+    if isinstance(w, ScalarPlusRankOne):
+        uv = np.einsum("ni,ni->n", w.u, vectors)
+        return w.s * np.einsum("ni,ni->n", vectors, vectors) + w.c * (uv * uv)
     if w.ndim == 1:
         return w * np.einsum("ni,ni->n", vectors, vectors)
     if w.ndim == 2:

@@ -322,6 +322,13 @@ def flat_power_1d(q):
 # kinds whose constructor ignores d: they exist in one dimension only
 ONE_DIMENSIONAL = frozenset({"uniform_interval", "cos_interval", "flat_power_1d"})
 
+# spec keys a kind cannot do without (the others have defaults)
+REQUIRED_KEYS = {
+    "power_product": ("q",),
+    "flat_power_1d": ("q",),
+    "uniform_body": ("body",),
+}
+
 CONSTRUCTORS = {
     "gaussian": lambda d, p: gaussian(d, p.get("sigma", 1.0)),
     "exp_product": lambda d, p: exp_product(d, p.get("rate", 1.0)),

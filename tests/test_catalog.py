@@ -243,6 +243,14 @@ class TestGuards:
             )
         assert err.value.hypothesis == "ric_positive"
 
+    def test_exp_product_unknown_mode(self):
+        # any mode but "corollary" used to run as "weighted"
+        with pytest.raises(UnknownInequalityId, match="mode"):
+            cat.instantiate(
+                "exp_product",
+                {"measure": ms.exp_quad_orthant(2), "mode": "Weighted", "lams": 0.5},
+            )
+
 
 class TestRicciGate:
     """The product-metric entries gate on `families.product_ricci`, the closed

@@ -114,6 +114,62 @@ class TestParseConfig:
             cli.run_documents([{**doc, "samples": 2000}, MINIMAL])
         assert err.value.pointer == pointer
 
+    @pytest.mark.parametrize(
+        "doc,pointer",
+        [
+            # keys that depend on a part or a mode
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": 3}}, "/params/lam"),
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": 4, "p": 0.5}}, "/params/R"),
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": 5, "lam": 1.0}}, "/params/p"),
+            ({"inequality": "exp_product", "measure": {"kind": "exp_quad_orthant"},
+              "dims": [2], "params": {"mode": "corollary"}}, "/params/lam"),
+            ({"inequality": "exp_product", "measure": {"kind": "exp_quad_orthant"},
+              "dims": [2]}, "/params/lam"),
+            ({"inequality": "exp_product", "measure": {"kind": "exp_quad_orthant"},
+              "dims": [2], "params": {"mode": "weighted"}}, "/params/lams"),
+            # keys of measure and body kinds
+            ({"inequality": "muq_lsi", "measure": {"kind": "power_product"},
+              "dims": [2]}, "/measure/q"),
+            ({"inequality": "hardy_boundary", "body": {"kind": "lp"}, "dims": [6],
+              "params": {"N": -1.0}}, "/body/p"),
+            ({"inequality": "classical_bl", "measure": {"kind": "uniform_body"},
+              "dims": [2]}, "/measure/body"),
+            ({"inequality": "classical_bl",
+              "measure": {"kind": "uniform_body", "body": {"kind": "lp"}},
+              "dims": [2]}, "/measure/body/p"),
+            # nested keys
+            ({"inequality": "generalized_bl", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"family": {"p": 0.5}}}, "/params/family/type"),
+            ({"inequality": "generalized_bl", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"family": {"type": "product_power"}}},
+             "/params/family/p"),
+            ({"inequality": "bakry_emery_lsi", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"family": {"type": "product_exp"}, "rho": 0.5}},
+             "/params/family/lam"),
+            ({"inequality": "generalized_bl", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"family": "product_power"}}, "/params/family"),
+            ({"inequality": "klartag_transfer", "measure": {"kind": "laplace_product"},
+              "dims": [2], "params": {"base": {"part": 2}}}, "/params/base/id"),
+            ({"inequality": "klartag_transfer", "measure": {"kind": "laplace_product"},
+              "dims": [2], "params": {"base": {"id": "poly_product", "part": 3}}},
+             "/params/base/lam"),
+            # a base entry gets the measure only
+            ({"inequality": "klartag_transfer", "measure": {"kind": "laplace_product"},
+              "dims": [2], "params": {"base": {"id": "hardy_n0"}}}, "/params/base/id"),
+            ({"inequality": "klartag_transfer", "measure": {"kind": "laplace_product"},
+              "dims": [2], "params": {"base": {"id": "refined_bl"}}}, "/params/base/id"),
+        ],
+    )
+    def test_missing_mode_kind_or_nested_key(self, doc, pointer):
+        # each of these used to escape run_documents as a bare KeyError from a
+        # builder or a constructor table, losing the valid document's rows
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([{**doc, "samples": 2000}, MINIMAL])
+        assert err.value.pointer == pointer
+
     @pytest.mark.parametrize("entry", sorted(catalog.CATALOG))
     def test_catalog_requirements_enforced(self, entry):
         # every entry's paper-smoke document parses, and dropping any one

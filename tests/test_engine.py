@@ -1,15 +1,17 @@
 """Estimators, boundary quadrature, the spectral-gap oracle, the slack rule
 and the determinism contract."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from riccikit import catalog as cat, engine as eng, families as fam, measures as ms
-from riccikit.bodies import Ball, Simplex
-from riccikit.errors import DegenerateSample, EigensolveFailure
+from riccikit import catalog as cat, cli, engine as eng, families as fam, measures as ms
+from riccikit.bodies import Ball, LpBall, Simplex
+from riccikit.errors import BoundaryQuadratureFailure, DegenerateSample, EigensolveFailure
+from riccikit.fields import QuadraticFormField, ScalarPlusRankOne, quad_form
 
 
 class TestSuiteFunctions:
@@ -246,6 +248,37 @@ class TestPsdVerify:
         assert eigs.min() > -1e-8
 
 
+def _form(w):
+    """The name of a compact weight form."""
+    if isinstance(w, ScalarPlusRankOne):
+        return "rank_one"
+    return {1: "scalar", 2: "diagonal", 3: "full"}[w.ndim]
+
+
+# catalog entries graded against a fixed RHS or a ratio: no weight field
+_NO_STANDARD_WEIGHT = ("cone_variance", "l1_type", "one_lip_reduction")
+
+
+def _weight_cases():
+    """(entry, d) for every catalog entry with a standard weight, at its
+    min_dim and at d = 4 where its window allows."""
+    cases = []
+    for eid, e in sorted(cat.CATALOG.items()):
+        if eid in _NO_STANDARD_WEIGHT:
+            continue
+        dims = {e.min_dim}
+        if e.min_dim <= 4 and (e.max_dim is None or e.max_dim >= 4):
+            dims.add(4)
+        cases += [(eid, d) for d in sorted(dims)]
+    return cases
+
+
+def _smoke_instance(entry, d):
+    (doc,) = [x for x in cli.load_bundled("paper-smoke") if x["inequality"] == entry]
+    config = cli.parse_config({**doc, "dims": [d]})
+    return cat.instantiate(entry, cli._instance_params(config, d))
+
+
 class TestWeightContraction:
     @pytest.mark.parametrize(
         "inequality,params,shape",
@@ -253,16 +286,14 @@ class TestWeightContraction:
             ("hardy_dirichlet", {"body": Ball(4)}, "scalar"),
             ("poly_product", {"measure": ms.exp_product(4), "part": 2},
              "diagonal"),
-            ("dim_bl_boundary", {"body": Ball(4), "N": -8.0}, "full"),
+            ("dim_bl_boundary", {"body": Ball(4), "N": -8.0}, "rank_one"),
         ],
     )
     def test_compact_contraction_matches_dense(self, inequality, params, shape):
-        from riccikit.fields import quad_form
-
         inst = cat.instantiate(inequality, params)
         pts = eng.sample_measure(inst.measure, 2000, 5)
         w = inst.rhs_weight.compact(pts)
-        assert w.ndim == {"scalar": 1, "diagonal": 2, "full": 3}[shape]
+        assert _form(w) == shape
         dense = inst.rhs_weight.values(pts)
         assert dense.shape == (2000, 4, 4)
         assert np.array_equal(inst.rhs_weight.value(pts[7]), dense[7])
@@ -272,12 +303,122 @@ class TestWeightContraction:
             got = quad_form(w, g)
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), f.id
 
-    def test_compact_rejects_unshaped_weights(self):
-        from riccikit.fields import QuadraticFormField
+    @pytest.mark.parametrize("entry,d", _weight_cases())
+    def test_catalog_weights_keep_the_contract(self, entry, d):
+        inst = _smoke_instance(entry, d)
+        assert inst.eval_mode == "standard"
+        pts = eng.sample_measure(inst.measure, 2000, 5)
+        w = inst.rhs_weight.compact(pts)
+        assert _form(w) in ("scalar", "diagonal", "full", "rank_one")
+        dense = inst.rhs_weight.values(pts)
+        assert dense.shape == (2000, d, d)
+        for f in eng.default_suite(d, seed=2):
+            g = f.grad(pts)
+            want = np.einsum("nij,ni,nj->n", dense, g, g)
+            assert np.all(np.abs(quad_form(w, g) - want) <= 1e-14 * np.abs(want)), f.id
 
+    @pytest.mark.parametrize("entry", _NO_STANDARD_WEIGHT)
+    def test_entries_without_a_weight(self, entry):
+        e = cat.CATALOG[entry]
+        assert _smoke_instance(entry, max(e.min_dim, 4)).eval_mode != "standard"
+
+    def test_rank_one_matches_its_dense_expansion(self):
+        # the radial weight |x|^2 ((Id - x^ x^T)/tc + x^ x^T/rc), built dense
+        d = 8
+        inst = cat.instantiate("dim_bl_boundary", {"body": Ball(d), "N": -8.0})
+        ev = fam.radial_conformal_eigenvalues(inst.params["theta"], 0.0, -8.0, d, 1.0)
+        tc, rc = ev.tangential, ev.radial
+
+        def dense_batch(pts):
+            r2 = np.sum(pts**2, axis=1)
+            xhat = pts / np.sqrt(r2)[:, None]
+            outer = np.einsum("ni,nj->nij", xhat, xhat)
+            return r2[:, None, None] * ((np.eye(d) - outer) / tc + outer / rc)
+
+        dense = QuadraticFormField(dim=d, batch=dense_batch)
+        pts = eng.sample_measure(inst.measure, 4000, 9)
+        want = dense.values(pts)
+        got = inst.rhs_weight.values(pts)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=(1, 2))[:, None, None])
+        lo_rank_one, _ = eng.psd_verify(inst.rhs_weight, pts)
+        lo_dense, _ = eng.psd_verify(dense, pts)
+        assert lo_rank_one == pytest.approx(lo_dense, rel=1e-14)
+
+    def test_compact_rejects_unshaped_weights(self):
         field = QuadraticFormField(dim=2, batch=lambda pts: 1.0, name="const")
         with pytest.raises(ValueError, match="shape"):
             field.compact(np.zeros((3, 2)))
+
+    def test_compact_rejects_unshaped_rank_one(self):
+        field = QuadraticFormField(
+            dim=2, batch=lambda pts: ScalarPlusRankOne(np.ones(len(pts)), 1.0, pts[:, :1])
+        )
+        with pytest.raises(ValueError, match="shape"):
+            field.compact(np.zeros((3, 2)))
+
+
+class TestSharedPerCheckWork:
+    """Work that does not depend on the test function is done once per check."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("entry,params", [
+        ("hardy_boundary", {"N": -1.0}),
+        ("hardy_n0", {}),
+        ("dim_bl_boundary", {"N": -8.0, "part": 1}),
+    ])
+    def test_one_boundary_draw_per_check(self, monkeypatch, entry, params):
+        calls = self._count(monkeypatch, Ball, "sample_boundary")
+        inst = cat.instantiate(entry, {"body": Ball(6), **params})
+        report = eng.check_inequality(inst, budget=2000, seed=4)
+        assert len(report.rows) == 12
+        assert len(calls) == 1
+
+    def test_one_gauge_pass_per_dirichlet_check(self, monkeypatch):
+        gauge = self._count(monkeypatch, Ball, "gauge_many")
+        gauge_grad = self._count(monkeypatch, Ball, "gauge_grad_many")
+        inst = cat.instantiate("hardy_dirichlet", {"body": Ball(6)})
+        report = eng.check_inequality(inst, budget=2000, seed=4)
+        assert len(report.rows) == 12
+        assert (len(gauge), len(gauge_grad)) == (1, 1)
+
+    def test_dirichlet_rows_match_the_wrapped_functions(self):
+        body = Ball(4)
+        inst = cat.instantiate("hardy_dirichlet", {"body": body})
+        report = eng.check_inequality(inst, budget=2000, seed=4)
+        samples = eng.sample_measure(inst.measure, 2000, 4)
+        for f, row in zip(eng.default_suite(4, seed=4), report.rows):
+            g = eng.dirichlet_wrap(f, body)
+            assert row.function == g.id
+            assert (row.lhs, row.lhs_err) == eng.estimate_lhs(inst, g, samples)
+            assert (row.rhs, row.rhs_err) == eng.estimate_rhs(inst, g, samples)
+
+    def test_boundary_contribution_is_the_standalone_quadrature(self):
+        inst = cat.instantiate("hardy_boundary", {"body": Ball(6), "N": -1.0})
+        n, seed = 2000, 4
+        report = eng.check_inequality(inst, budget=n, seed=seed)
+        samples = eng.sample_measure(inst.measure, n, seed)
+        interior = dataclasses.replace(inst, boundary=None)
+        for f, row in zip(eng.default_suite(6, seed=seed), report.rows):
+            est, err = eng.estimate_rhs(interior, f, samples)
+            best, berr = eng.boundary_quadrature(inst, f, n, seed)
+            assert row.rhs == est + best
+            assert row.rhs_err == math.hypot(err, berr)
+
+    def test_boundary_failure_is_one_error(self):
+        inst = cat.instantiate("hardy_boundary", {"body": LpBall(6, 3.0), "N": -1.0})
+        with pytest.raises(BoundaryQuadratureFailure, match="lp"):
+            eng.check_inequality(inst, budget=2000, seed=4)
 
 
 class TestSlackRule:
