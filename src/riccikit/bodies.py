@@ -508,6 +508,9 @@ class Curve2D(ConvexBody):
 # half-widths are checked against the dimension at parse time)
 REQUIRED_KEYS = {"lp": ("p",)}
 
+# spec keys that hold a number wherever they appear
+NUMBER_KEYS = ("radius", "scale", "p", "a", "b")
+
 CONSTRUCTORS = {
     "ball": lambda s: Ball(s["dim"], s.get("radius", 1.0), s.get("orthant", False)),
     "box": lambda s: Box(s["half_widths"]),

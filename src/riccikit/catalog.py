@@ -65,9 +65,11 @@ class ParamRule:
     """Keys a params object must hold: the object is params itself when
     `path` is empty, else params[path] (not checked when absent).  It needs
     `keys`, and `by[v]` when its `selector` key reads v (`default` when the
-    selector is absent).  With `entry_key`, the object also names a catalog
-    entry under that key, which is built from the object and a measure
-    alone, and must satisfy that entry's requirements."""
+    selector is absent).  Its `numbers` keys, where present, hold a number
+    (not a bool), and its `vectors` keys a number or a list of 1 or d
+    numbers at every listed dimension d.  With `entry_key`, the object also
+    names a catalog entry under that key, which is built from the object and
+    a measure alone, and must satisfy that entry's requirements."""
 
     path: str = ""
     keys: Tuple[str, ...] = ()
@@ -75,6 +77,8 @@ class ParamRule:
     default: object = None
     by: dict = field(default_factory=dict)
     entry_key: Optional[str] = None
+    numbers: Tuple[str, ...] = ()
+    vectors: Tuple[str, ...] = ()
 
     def required(self, obj):
         value = obj.get(self.selector, self.default)
@@ -601,14 +605,16 @@ def _build_exp_product(params):
 
 
 def _conditioned_orthant(mu):
-    """Condition a symmetric product measure onto the positive orthant."""
+    """Condition a symmetric product measure onto the positive orthant; each
+    distinct coordinate density is conditioned once and stays shared."""
+    conditioned = {}
     densities = []
     for dens in mu.coord_densities:
-        densities.append(
-            transport.Density1D(
+        if id(dens) not in conditioned:
+            conditioned[id(dens)] = transport.Density1D(
                 dens.raw_potential, (0.0, dens.support[1]), name=dens.name + "+"
             )
-        )
+        densities.append(conditioned[id(dens)])
     d1 = getattr(mu, "orthant_d1", None) or mu.coord_d1
     d2 = getattr(mu, "orthant_d2", None) or mu.coord_d2
     spec = measures._product_spec(
@@ -938,7 +944,7 @@ def _build_one_lip_reduction(params):
 _MEASURE, _BODY = ("measure",), ("body",)
 _FAMILY = ParamRule(
     "family", keys=("type",), selector="type",
-    by={"product_power": ("p",), "product_exp": ("lam",)},
+    by={"product_power": ("p",), "product_exp": ("lam",)}, numbers=("p", "lam"),
 )
 
 CATALOG = {
@@ -958,13 +964,14 @@ CATALOG = {
                      specs=_MEASURE),
         CatalogEntry("compact_bl", _build_compact_bl,
                      "compact-support variance bound through the 1-D fixed point",
-                     specs=_MEASURE, max_dim=1),
+                     specs=_MEASURE, rules=(ParamRule(numbers=("ke_tol",)),), max_dim=1),
         CatalogEntry("payne_weinberger", _build_payne_weinberger,
                      "2R^2 spectral-gap estimate on a ball of radius R",
                      specs=_MEASURE, max_dim=1),
         CatalogEntry("bakry_emery_lsi", _build_bakry_emery_lsi,
                      "log-Sobolev from a uniform curvature lower bound",
-                     specs=_MEASURE, params=("family", "rho"), rules=(_FAMILY,)),
+                     specs=_MEASURE, params=("family", "rho"),
+                     rules=(_FAMILY, ParamRule(numbers=("rho",)))),
         CatalogEntry("entropic_bl", _build_entropic_bl,
                      "entropic variance bound via the dual convexity criterion",
                      specs=_MEASURE, max_dim=1),
@@ -973,20 +980,23 @@ CATALOG = {
                      specs=_MEASURE),
         CatalogEntry("bakry_t_lsi", _build_bakry_t_lsi,
                      "weighted log-Sobolev for the exponential measure, weight t^(1/q)",
-                     params=("q",)),
+                     params=("q",), rules=(ParamRule(numbers=("q", "c")),)),
         CatalogEntry("qgt2_lsi", _build_qgt2_lsi,
                      "q > 2 log-Sobolev with flattened potential",
-                     constant_known=False, params=("q",), max_dim=1),
+                     constant_known=False, params=("q",),
+                     rules=(ParamRule(numbers=("q",)),), max_dim=1),
         CatalogEntry("poly_product", _build_poly_product,
                      "power-profile product-metric bounds, parts 1-5",
                      specs=_MEASURE, params=("part",),
                      rules=(ParamRule(selector="part", by={
-                         3: ("lam",), 4: ("p", "R"), 5: ("p", "lam")}),)),
+                         3: ("lam",), 4: ("p", "R"), 5: ("p", "lam")},
+                         numbers=("p", "lam", "R")),)),
         CatalogEntry("exp_product", _build_exp_product,
                      "exponential-profile product-metric bounds",
                      specs=_MEASURE,
                      rules=(ParamRule(selector="mode", default="corollary", by={
-                         "corollary": ("lam",), "weighted": ("lams",)}),)),
+                         "corollary": ("lam",), "weighted": ("lams",)},
+                         numbers=("lam",), vectors=("lams",)),)),
         CatalogEntry("klartag_transfer", _build_klartag_transfer,
                      "orthant-to-full-space transfer of weighted variance bounds",
                      specs=_MEASURE,
@@ -996,13 +1006,15 @@ CATALOG = {
                      specs=_BODY, min_dim=3),
         CatalogEntry("l1_type", _build_l1_type,
                      "diagonal-boundary Poincare bound",
-                     constant_known=False, specs=_BODY, min_dim=3),
+                     constant_known=False, specs=_BODY,
+                     rules=(ParamRule(numbers=("lam",)),), min_dim=3),
         CatalogEntry("dim_bl_boundary", _build_dim_bl_boundary,
                      "dimensional boundary bound via the radial conformal metric",
-                     specs=_BODY, params=("N",), min_dim=4),
+                     specs=_BODY, params=("N",), rules=(ParamRule(numbers=("N",)),),
+                     min_dim=4),
         CatalogEntry("hardy_boundary", _build_hardy_boundary,
                      "Hardy-type bound with mean-curvature boundary term",
-                     specs=_BODY, min_dim=6),
+                     specs=_BODY, rules=(ParamRule(numbers=("N",)),), min_dim=6),
         CatalogEntry("hardy_dirichlet", _build_hardy_dirichlet,
                      "classical Hardy bound under vanishing boundary data",
                      specs=_BODY),
@@ -1011,7 +1023,8 @@ CATALOG = {
                      specs=_BODY, min_dim=6),
         CatalogEntry("strong_boundary", _build_strong_boundary,
                      "variance/entropy bounds for strongly convex boundaries",
-                     specs=_BODY, params=("theta",), min_dim=8),
+                     specs=_BODY, params=("theta",),
+                     rules=(ParamRule(numbers=("theta",)),), min_dim=8),
         CatalogEntry("one_lip_reduction", _build_one_lip_reduction,
                      "Poincare vs worst 1-Lipschitz variance",
                      constant_known=False, specs=_BODY),

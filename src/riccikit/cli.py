@@ -102,7 +102,7 @@ def parse_config(document) -> ExperimentConfig:
             )
 
     params = document.get("params", {})
-    _check_params(entry, params, "/params")
+    _check_params(entry, params, "/params", dims)
 
     function_filter = document.get("function_filter")
     if function_filter is not None:
@@ -130,11 +130,26 @@ def parse_config(document) -> ExperimentConfig:
     )
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_numbers(obj, keys, pointer, owner):
+    """Reject a non-number (a bool is not a number) under any of `keys`
+    (every key when None) present in the dict `obj`."""
+    for key in obj if keys is None else keys:
+        if key in obj and not _is_number(obj[key]):
+            raise SchemaViolation(
+                f"{pointer}/{key}", f"{owner}: {key} must be a number, not {obj[key]!r}"
+            )
+
+
 def _check_spec(spec, pointer, module, dims):
     """Reject a measure or body spec (kinds from `module`, `measures` or
-    `bodies`) whose kind is missing or unknown or that lacks a key its kind
-    requires, a one-dimensional measure kind at d > 1, and a box whose
-    half-widths do not match every listed dimension."""
+    `bodies`) whose kind is missing or unknown, that lacks a key its kind
+    requires or holds a non-number under a numeric key, a one-dimensional
+    measure kind at d > 1, and a box whose half-widths are not numbers
+    matching every listed dimension."""
     if spec is None:
         return
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -144,6 +159,7 @@ def _check_spec(spec, pointer, module, dims):
     for key in module.REQUIRED_KEYS.get(kind, ()):
         if key not in spec:
             raise SchemaViolation(f"{pointer}/{key}", f"kind {kind!r} requires {key}")
+    _check_numbers(spec, module.NUMBER_KEYS, pointer, f"kind {kind!r}")
     if kind == "uniform_body":
         _check_spec(spec["body"], f"{pointer}/body", bodies, dims)
     if kind in measures.ONE_DIMENSIONAL:
@@ -161,12 +177,31 @@ def _check_spec(spec, pointer, module, dims):
                 f"{pointer}/half_widths",
                 f"a box of dimension {d} (/dims/{i}) needs {d} half-widths",
             )
+    _check_numbers(dict(enumerate(half_widths)), None, f"{pointer}/half_widths", "box")
 
 
-def _check_params(entry, params, pointer):
-    """Reject params that lack a key the catalog entry requires, at the
-    key's JSON pointer: its top-level params, then the keys its rules
-    require by mode and in nested objects."""
+def _check_vector(obj, key, pointer, owner, dims):
+    """A number, or a list of 1 or d numbers at every listed dimension d."""
+    value = obj[key]
+    if _is_number(value):
+        return
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{pointer}/{key}", f"{owner}: {key} must be a number or a list")
+    _check_numbers(dict(enumerate(value)), None, f"{pointer}/{key}", owner)
+    for i, d in enumerate(dims):
+        if len(value) not in (1, d):
+            raise SchemaViolation(
+                f"{pointer}/{key}",
+                f"{owner}: {key} needs 1 or {d} entries at dimension {d} (/dims/{i}), "
+                f"not {len(value)}",
+            )
+
+
+def _check_params(entry, params, pointer, dims):
+    """Reject params that lack a key the catalog entry requires, or hold a
+    value of the wrong type under a typed key, at the key's JSON pointer:
+    its top-level params, then the keys its rules require by mode and in
+    nested objects."""
     if not isinstance(params, dict):
         raise SchemaViolation(pointer, "params must be an object")
     for rule in (catalog.ParamRule(keys=entry.params),) + entry.rules:
@@ -180,6 +215,10 @@ def _check_params(entry, params, pointer):
         for key in rule.required(obj):
             if key not in obj:
                 raise SchemaViolation(f"{at}/{key}", f"{entry.id} requires {key}")
+        _check_numbers(obj, rule.numbers, at, entry.id)
+        for key in rule.vectors:
+            if key in obj:
+                _check_vector(obj, key, at, entry.id, dims)
         if rule.entry_key is not None:
             name = obj[rule.entry_key]
             nested = catalog.CATALOG.get(name) if isinstance(name, str) else None
@@ -192,7 +231,7 @@ def _check_params(entry, params, pointer):
                     f"{name} needs a {missing[0]} spec; {entry.id} passes it a measure only",
                 )
             rest = {k: v for k, v in obj.items() if k != rule.entry_key}
-            _check_params(nested, rest, at)
+            _check_params(nested, rest, at, dims)
 
 
 def _instance_params(config: ExperimentConfig, d: int) -> dict:

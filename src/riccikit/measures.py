@@ -86,8 +86,19 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
         lambda x: diag_matrices(coord_columns(d2s, x))
     )
 
+    # coordinates by distinct density, in order of first appearance
+    groups = {}
+    for i, dens in enumerate(densities):
+        groups.setdefault(id(dens), (dens, []))[1].append(i)
+
     def sampler(n, rng):
-        return np.column_stack([dens.sample(n, rng) for dens in densities])
+        # one (d, n) block draws the stream exactly as d column draws in
+        # coordinate order would; each distinct density inverts its rows at once
+        u = rng.uniform(size=(dim, n))
+        out = np.empty((n, dim))
+        for dens, cols in groups.values():
+            out[:, cols] = dens.ppf_many(u[cols]).T
+        return out
 
     return MeasureSpec(
         kind=kind,
@@ -328,6 +339,9 @@ REQUIRED_KEYS = {
     "flat_power_1d": ("q",),
     "uniform_body": ("body",),
 }
+
+# spec keys that hold a number wherever they appear
+NUMBER_KEYS = ("sigma", "rate", "q", "c", "lam", "beta", "R", "half_width", "a", "b")
 
 CONSTRUCTORS = {
     "gaussian": lambda d, p: gaussian(d, p.get("sigma", 1.0)),

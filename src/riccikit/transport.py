@@ -41,7 +41,11 @@ class Density1D:
     The working grid has ~4096 base points and is refined where the mass
     concentrates (equal-mass re-gridding).  `cdf`/`ppf` use the cached grid
     plus a local quadrature/Newton correction; the vectorized `cdf_many` /
-    `ppf_many` paths interpolate and are meant for sampling.
+    `ppf_many` paths interpolate and are meant for sampling.  `ppf_many`
+    evaluates the monotone cubic (PCHIP) through the CDF nodes, bit for bit
+    as scipy's `PchipInterpolator` does, but finds each level's interval
+    through a cached guide table instead of a binary search; levels in
+    buckets crowded with nodes (the tails) fall back to the binary search.
 
     `potential` is the raw (unnormalized) potential V.  It is always called
     with a 1-D float array and returns an array of the same shape, or a
@@ -212,17 +216,53 @@ class Density1D:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.cdf_grid)
 
     def _ensure_ppf_interp(self):
-        if self._ppf_interp is None:
-            u, idx = np.unique(self.cdf_grid, return_index=True)
-            self._ppf_interp = interpolate.PchipInterpolator(
-                u, self.grid[idx], extrapolate=False
-            )
+        """Build the quantile PCHIP once and cache its breakpoints, its
+        coefficients and a guide table over its levels."""
+        if self._ppf_interp is not None:
+            return
+        u, idx = np.unique(self.cdf_grid, return_index=True)
+        pchip = interpolate.PchipInterpolator(u, self.grid[idx], extrapolate=False)
+        x, c = pchip.x, pchip.c
+        k = x.size - 1
+        scale = k / (x[-1] - x[0])
+        # guide[b]: the last interval whose left breakpoint lies in a bucket
+        # before b.  The bucket map is monotone, so no level of bucket b lies
+        # left of it, also under rounding.
+        buckets = np.fmin((x[:-1] - x[0]) * scale, k - 1).astype(np.intp)
+        guide = np.maximum(np.searchsorted(buckets, np.arange(k), "left") - 1, 0)
+        # right ends for the forward steps; the last interval is closed
+        right = np.append(x[1:-1], np.inf)
+        # 0.0 + c3 as scipy's evaluation starts (it turns -0.0 into 0.0)
+        self._ppf_interp = (x, right, guide, scale, 0.0 + c[3], c[2], c[1], c[0])
 
     def ppf_many(self, u):
+        """Quantiles at an array of levels by the quantile PCHIP, bit-identical
+        to scipy's `PchipInterpolator(..., extrapolate=False)` on the clipped
+        levels.
+
+        The interval of a level comes from a guide table (Chen & Asau 1974):
+        the level's bucket, one per interval of equal width in level, names an
+        interval at or left of the one holding it, and at most two forward
+        steps reach it.  Levels still unresolved after the steps (buckets
+        crowded with breakpoints, as in the tails) fall back to a binary
+        search.  The cubic is evaluated in scipy's order.
+        """
         self._ensure_ppf_interp()
+        x, right, guide, scale, c3, c2, c1, c0 = self._ppf_interp
         u = np.clip(np.asarray(u, dtype=float), 1e-15, 1.0 - 1e-15)
-        out = self._ppf_interp(np.clip(u, self.cdf_grid[0], self.cdf_grid[-1]))
-        return np.clip(out, self.grid[0], self.grid[-1])
+        shape = u.shape
+        u = np.clip(u, self.cdf_grid[0], self.cdf_grid[-1]).reshape(-1)
+        # fmin sends a NaN level to the last bucket; it stays NaN, as in scipy
+        j = guide[np.fmin((u - x[0]) * scale, guide.size - 1).astype(np.intp)]
+        j += right[j] <= u
+        j += right[j] <= u
+        late = right[j] <= u
+        if late.any():
+            j[late] = np.minimum(np.searchsorted(x, u[late], "right") - 1, guide.size - 1)
+        s = u - x[j]
+        ss = s * s
+        out = (c3[j] + c2[j] * s) + c1[j] * ss + c0[j] * (ss * s)
+        return np.clip(out, self.grid[0], self.grid[-1]).reshape(shape)
 
     def sample(self, n, rng):
         return self.ppf_many(rng.uniform(size=n))

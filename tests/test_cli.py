@@ -170,6 +170,60 @@ class TestParseConfig:
             cli.run_documents([{**doc, "samples": 2000}, MINIMAL])
         assert err.value.pointer == pointer
 
+    @pytest.mark.parametrize(
+        "doc,pointer",
+        [
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": 3, "lam": "abc"}}, "/params/lam"),
+            ({"inequality": "hardy_boundary", "body": {"kind": "ball"},
+              "dims": [6], "params": {"N": "x"}}, "/params/N"),
+            ({"inequality": "muq_lsi", "measure": {"kind": "power_product", "q": "1.5"},
+              "dims": [2]}, "/measure/q"),
+            ({"inequality": "generalized_bl", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"family": {"type": "product_power", "p": "0.5"}}},
+             "/params/family/p"),
+            # a bool is not a number
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": 3, "lam": True}}, "/params/lam"),
+            ({"inequality": "classical_bl", "measure": {"kind": "gaussian", "sigma": False},
+              "dims": [2]}, "/measure/sigma"),
+            ({"inequality": "hardy_dirichlet", "body": {"kind": "box", "half_widths": [1, "1"]},
+              "dims": [2]}, "/body/half_widths/1"),
+            ({"inequality": "exp_product", "measure": {"kind": "exp_quad_orthant"},
+              "dims": [2], "params": {"mode": "weighted", "lams": [0.1, "0.2"]}},
+             "/params/lams/1"),
+            ({"inequality": "hardy_dirichlet", "body": {"kind": "ellipse", "a": "2"},
+              "dims": [2]}, "/body/a"),
+        ],
+    )
+    def test_wrong_typed_value(self, doc, pointer):
+        # the first four used to escape run_documents as a bare TypeError from
+        # a builder or a constructor, losing the valid document's rows
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([{**doc, "samples": 2000}, MINIMAL])
+        assert err.value.pointer == pointer
+        assert "must be a number" in str(err.value)
+
+    @pytest.mark.parametrize("lams,dims", [([0.1, 0.2, 0.3], [2]), ([0.1, 0.2], [2, 3]),
+                                           ([], [1]), ("0.1", [2])])
+    def test_exp_product_lams_length(self, lams, dims):
+        # lams of a length other than 1 or d at some listed dimension used to
+        # escape run_documents as a numpy ValueError from the weighted builder;
+        # a string is neither a number nor a list
+        doc = {"inequality": "exp_product", "measure": {"kind": "exp_quad_orthant"},
+               "dims": dims, "samples": 2000,
+               "params": {"mode": "weighted", "lams": lams}}
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([doc, MINIMAL])
+        assert err.value.pointer == "/params/lams"
+
+    @pytest.mark.parametrize("lams,dims", [(0.2, [1, 3]), ([0.2], [1, 3]),
+                                           ([0.2, 0.25, 0.3], [3])])
+    def test_exp_product_lams_accepted(self, lams, dims):
+        cli.parse_config({"inequality": "exp_product", "dims": dims,
+                          "measure": {"kind": "exp_quad_orthant"},
+                          "params": {"mode": "weighted", "lams": lams}})
+
     @pytest.mark.parametrize("entry", sorted(catalog.CATALOG))
     def test_catalog_requirements_enforced(self, entry):
         # every entry's paper-smoke document parses, and dropping any one

@@ -1,5 +1,6 @@
 """Sampling specs: marginals, quantile accuracy, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -154,3 +155,121 @@ class TestPotentialBatches:
             stacked = np.array([method(x) for x in pts])
             assert batch.shape == stacked.shape == shape
             np.testing.assert_allclose(batch, stacked, rtol=1e-14, atol=1e-14)
+
+
+# sha256 prefixes of `sample(n, 7)` for every product kind, pinned from the
+# column-by-column sampler with scipy's PCHIP evaluation (numpy 2.4.6, scipy
+# 1.17.1, x86-64); the block sampler and the guided quantile keep them
+_SAMPLE_DIGESTS = {
+    ("gaussian", 1, 100): "221c6618f8eb85bd",
+    ("gaussian", 1, 4001): "842ce632653647f7",
+    ("gaussian", 3, 100): "ab0c6a677ac93896",
+    ("gaussian", 3, 4001): "659b53fd2ce56a12",
+    ("gaussian", 12, 100): "a1b99b4466466bdf",
+    ("gaussian", 12, 4001): "8605fb0caf4a3102",
+    ("exp_product", 1, 100): "c518eb309ef2482b",
+    ("exp_product", 1, 4001): "0fa029ed3a87f48b",
+    ("exp_product", 3, 100): "df8f6bb0908596b4",
+    ("exp_product", 3, 4001): "606c4ceff32b194c",
+    ("exp_product", 12, 100): "50ccf7d774476c9f",
+    ("exp_product", 12, 4001): "229a13bbd18cb7f1",
+    ("power_product", 1, 100): "ff99652d6157b725",
+    ("power_product", 1, 4001): "ace250180b014723",
+    ("power_product", 3, 100): "2db5e85a5f4b0f09",
+    ("power_product", 3, 4001): "f7c2166785dc7e49",
+    ("power_product", 12, 100): "848ccf523bad8f22",
+    ("power_product", 12, 4001): "21f792b02322cdbd",
+    ("exp_quad_orthant", 1, 100): "cfb9183fdd1ac9e6",
+    ("exp_quad_orthant", 1, 4001): "8f8305f286e8c549",
+    ("exp_quad_orthant", 3, 100): "cabcf2015c662126",
+    ("exp_quad_orthant", 3, 4001): "ed92612580901593",
+    ("exp_quad_orthant", 12, 100): "1e2d7236e421edc3",
+    ("exp_quad_orthant", 12, 4001): "b4b639ed96c9b6a2",
+    ("trunc_gaussian_orthant", 1, 100): "868dc2815f388724",
+    ("trunc_gaussian_orthant", 1, 4001): "fefcb07ef402b139",
+    ("trunc_gaussian_orthant", 3, 100): "13175ca94bb0cab2",
+    ("trunc_gaussian_orthant", 3, 4001): "5f177ba14267e050",
+    ("trunc_gaussian_orthant", 12, 100): "12dbb45642aaf7dc",
+    ("trunc_gaussian_orthant", 12, 4001): "b5dc2e199900d968",
+    ("uniform_box_orthant", 1, 100): "c8860e2bd0e7b6f3",
+    ("uniform_box_orthant", 1, 4001): "ad57eae2e6167dc3",
+    ("uniform_box_orthant", 3, 100): "a3d48c75ec33308b",
+    ("uniform_box_orthant", 3, 4001): "86e8f8290b6adef2",
+    ("uniform_box_orthant", 12, 100): "84ea85a1b231f761",
+    ("uniform_box_orthant", 12, 4001): "f3b16ba6d75d8711",
+    ("laplace_product", 1, 100): "bd5db0878a3789b3",
+    ("laplace_product", 1, 4001): "0a6e8c4e40566915",
+    ("laplace_product", 3, 100): "705820c7ab0fe919",
+    ("laplace_product", 3, 4001): "c28c8ec989db034b",
+    ("laplace_product", 12, 100): "ad979e1ba536b872",
+    ("laplace_product", 12, 4001): "d66c697bf576a1ba",
+    ("trunc_gaussian_sym", 1, 100): "55ab355ec37e3989",
+    ("trunc_gaussian_sym", 1, 4001): "6925438ca16f2a13",
+    ("trunc_gaussian_sym", 3, 100): "d388ce9af59f2c8b",
+    ("trunc_gaussian_sym", 3, 4001): "26db0cd9aab42a5d",
+    ("trunc_gaussian_sym", 12, 100): "6ff3ada36d1f97ff",
+    ("trunc_gaussian_sym", 12, 4001): "8a14b9d74d961dbe",
+    ("uniform_interval", 1, 100): "5413f91b878ade05",
+    ("uniform_interval", 1, 4001): "63b71db0e6246fac",
+    ("cos_interval", 1, 100): "61e8614571413031",
+    ("cos_interval", 1, 4001): "18f13a10e6ea1757",
+    ("flat_power_1d", 1, 100): "767b40b78e4dec16",
+    ("flat_power_1d", 1, 4001): "9e80fb3444c689a0",
+    ("gaussian+orthant", 4, 4001): "aaf5fa402da53ae9",
+    ("laplace_product+orthant", 4, 4001): "12afef9f1477d285",
+    ("trunc_gaussian_sym+orthant", 4, 4001): "1df419123b1a6761",
+    ("gamma_power_product", 3, 4001): "7cb274616a5af880",
+}
+
+_SPEC_PARAMS = {"power_product": {"q": 1.5}, "flat_power_1d": {"q": 3.0}}
+
+
+def _spec_for(kind, d):
+    from riccikit import catalog
+
+    if kind.endswith("+orthant"):
+        return catalog._conditioned_orthant(ms.from_spec({"kind": kind[:-8]}, d))
+    if kind == "gamma_power_product":
+        return ms.gamma_power_product(d, 1.5)
+    return ms.from_spec({"kind": kind, **_SPEC_PARAMS.get(kind, {})}, d)
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("kind", sorted({k for k, _, _ in _SAMPLE_DIGESTS}))
+    def test_sample_bytes_pinned(self, kind):
+        for (k, d, n), digest in _SAMPLE_DIGESTS.items():
+            if k != kind:
+                continue
+            pts = _spec_for(kind, d).sample(n, 7)
+            assert pts.shape == (n, d) and pts.flags["C_CONTIGUOUS"]
+            assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == digest, (d, n)
+
+    def test_distinct_densities_draw_in_coordinate_order(self):
+        # coordinates 0 and 2 share a density, 1 has its own: the (d, c)
+        # block is the d column draws of the stream, whatever the grouping
+        from riccikit import transport as tr
+
+        a, b = tr.gaussian_density(), tr.exponential_density()
+        spec = ms._product_spec("mixed", [a, b, a])
+        rng = np.random.default_rng(5)
+        cols = [dens.ppf_many(rng.uniform(size=301)) for dens in (a, b, a)]
+        pts = spec.sampler(301, np.random.default_rng(5))
+        assert pts.flags["C_CONTIGUOUS"]
+        assert np.array_equal(pts, np.column_stack(cols))
+
+    def test_conditioned_orthant_builds_one_density(self, monkeypatch):
+        from riccikit import catalog, transport as tr
+
+        mu = ms.laplace_product(4)
+        builds = []
+
+        class Counted(tr.Density1D):
+            def __init__(self, *args, **kwargs):
+                builds.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(catalog.transport, "Density1D", Counted)
+        plus = catalog._conditioned_orthant(mu)
+        assert len(builds) == 1
+        assert len({id(dens) for dens in plus.coord_densities}) == 1
+        assert plus.coord_densities[0].support == (0.0, math.inf)

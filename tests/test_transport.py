@@ -341,3 +341,68 @@ class TestMoreGuards:
         with pytest.raises(NoConvergence) as err:
             tr.ke_solve_1d(tr.cos_density(0.5), max_iter=3)
         assert err.value.residual is None or err.value.residual > 1e-8
+
+
+_PRODUCT_KINDS = [
+    {"kind": "gaussian"}, {"kind": "exp_product"}, {"kind": "power_product", "q": 1.5},
+    {"kind": "exp_quad_orthant"}, {"kind": "trunc_gaussian_orthant"},
+    {"kind": "uniform_box_orthant"}, {"kind": "laplace_product"},
+    {"kind": "trunc_gaussian_sym"}, {"kind": "uniform_interval"},
+    {"kind": "cos_interval"}, {"kind": "flat_power_1d", "q": 3.0},
+]
+
+
+def _scipy_ppf(dens):
+    """The quantile function as a plain scipy PCHIP with ppf_many's clips."""
+    u0, idx = np.unique(dens.cdf_grid, return_index=True)
+    pchip = interpolate.PchipInterpolator(u0, dens.grid[idx], extrapolate=False)
+
+    def ppf(u):
+        u = np.clip(np.asarray(u, dtype=float), 1e-15, 1.0 - 1e-15)
+        out = pchip(np.clip(u, dens.cdf_grid[0], dens.cdf_grid[-1]))
+        return np.clip(out, dens.grid[0], dens.grid[-1])
+
+    return ppf, u0
+
+
+class TestGuidedQuantile:
+    @pytest.mark.parametrize("doc", _PRODUCT_KINDS, ids=lambda doc: doc["kind"])
+    def test_bit_identical_to_scipy_pchip(self, doc):
+        from riccikit import measures
+
+        dens = measures.from_spec(doc, 1).coord_densities[0]
+        ref, breaks = _scipy_ppf(dens)
+        levels = np.concatenate([
+            np.random.default_rng(3).uniform(size=20000),
+            breaks, np.nextafter(breaks, 2.0), np.nextafter(breaks, -1.0),
+            [0.0, 1.0, 1e-15, 1.0 - 1e-15, -0.5, 1.5, np.nan],
+        ])
+        got = dens.ppf_many(levels)
+        assert np.isnan(got[-1])
+        assert np.array_equal(got.view(np.int64), ref(levels).view(np.int64))
+        block = levels[:600].reshape(3, 200)
+        assert dens.ppf_many(block).shape == (3, 200)
+        assert np.array_equal(dens.ppf_many(block), ref(block))
+        assert dens.ppf_many(0.3).shape == () and dens.ppf_many(0.3) == ref(0.3)
+
+    def test_dense_tail_bucket_falls_back_to_binary_search(self, monkeypatch):
+        # the Gaussian's first level bucket holds hundreds of breakpoints
+        # (the uniform-in-x grid nodes of the far left tail), more than the
+        # two forward steps can pass
+        dens = tr.gaussian_density()
+        ref, breaks = _scipy_ppf(dens)
+        dens.ppf_many(0.5)  # build the table before counting
+        calls = []
+        search = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(tr.np, "searchsorted", counted)
+        assert dens.ppf_many([0.5]) == ref([0.5])
+        assert calls == []
+        tail = np.array([breaks[100], 0.5 * (breaks[200] + breaks[201])])
+        assert breaks[300] < 1.0 / (breaks.size - 1)  # all in bucket 0
+        assert np.array_equal(dens.ppf_many(tail), ref(tail))
+        assert calls == [2]
