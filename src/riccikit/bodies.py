@@ -5,6 +5,9 @@ The catalog is closed: balls, axis-aligned boxes, the corner simplex
 {x >= 0, sum x_i <= 1}, l_p balls and smooth 2-D star bodies given by a
 radial function.  The cone measure is realized exactly as the push-forward
 of the uniform measure under x -> x / gauge(x).
+
+`SCHEMA`, beside `CONSTRUCTORS`, gives each body kind's keys with their
+types, ranges and defaults; `body_from_spec` fills the defaults.
 """
 
 import math
@@ -14,11 +17,13 @@ import numpy as np
 from scipy import integrate
 
 from .errors import (
+    NonNormalizable,
     NonPositiveAngle,
     NonSmoothBoundaryPoint,
     RejectionBudgetExceeded,
     UndefinedAtOrigin,
 )
+from .schema import Key, Schema, fill, number, positive
 
 _CORNER_MARGIN = 1e-8
 
@@ -56,9 +61,6 @@ class ConvexBody:
         if np.any(norm <= 0.0):
             raise UndefinedAtOrigin("gauge gradient vanishes")
         return g / norm[:, None]
-
-    def contains(self, x):
-        return self.gauge(x) <= 1.0
 
     def boundary_curvature(self, x):
         raise NotImplementedError
@@ -500,28 +502,35 @@ class Curve2D(ConvexBody):
     def radius_bound(self):
         return max(self.rho(t) for t in np.linspace(0, 2 * math.pi, 720))
 
-    def spec(self):
-        return {"kind": self.kind, "dim": 2}
-
-
-# spec keys a kind cannot do without (the others have defaults; a box's
-# half-widths are checked against the dimension at parse time)
-REQUIRED_KEYS = {"lp": ("p",)}
-
-# spec keys that hold a number wherever they appear
-NUMBER_KEYS = ("radius", "scale", "p", "a", "b")
+SCHEMA = Schema({"kind": Key("string")}, select="kind", variants={
+    "ball": Schema({"radius": positive(1.0), "orthant": Key("boolean", False)}),
+    "box": Schema({"half_widths": positive(shape="d")}),
+    "simplex": Schema({"scale": positive(1.0)}),
+    "lp": Schema({"p": number(gt=1.0), "radius": positive(1.0)}),
+    "ellipse": Schema({"a": positive(2.0), "b": positive(1.0)}, min_dim=2, max_dim=2),
+})
 
 CONSTRUCTORS = {
-    "ball": lambda s: Ball(s["dim"], s.get("radius", 1.0), s.get("orthant", False)),
+    "ball": lambda s: Ball(s["dim"], s["radius"], s["orthant"]),
     "box": lambda s: Box(s["half_widths"]),
-    "simplex": lambda s: Simplex(s["dim"], s.get("scale", 1.0)),
-    "lp": lambda s: LpBall(s["dim"], s["p"], s.get("radius", 1.0)),
-    "ellipse": lambda s: Curve2D.ellipse(s.get("a", 2.0), s.get("b", 1.0)),
+    "simplex": lambda s: Simplex(s["dim"], s["scale"]),
+    "lp": lambda s: LpBall(s["dim"], s["p"], s["radius"]),
+    "ellipse": lambda s: Curve2D.ellipse(s["a"], s["b"]),
 }
 
 
 def body_from_spec(spec):
+    """Build a body from a JSON-style {kind, dim, ...} spec, with the
+    defaults of its kind filled in; a body whose volume overflows or
+    underflows is not normalizable."""
     kind = spec["kind"]
     if kind not in CONSTRUCTORS:
         raise ValueError(f"unknown body kind {kind!r}")
-    return CONSTRUCTORS[kind](spec)
+    body = CONSTRUCTORS[kind](fill(SCHEMA, spec))
+    try:
+        volume = body.volume()
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise NonNormalizable(f"{kind} body of dimension {body.dim}: volume {volume}")
+    return body

@@ -8,6 +8,10 @@ of named hypothesis margins checked on sample points at instantiation.
 Instances whose theorem only asserts an unspecified universal constant are
 marked constant_known=False and are evaluated as ratio reports, never
 pass/fail.
+
+Each `CatalogEntry` carries the schema of its params (`riccikit.schema`),
+with the theorem's window of dimensions; `instantiate` fills its defaults,
+so the builders read `params[key]`.
 """
 
 import math
@@ -16,10 +20,16 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import families, measures, transport
+from . import bodies, families, measures, transport
 from .bodies import ConeMeasureSampler, ConvexBody, Simplex
-from .errors import HypothesisViolated, UnknownInequalityId
+from .errors import (
+    EigensolveFailure,
+    HypothesisViolated,
+    NonFiniteConstant,
+    UnknownInequalityId,
+)
 from .fields import QuadraticFormField, ScalarPlusRankOne, coord_columns
+from .schema import Key, Schema, describe, fill, number, options, positive
 
 _HYPOTHESIS_SEED = 2025
 _HYPOTHESIS_SAMPLES = 512
@@ -35,9 +45,9 @@ class BoundaryTerm:
     free_constant: bool = True
 
 
-@dataclass
+@dataclass(kw_only=True)
 class InequalityInstance:
-    id: str
+    id: str = ""  # the catalog entry, set by instantiate
     lhs_kind: str  # variance | entropy_of_square | l2_dirichlet
     measure: measures.MeasureSpec
     lhs_scale: float = 1.0
@@ -47,12 +57,12 @@ class InequalityInstance:
     gradient_surcharge: float = 0.0  # adds c * int |grad f|^2 dmu to the RHS
     rhs_fixed: Optional[float] = None  # f-independent RHS (plus stderr)
     rhs_fixed_err: float = 0.0
-    constant_known: bool = True
+    constant_known: bool = True  # the catalog entry's, set by instantiate
     lipschitz_only: bool = False
     dirichlet: bool = False
     eval_mode: str = "standard"  # standard | fixed_rhs | poincare_ratio
     body: Optional[ConvexBody] = None
-    hypothesis_report: dict = field(default_factory=dict)
+    hypothesis_report: dict = field(default_factory=dict)  # set by instantiate
     params: dict = field(default_factory=dict)
 
     @property
@@ -60,49 +70,21 @@ class InequalityInstance:
         return self.measure.dim if self.measure is not None else self.body.dim
 
 
-@dataclass(frozen=True)
-class ParamRule:
-    """Keys a params object must hold: the object is params itself when
-    `path` is empty, else params[path] (not checked when absent).  It needs
-    `keys`, and `by[v]` when its `selector` key reads v (`default` when the
-    selector is absent).  Its `numbers` keys, where present, hold a number
-    (not a bool), and its `vectors` keys a number or a list of 1 or d
-    numbers at every listed dimension d.  With `entry_key`, the object also
-    names a catalog entry under that key, which is built from the object and
-    a measure alone, and must satisfy that entry's requirements."""
-
-    path: str = ""
-    keys: Tuple[str, ...] = ()
-    selector: Optional[str] = None
-    default: object = None
-    by: dict = field(default_factory=dict)
-    entry_key: Optional[str] = None
-    numbers: Tuple[str, ...] = ()
-    vectors: Tuple[str, ...] = ()
-
-    def required(self, obj):
-        value = obj.get(self.selector, self.default)
-        hashable = isinstance(value, (str, int, float, type(None)))
-        return self.keys + (self.by.get(value, ()) if hashable else ())
-
-
 @dataclass
 class CatalogEntry:
-    """One theorem: its builder and what a config must supply for it, the
-    specs (`measure`, `target`, `body`), the top-level `params` keys, the
-    `rules` for keys that depend on a mode or sit in nested objects, and its
-    admissibility window of dimensions, `min_dim` to `max_dim` (None: no
-    upper end)."""
+    """One theorem: its builder, the specs a config must supply for it
+    (`measure`, `target`, `body`), and the schema of its params, which holds
+    the theorem's admissibility window of dimensions."""
 
     id: str
     builder: Callable
     description: str
     constant_known: bool = True
     specs: Tuple[str, ...] = ()
-    params: Tuple[str, ...] = ()
-    rules: Tuple[ParamRule, ...] = ()
-    min_dim: int = 1
-    max_dim: Optional[int] = None
+    params: Schema = field(default_factory=Schema)
+
+    min_dim = property(lambda self: self.params.min_dim)
+    max_dim = property(lambda self: self.params.max_dim)
 
 
 def _margin(report, name, value, location=None, tol=1e-9, enforce=True):
@@ -111,11 +93,19 @@ def _margin(report, name, value, location=None, tol=1e-9, enforce=True):
         raise HypothesisViolated(name, location, float(value))
 
 
+def _least(report, name, values, pts, tol=1e-9):
+    """Record the least of `values` at the points `pts` as a margin."""
+    i = int(np.argmin(values))
+    _margin(report, name, values[i], location=pts[i], tol=tol)
+
+
 def _hypothesis_points(measure, n=_HYPOTHESIS_SAMPLES):
     return measure.sample(n, _HYPOTHESIS_SEED)
 
 
 def _min_eig_batch(mats):
+    if not np.isfinite(mats).all():
+        raise EigensolveFailure("least eigenvalue of a matrix with non-finite entries")
     return np.linalg.eigvalsh(mats)[:, 0]
 
 
@@ -157,9 +147,7 @@ def _check_product_ricci(measure, data, report, pts):
     """Record ric_positive, the least eigenvalue of the product-metric
     generalized Ricci tensor over pts, and return its inverse as a field."""
     ric = lambda p: families.product_ricci(data, measure.potential, p)
-    eigs = _min_eig_batch(ric(pts))
-    i = int(np.argmin(eigs))
-    _margin(report, "ric_positive", eigs[i], location=pts[i], tol=-1e-12)
+    _least(report, "ric_positive", _min_eig_batch(ric(pts)), pts, tol=-1e-12)
     return QuadraticFormField(
         dim=measure.dim, batch=lambda p: np.linalg.inv(ric(p)), name="Ric^-1"
     )
@@ -170,36 +158,29 @@ def _check_product_ricci(measure, data, report, pts):
 # ---------------------------------------------------------------------------
 
 
-def _build_classical_bl(params):
+def _build_classical_bl(params, report):
     mu = params["measure"]
-    report = {}
     pts = _hypothesis_points(mu)
-    eigs = _min_eig_batch(mu.potential.hessian(pts))
-    i = int(np.argmin(eigs))
-    _margin(report, "hess_v_positive", eigs[i] , location=pts[i], tol=-1e-12)
+    _least(report, "hess_v_positive", _min_eig_batch(mu.potential.hessian(pts)), pts,
+           tol=-1e-12)
     return InequalityInstance(
-        id="classical_bl",
         lhs_kind="variance",
         measure=mu,
         rhs_weight=_inverse_hessian_field(mu),
         rhs_constant=1.0,
-        hypothesis_report=report,
     )
 
 
-def _build_generalized_bl(params):
+def _build_generalized_bl(params, report):
     mu = params["measure"]
     fam = params["family"]
-    report = {}
     data = families.ProductMetricData.from_family(fam, mu.dim)
     weight = _check_product_ricci(mu, data, report, _hypothesis_points(mu))
     return InequalityInstance(
-        id="generalized_bl",
         lhs_kind="variance",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=1.0,
-        hypothesis_report=report,
         params={"family": fam},
     )
 
@@ -221,14 +202,11 @@ def _refined_q_1d(mu, nu):
     return q_scalar, phi
 
 
-def _build_refined_bl(params):
+def _build_refined_bl(params, report):
     mu, nu = params["measure"], params["target"]
-    report = {}
     q_scalar, phi = _refined_q_1d(mu, nu)
     pts = _hypothesis_points(mu)
-    qv = q_scalar(pts)
-    i = int(np.argmin(qv))
-    _margin(report, "q_positive", qv[i], location=pts[i], tol=-1e-12)
+    _least(report, "q_positive", q_scalar(pts), pts, tol=-1e-12)
     tgrid = nu.coord_densities[0].ppf_many(np.linspace(1e-6, 1.0 - 1e-6, 257))
     wvals = nu.coord_d2[0](tgrid)
     _margin(report, "target_log_concave", float(np.min(wvals)), tol=1e-12)
@@ -236,33 +214,25 @@ def _build_refined_bl(params):
         dim=1, batch=lambda pts: 1.0 / q_scalar(pts), name="Q^-1"
     )
     return InequalityInstance(
-        id="refined_bl",
         lhs_kind="variance",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=1.0,
-        hypothesis_report=report,
         params={"target": nu.kind},
     )
 
 
-def _build_negdim_bl(params):
+def _build_negdim_bl(params, report):
     mu = params["measure"]
-    report = {}
     pts = _hypothesis_points(mu)
-    eigs = _min_eig_batch(mu.potential.hessian(pts))
-    i = int(np.argmin(eigs))
-    _margin(report, "log_concave", eigs[i], location=pts[i])
-    ceigs = _min_eig_batch(_negdim_matrix(mu, pts))
-    j = int(np.argmin(ceigs))
-    _margin(report, "weight_positive", ceigs[j], location=pts[j], tol=-1e-12)
+    _least(report, "log_concave", _min_eig_batch(mu.potential.hessian(pts)), pts)
+    _least(report, "weight_positive", _min_eig_batch(_negdim_matrix(mu, pts)), pts,
+           tol=-1e-12)
     return InequalityInstance(
-        id="negdim_bl",
         lhs_kind="variance",
         measure=mu,
         rhs_weight=_negdim_weight_field(mu),
         rhs_constant=2.0,
-        hypothesis_report=report,
     )
 
 
@@ -280,89 +250,76 @@ def _compact_support_radius(nu):
     return max(abs(a), abs(b))
 
 
-def _build_compact_bl(params):
+def _build_compact_bl(params, report):
     nu = params["measure"]
-    report = {}
     dens = nu.coord_densities[0]
     _margin(report, "barycenter", -abs(dens.mean()), tol=1e-6)
-    r = params.get("R") or _compact_support_radius(nu)
+    r = params["R"] or _compact_support_radius(nu)
     _margin(report, "support_radius", r - _compact_support_radius(nu), tol=1e-12)
     grid = np.linspace(*dens.support, 257)[1:-1]
     w2 = nu.coord_d2[0](grid) if nu.coord_d1[0] else np.zeros_like(grid)
     _margin(report, "log_concave", float(np.min(w2)), tol=1e-12)
-    if params.get("run_ke", True):
-        sol = transport.ke_solve_1d(dens, tol=params.get("ke_tol", 1e-8))
-        _margin(report, "ke_residual", params.get("ke_tol", 1e-8) - sol.residual_sup)
-        mask = sol.interior_mask(1e-4, 1.0 - 1e-4)
-        _margin(
-            report,
-            "trace_bound",
-            2.0 * r * r - float(sol.second_derivative()[mask].max()),
-        )
+    sol = transport.ke_solve_1d(dens, tol=params["ke_tol"])
+    _margin(report, "ke_residual", params["ke_tol"] - sol.residual_sup)
+    mask = sol.interior_mask(1e-4, 1.0 - 1e-4)
+    _margin(
+        report,
+        "trace_bound",
+        2.0 * r * r - float(sol.second_derivative()[mask].max()),
+    )
     weight = QuadraticFormField(
         dim=1,
         batch=lambda pts: 1.0 / (1.0 / (2.0 * r * r) + coord_columns(nu.coord_d2, pts)),
         name="(Id/2R^2 + D2W)^-1",
     )
     return InequalityInstance(
-        id="compact_bl",
         lhs_kind="variance",
         measure=nu,
         rhs_weight=weight,
         rhs_constant=2.0,
-        hypothesis_report=report,
         params={"R": r},
     )
 
 
-def _build_payne_weinberger(params):
+def _build_payne_weinberger(params, report):
     nu = params["measure"]
-    report = {}
     dens = nu.coord_densities[0]
     _margin(report, "barycenter", -abs(dens.mean()), tol=1e-6)
-    r = params.get("R") or _compact_support_radius(nu)
+    r = params["R"] or _compact_support_radius(nu)
     return InequalityInstance(
-        id="payne_weinberger",
         lhs_kind="variance",
         measure=nu,
         rhs_weight=_identity_field(nu.dim),
         rhs_constant=2.0 * r * r,
-        hypothesis_report=report,
         params={"R": r},
     )
 
 
-def _build_bakry_emery_lsi(params):
+def _build_bakry_emery_lsi(params, report):
     mu = params["measure"]
     fam = params["family"]
     rho = params["rho"]
-    report = {}
     d = mu.dim
     data = families.ProductMetricData.from_family(fam, d)
     pts = _hypothesis_points(mu)
     gap = families.product_ricci(data, mu.potential, pts)
     idx = np.arange(d)
     gap[:, idx, idx] -= rho * data.metric_weights(pts)
-    eigs = _min_eig_batch(gap)
-    i = int(np.argmin(eigs))
-    _margin(report, "curvature_level", eigs[i], location=pts[i], tol=1e-7)
+    _least(report, "curvature_level", _min_eig_batch(gap), pts, tol=1e-7)
     weight = QuadraticFormField(
         dim=d, batch=lambda p: 1.0 / data.metric_weights(p), name="g^-1"
     )
     return InequalityInstance(
-        id="bakry_emery_lsi",
         lhs_kind="entropy_of_square",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=2.0 / rho,
-        hypothesis_report=report,
         params={"rho": rho, "family": fam},
     )
 
 
-def _build_entropic_bl(params):
+def _build_entropic_bl(params, report):
     mu = params["measure"]
-    report = {}
     dens = mu.coord_densities[0]
     grid = np.linspace(dens.ppf(1e-7), dens.ppf(1.0 - 1e-7), 1025)
     d2 = lambda t: mu.potential.hessian(t[:, None])[:, 0, 0]
@@ -375,45 +332,40 @@ def _build_entropic_bl(params):
         (d2(grid + h3) - d2(grid - h3)) / (2.0 * h3),
         (d2(grid + h4) - 2.0 * d2(grid) + d2(grid - h4)) / h4**2,
     )
-    rho = params.get("rho")
+    rho = params["rho"]
     if rho is None:
         rho = crit.bisect_rho(enhanced=True)
     _margin(report, "criterion_margin", float(crit.margin(rho, enhanced=True).min()),
             tol=1e-8)
     _margin(report, "rho_positive", rho, tol=0.0)
     return InequalityInstance(
-        id="entropic_bl",
         lhs_kind="entropy_of_square",
         measure=mu,
         rhs_weight=_inverse_hessian_field(mu),
         rhs_constant=2.0 / rho,
-        hypothesis_report=report,
         params={"rho": rho},
     )
 
 
-def _build_muq_lsi(params):
+def _build_muq_lsi(params, report):
     mu = params["measure"]
     if mu.kind != "power_product":
         raise HypothesisViolated(f"power_product_measure ({mu.kind})", None, -math.inf)
     q, c = mu.params["q"], mu.params["c"]
-    report = {}
     _margin(report, "q_in_range", min(q - 1.0, 2.0 - q), tol=1e-12)
     weight = QuadraticFormField(
         dim=mu.dim, batch=lambda pts: pts ** (2.0 - q), name="x^(2-q)"
     )
     return InequalityInstance(
-        id="muq_lsi",
         lhs_kind="entropy_of_square",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=4.0 / (c * q * q),
-        hypothesis_report=report,
         params={"q": q, "c": c},
     )
 
 
-def _build_bakry_t_lsi(params):
+def _build_bakry_t_lsi(params, report):
     """Image of the power-measure log-Sobolev bound under t_i = x_i^q.
 
     The substitution carries its Jacobian into the measure: the image law is
@@ -421,27 +373,23 @@ def _build_bakry_t_lsi(params):
     (4/c) int sum t_i f_{t_i}^2.
     """
     q = params["q"]
-    c = params.get("c", 1.0)
+    c = params["c"]
     d = params["measure"].dim if "measure" in params else params["dim"]
-    report = {}
     _margin(report, "q_in_range", min(q - 1.0, 2.0 - q), tol=1e-12)
     mu = measures.gamma_power_product(d, q, c)
     weight = QuadraticFormField(dim=d, batch=lambda pts: pts, name="t")
     return InequalityInstance(
-        id="bakry_t_lsi",
         lhs_kind="entropy_of_square",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=4.0 / c,
-        hypothesis_report=report,
         params={"q": q, "c": c},
     )
 
 
-def _build_qgt2_lsi(params):
+def _build_qgt2_lsi(params, report):
     q = params["q"]
-    mode = params.get("potential", "modified")
-    report = {}
+    mode = params["potential"]
     if q <= 2.0:
         raise HypothesisViolated("q_gt_2", None, q - 2.0)
     report["q_gt_2"] = q - 2.0
@@ -472,24 +420,19 @@ def _build_qgt2_lsi(params):
         _margin(report, "weight_comparison_finite", 1e6 - k_q)
         rho_q = rho_max / max(k_q, 1.0)
         return InequalityInstance(
-            id="qgt2_lsi",
             lhs_kind="entropy_of_square",
             measure=mu,
             rhs_weight=weight,
             rhs_constant=2.0 / rho_q,
-            hypothesis_report=report,
             params={"q": q, "rho_q": rho_q, "rho_max": rho_max, "K_q": k_q,
                     "potential": mode},
         )
     mu = measures.power_product(1, q)
     return InequalityInstance(
-        id="qgt2_lsi",
         lhs_kind="entropy_of_square",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=1.0,
-        constant_known=False,
-        hypothesis_report=report,
         params={"q": q, "potential": mode},
     )
 
@@ -499,9 +442,7 @@ def _poly_orthant_checks(mu, report, lam=None, r_max=None):
     if not mu.orthant:
         raise HypothesisViolated("orthant_unconditional", None, -1.0)
     report["orthant_unconditional"] = 1.0
-    eigs = _min_eig_batch(mu.potential.hessian(pts))
-    i = int(np.argmin(eigs))
-    _margin(report, "hess_v_psd", eigs[i], location=pts[i], tol=1e-10)
+    _least(report, "hess_v_psd", _min_eig_batch(mu.potential.hessian(pts)), pts, tol=1e-10)
     g = mu.potential.gradient(pts)
     level = 0.0 if lam is None else lam
     j = int(np.argmin(g.min(axis=1)))
@@ -512,37 +453,36 @@ def _poly_orthant_checks(mu, report, lam=None, r_max=None):
     return pts
 
 
-def _build_poly_product(params):
+def _build_poly_product(params, report):
     mu = params["measure"]
     part = params["part"]
     d = mu.dim
-    report = {}
     if part == 1:
-        p = params.get("p", 0.5)
+        p = params["p"]
         pts = _poly_orthant_checks(mu, report)
         data = families.ProductMetricData.power(p, d)
         weight = _check_product_ricci(mu, data, report, pts)
         return InequalityInstance(
-            id="poly_product", lhs_kind="variance", measure=mu,
+            lhs_kind="variance", measure=mu,
             rhs_weight=weight, rhs_constant=1.0,
-            hypothesis_report=report, params={"part": 1, "p": p},
+            params={"part": 1, "p": p},
         )
     if part == 2:
         _poly_orthant_checks(mu, report)
         weight = QuadraticFormField(dim=d, batch=lambda pts: pts**2, name="x^2")
         return InequalityInstance(
-            id="poly_product", lhs_kind="variance", measure=mu,
+            lhs_kind="variance", measure=mu,
             rhs_weight=weight, rhs_constant=4.0,
-            hypothesis_report=report, params={"part": 2},
+            params={"part": 2},
         )
     if part == 3:
         lam = params["lam"]
         _poly_orthant_checks(mu, report, lam=lam)
         weight = QuadraticFormField(dim=d, batch=lambda pts: pts, name="x")
         return InequalityInstance(
-            id="poly_product", lhs_kind="variance", measure=mu,
+            lhs_kind="variance", measure=mu,
             rhs_weight=weight, rhs_constant=1.0 / lam,
-            hypothesis_report=report, params={"part": 3, "lam": lam},
+            params={"part": 3, "lam": lam},
         )
     p = params["p"]
     if part == 4:
@@ -561,29 +501,27 @@ def _build_poly_product(params):
         dim=d, batch=lambda pts: pts ** (2.0 * p), name="x^(2p)"
     )
     return InequalityInstance(
-        id="poly_product", lhs_kind="entropy_of_square", measure=mu,
+        lhs_kind="entropy_of_square", measure=mu,
         rhs_weight=weight, rhs_constant=2.0 / rho,
-        hypothesis_report=report,
         params={"part": part, "p": p, "rho": rho, **{k: v for k, v in params.items()
                                                      if k in ("lam", "R")}},
     )
 
 
-def _build_exp_product(params):
+def _build_exp_product(params, report):
     mu = params["measure"]
-    mode = params.get("mode", "corollary")
+    mode = params["mode"]
     d = mu.dim
-    report = {}
     if mode not in ("corollary", "weighted"):
         raise UnknownInequalityId(f"exp_product mode {mode!r}")
     if mode == "corollary":
         lam = params["lam"]
         _poly_orthant_checks(mu, report, lam=lam)
         return InequalityInstance(
-            id="exp_product", lhs_kind="variance", measure=mu,
+            lhs_kind="variance", measure=mu,
             rhs_weight=_identity_field(d),
             rhs_constant=4.0 / lam**2,
-            hypothesis_report=report, params={"mode": mode, "lam": lam},
+            params={"mode": mode, "lam": lam},
         )
     lams = np.atleast_1d(np.asarray(params["lams"], dtype=float))
     if lams.size == 1:
@@ -598,44 +536,38 @@ def _build_exp_product(params):
 
     weight = QuadraticFormField(dim=d, batch=weights, name="1/(lam (V_xi - lam))")
     return InequalityInstance(
-        id="exp_product", lhs_kind="variance", measure=mu,
+        lhs_kind="variance", measure=mu,
         rhs_weight=weight, rhs_constant=1.0,
-        hypothesis_report=report, params={"mode": mode, "lams": lams.tolist()},
+        params={"mode": mode, "lams": lams.tolist()},
     )
 
 
 def _conditioned_orthant(mu):
     """Condition a symmetric product measure onto the positive orthant; each
     distinct coordinate density is conditioned once and stays shared."""
-    conditioned = {}
-    densities = []
-    for dens in mu.coord_densities:
-        if id(dens) not in conditioned:
-            conditioned[id(dens)] = transport.Density1D(
-                dens.raw_potential, (0.0, dens.support[1]), name=dens.name + "+"
-            )
-        densities.append(conditioned[id(dens)])
-    d1 = getattr(mu, "orthant_d1", None) or mu.coord_d1
-    d2 = getattr(mu, "orthant_d2", None) or mu.coord_d2
-    spec = measures._product_spec(
+    densities = list(mu.coord_densities)
+    for dens, cols in measures.distinct_densities(densities):
+        plus = transport.Density1D(dens.raw_potential, (0.0, dens.support[1]),
+                                   name=dens.name + "+")
+        for i in cols:
+            densities[i] = plus
+    return measures._product_spec(
         mu.kind + "_orthant",
         densities,
-        d1=d1,
-        d2=d2,
+        d1=getattr(mu, "orthant_d1", None) or mu.coord_d1,
+        d2=getattr(mu, "orthant_d2", None) or mu.coord_d2,
         log_concave=mu.log_concave,
         orthant=True,
     )
-    return spec
 
 
-def _build_klartag_transfer(params):
+def _build_klartag_transfer(params, report):
     mu = params["measure"]
-    report = {}
     if not mu.unconditional:
         raise HypothesisViolated("unconditional", None, -1.0)
     report["unconditional"] = 1.0
     mu_plus = _conditioned_orthant(mu)
-    base_params = dict(params.get("base", {"id": "poly_product", "part": 2}))
+    base_params = dict(params["base"])
     base_id = base_params.pop("id")
     base = instantiate(base_id, {**base_params, "measure": mu_plus})
     report.update({f"base:{k}": v for k, v in base.hypothesis_report.items()})
@@ -647,13 +579,11 @@ def _build_klartag_transfer(params):
         name=base_weight.name + "(|x|)",
     )
     return InequalityInstance(
-        id="klartag_transfer",
         lhs_kind="variance",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=base.rhs_constant,
         gradient_surcharge=surcharge,
-        hypothesis_report=report,
         params={"base": {"id": base_id, **base_params}, "surcharge": surcharge},
     )
 
@@ -670,17 +600,14 @@ def _cone_second_moment_ratio(body, report, lam, seed=11):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-def _build_cone_variance(params):
+def _build_cone_variance(params, report):
     body = params["body"]
-    lam = params.get("lam")
+    lam = params["lam"]
     d = body.dim
-    report = {}
     _margin(report, "dimension_rule", d - 3.0, tol=1e-12)
-    sampler = ConeMeasureSampler(body, seed=params.get("seed", 5))
+    sampler = ConeMeasureSampler(body, seed=5)
     probe = sampler.sample(2000)
-    from .bodies import diagonality_bounds
-
-    lam_emp, lam_sup = diagonality_bounds(body, probe[:500])
+    lam_emp, lam_sup = bodies.diagonality_bounds(body, probe[:500])
     report["diagonality_inf"] = lam_emp
     if lam is None:
         lam = lam_emp
@@ -688,7 +615,6 @@ def _build_cone_variance(params):
     ratio, ratio_err = _cone_second_moment_ratio(body, report, lam)
     const = 4.0 / (lam**2 * (d - 1.0) * (d - 2.0))
     return InequalityInstance(
-        id="cone_variance",
         lhs_kind="variance",
         measure=None,
         rhs_fixed=const * ratio,
@@ -696,7 +622,6 @@ def _build_cone_variance(params):
         lipschitz_only=True,
         eval_mode="fixed_rhs",
         body=body,
-        hypothesis_report=report,
         params={"lam": lam},
     )
 
@@ -706,18 +631,15 @@ def _simplex_uniform_second_moment(body):
     return 2.0 * d / ((d + 1.0) * (d + 2.0)) * body.scale**2
 
 
-def _build_l1_type(params):
+def _build_l1_type(params, report):
     body = params["body"]
     d = body.dim
-    report = {}
     _margin(report, "dimension_rule", d - 3.0, tol=1e-12)
     sampler = ConeMeasureSampler(body, seed=7)
-    from .bodies import diagonality_bounds
-
-    lam_emp, lam_sup = diagonality_bounds(body, sampler.sample(500))
+    lam_emp, lam_sup = bodies.diagonality_bounds(body, sampler.sample(500))
     report["diagonality_inf"] = lam_emp
     report["diagonality_sup"] = lam_sup
-    lam = params.get("lam", lam_emp)
+    lam = lam_emp if params["lam"] is None else params["lam"]
     if isinstance(body, Simplex):
         i1 = _simplex_uniform_second_moment(body)
         i2 = 2.0 * d / (d + 1.0)
@@ -729,14 +651,11 @@ def _build_l1_type(params):
     rhs_base = (i1 + i2 / lam**2) / d**2
     alt = (1.0 + (d + 2.0) * (lam_sup / lam) ** 2) / d**2 * i1
     return InequalityInstance(
-        id="l1_type",
         lhs_kind="variance",
         measure=measures.uniform_body(body),
         rhs_fixed=rhs_base,
-        constant_known=False,
         eval_mode="poincare_ratio",
         body=body,
-        hypothesis_report=report,
         params={"lam": lam, "Lam": lam_sup, "rhs_diagonal_form": alt},
     )
 
@@ -744,10 +663,11 @@ def _build_l1_type(params):
 def _radial_weight_field(d, theta, n_param):
     ev = families.radial_conformal_eigenvalues(theta, 0.0, n_param, d, 1.0)
     tc, rc = ev.tangential, ev.radial  # coefficients of 1/|x|^2
+    rank_one = 1.0 / rc - 1.0 / tc
 
     def batch(pts):
         # |x|^2 ((Id - x^ x^T)/tc + x^ x^T/rc) with x^ = x/|x|
-        return ScalarPlusRankOne(np.sum(pts**2, axis=1) / tc, 1.0 / rc - 1.0 / tc, pts)
+        return ScalarPlusRankOne(np.sum(pts**2, axis=1) / tc, rank_one, pts)
 
     return QuadraticFormField(dim=d, batch=batch, name="Ric_N^-1(radial)"), tc, rc
 
@@ -760,16 +680,15 @@ def _ball_boundary_geometry(body, pts):
     return r2, xn, h0
 
 
-def _build_dim_bl_boundary(params):
+def _build_dim_bl_boundary(params, report):
     body = params["body"]
     n_param = params["N"]
-    part = params.get("part", 1)
+    part = params["part"]
     d = body.dim
-    report = {}
     if not n_param < 0.0:
         raise HypothesisViolated("n_negative", None, -abs(n_param))
     report["n_negative"] = -n_param
-    theta = params.get("theta") or families.radial_theta_optimal(n_param, d)
+    theta = params["theta"] or families.radial_theta_optimal(n_param, d)
     adm = families.radial_admissibility(theta, n_param, d)
     _margin(report, "tangential_nonneg", adm["tangential_nonneg"])
     _margin(report, "radial_nonneg", adm["radial_nonneg"])
@@ -803,7 +722,6 @@ def _build_dim_bl_boundary(params):
     else:
         raise UnknownInequalityId(f"dim_bl_boundary part {part}")
     return InequalityInstance(
-        id="dim_bl_boundary",
         lhs_kind="l2_dirichlet" if part == 3 else "variance",
         measure=mu,
         lhs_scale=lhs_scale,
@@ -812,16 +730,14 @@ def _build_dim_bl_boundary(params):
         boundary=boundary,
         dirichlet=dirichlet,
         body=body,
-        hypothesis_report=report,
         params={"N": n_param, "theta": theta, "part": part},
     )
 
 
-def _build_hardy_boundary(params, instance_id="hardy_boundary"):
+def _build_hardy_boundary(params, report):
     body = params["body"]
-    n_param = params.get("N", 0.0)
+    n_param = params["N"]
     d = body.dim
-    report = {}
     if n_param > 0.0:
         raise HypothesisViolated("n_nonpositive", None, -n_param)
     report["n_nonpositive"] = -n_param
@@ -844,7 +760,6 @@ def _build_hardy_boundary(params, instance_id="hardy_boundary"):
         tol=1e-12,
     )
     return InequalityInstance(
-        id=instance_id,
         lhs_kind="variance",
         measure=mu,
         lhs_scale=1.0 / (1.0 - n_param),
@@ -852,7 +767,6 @@ def _build_hardy_boundary(params, instance_id="hardy_boundary"):
         rhs_constant=1.0,
         boundary=BoundaryTerm(body=body, weight=bweight, free_constant=True),
         body=body,
-        hypothesis_report=report,
         params={"N": n_param},
     )
 
@@ -861,13 +775,14 @@ def _inv_or_zero(n_param):
     return 0.0 if n_param == 0.0 else 1.0 / n_param
 
 
-def _build_hardy_n0(params):
-    return _build_hardy_boundary({**params, "N": 0.0}, instance_id="hardy_n0")
+def _build_hardy_n0(params, report):
+    return _build_hardy_boundary({**params, "N": 0.0}, report)
 
 
-def _build_hardy_dirichlet(params):
+def _build_hardy_dirichlet(params, report):
     body = params["body"]
     d = body.dim
+    report["dirichlet"] = 1.0
     mu = measures.uniform_body(body)
     weight = QuadraticFormField(
         dim=d,
@@ -875,24 +790,21 @@ def _build_hardy_dirichlet(params):
         name="4|x|^2/d^2",
     )
     return InequalityInstance(
-        id="hardy_dirichlet",
         lhs_kind="l2_dirichlet",
         measure=mu,
         rhs_weight=weight,
         rhs_constant=1.0,
         dirichlet=True,
         body=body,
-        hypothesis_report={"dirichlet": 1.0},
         params={},
     )
 
 
-def _build_strong_boundary(params):
+def _build_strong_boundary(params, report):
     body = params["body"]
     theta = params["theta"]
-    mode = params.get("mode", "variance")
+    mode = params["mode"]
     d = body.dim
-    report = {}
     _margin(report, "dimension_rule", d - 8.0, tol=1e-12)
     _margin(report, "theta_range", min(theta, 0.5 - theta), tol=1e-12)
     # II_0 >= theta <x,n>/|x|^2 Id on the boundary (exact on balls)
@@ -914,38 +826,34 @@ def _build_strong_boundary(params):
         const = 4.0 * body.radius_bound() ** (2.0 * (1.0 - theta)) / (d * theta)
         lhs_kind = "entropy_of_square"
     return InequalityInstance(
-        id="strong_boundary",
         lhs_kind=lhs_kind,
         measure=mu,
         rhs_weight=weight,
         rhs_constant=const,
         body=body,
-        hypothesis_report=report,
         params={"theta": theta, "mode": mode},
     )
 
 
-def _build_one_lip_reduction(params):
+def _build_one_lip_reduction(params, report):
     body = params["body"]
+    report["convex_body"] = 1.0
     return InequalityInstance(
-        id="one_lip_reduction",
         lhs_kind="variance",
         measure=measures.uniform_body(body),
         rhs_fixed=None,
-        constant_known=False,
         lipschitz_only=True,
         eval_mode="poincare_ratio",
         body=body,
-        hypothesis_report={"convex_body": 1.0},
         params={"mode": "one_lip"},
     )
 
 
 _MEASURE, _BODY = ("measure",), ("body",)
-_FAMILY = ParamRule(
-    "family", keys=("type",), selector="type",
-    by={"product_power": ("p",), "product_exp": ("lam",)}, numbers=("p", "lam"),
-)
+_FAMILY = Key("object", schema=families.FAMILY)
+# the entries klartag_transfer can transfer: built from a measure alone,
+# filled in below once the catalog exists
+_BASES = {}
 
 CATALOG = {
     e.id: e
@@ -955,91 +863,114 @@ CATALOG = {
                      specs=_MEASURE),
         CatalogEntry("generalized_bl", _build_generalized_bl,
                      "variance bound with the generalized Ricci weight",
-                     specs=_MEASURE, params=("family",), rules=(_FAMILY,)),
+                     specs=_MEASURE, params=Schema({"family": _FAMILY})),
         CatalogEntry("refined_bl", _build_refined_bl,
                      "transport-refined variance bound (weight Q)",
-                     specs=("measure", "target"), max_dim=1),
+                     specs=("measure", "target"), params=Schema(max_dim=1)),
         CatalogEntry("negdim_bl", _build_negdim_bl,
                      "negative-dimensional variance bound, constant 2",
                      specs=_MEASURE),
         CatalogEntry("compact_bl", _build_compact_bl,
                      "compact-support variance bound through the 1-D fixed point",
-                     specs=_MEASURE, rules=(ParamRule(numbers=("ke_tol",)),), max_dim=1),
+                     specs=_MEASURE, params=Schema(
+                         {"R": positive(None), "ke_tol": positive(1e-8)}, max_dim=1)),
         CatalogEntry("payne_weinberger", _build_payne_weinberger,
                      "2R^2 spectral-gap estimate on a ball of radius R",
-                     specs=_MEASURE, max_dim=1),
+                     specs=_MEASURE, params=Schema({"R": positive(None)}, max_dim=1)),
         CatalogEntry("bakry_emery_lsi", _build_bakry_emery_lsi,
                      "log-Sobolev from a uniform curvature lower bound",
-                     specs=_MEASURE, params=("family", "rho"),
-                     rules=(_FAMILY, ParamRule(numbers=("rho",)))),
+                     specs=_MEASURE, params=Schema({"family": _FAMILY, "rho": positive()})),
         CatalogEntry("entropic_bl", _build_entropic_bl,
                      "entropic variance bound via the dual convexity criterion",
-                     specs=_MEASURE, max_dim=1),
+                     specs=_MEASURE, params=Schema({"rho": positive(None)}, max_dim=1)),
         CatalogEntry("muq_lsi", _build_muq_lsi,
                      "weighted log-Sobolev for exp(-c sum x_i^q), q in [1,2]",
                      specs=_MEASURE),
         CatalogEntry("bakry_t_lsi", _build_bakry_t_lsi,
                      "weighted log-Sobolev for the exponential measure, weight t^(1/q)",
-                     params=("q",), rules=(ParamRule(numbers=("q", "c")),)),
+                     params=Schema({"q": number(), "c": positive(1.0)})),
         CatalogEntry("qgt2_lsi", _build_qgt2_lsi,
                      "q > 2 log-Sobolev with flattened potential",
-                     constant_known=False, params=("q",),
-                     rules=(ParamRule(numbers=("q",)),), max_dim=1),
+                     constant_known=False, params=Schema(
+                         {"q": number(), "potential": Key("string", "modified")},
+                         select="potential", variants=options("modified", "original"),
+                         max_dim=1)),
         CatalogEntry("poly_product", _build_poly_product,
                      "power-profile product-metric bounds, parts 1-5",
-                     specs=_MEASURE, params=("part",),
-                     rules=(ParamRule(selector="part", by={
-                         3: ("lam",), 4: ("p", "R"), 5: ("p", "lam")},
-                         numbers=("p", "lam", "R")),)),
+                     specs=_MEASURE, params=Schema(
+                         {"part": Key("integer")}, select="part", variants={
+                             1: Schema({"p": number(0.5)}),
+                             2: Schema(),
+                             3: Schema({"lam": positive()}),
+                             4: Schema({"p": number(), "R": positive()}),
+                             5: Schema({"p": number(), "lam": positive()}),
+                         })),
         CatalogEntry("exp_product", _build_exp_product,
                      "exponential-profile product-metric bounds",
-                     specs=_MEASURE,
-                     rules=(ParamRule(selector="mode", default="corollary", by={
-                         "corollary": ("lam",), "weighted": ("lams",)},
-                         numbers=("lam",), vectors=("lams",)),)),
+                     specs=_MEASURE, params=Schema(
+                         {"mode": Key("string", "corollary")}, select="mode", variants={
+                             "corollary": Schema({"lam": positive()}),
+                             "weighted": Schema({"lams": positive(shape="1|d")}),
+                         })),
         CatalogEntry("klartag_transfer", _build_klartag_transfer,
                      "orthant-to-full-space transfer of weighted variance bounds",
-                     specs=_MEASURE,
-                     rules=(ParamRule("base", keys=("id",), entry_key="id"),)),
+                     specs=_MEASURE, params=Schema({"base": Key(
+                         "object", {"id": "poly_product", "part": 2},
+                         schema=Schema({"id": Key("string")}, select="id", variants=_BASES),
+                     )})),
         CatalogEntry("cone_variance", _build_cone_variance,
                      "cone-measure variance of 1-Lipschitz functions",
-                     specs=_BODY, min_dim=3),
+                     specs=_BODY, params=Schema({"lam": positive(None)}, min_dim=3)),
         CatalogEntry("l1_type", _build_l1_type,
                      "diagonal-boundary Poincare bound",
                      constant_known=False, specs=_BODY,
-                     rules=(ParamRule(numbers=("lam",)),), min_dim=3),
+                     params=Schema({"lam": positive(None)}, min_dim=3)),
         CatalogEntry("dim_bl_boundary", _build_dim_bl_boundary,
                      "dimensional boundary bound via the radial conformal metric",
-                     specs=_BODY, params=("N",), rules=(ParamRule(numbers=("N",)),),
-                     min_dim=4),
+                     specs=_BODY, params=Schema(
+                         {"N": number(), "part": Key("integer", 1), "theta": number(None)},
+                         select="part", variants=options(1, 2, 3),
+                         min_dim=4)),
         CatalogEntry("hardy_boundary", _build_hardy_boundary,
                      "Hardy-type bound with mean-curvature boundary term",
-                     specs=_BODY, rules=(ParamRule(numbers=("N",)),), min_dim=6),
+                     specs=_BODY, params=Schema({"N": number(0.0)}, min_dim=6)),
         CatalogEntry("hardy_dirichlet", _build_hardy_dirichlet,
                      "classical Hardy bound under vanishing boundary data",
                      specs=_BODY),
         CatalogEntry("hardy_n0", _build_hardy_n0,
                      "Hardy-type bound, zero generalized dimension",
-                     specs=_BODY, min_dim=6),
+                     specs=_BODY, params=Schema(min_dim=6)),
         CatalogEntry("strong_boundary", _build_strong_boundary,
                      "variance/entropy bounds for strongly convex boundaries",
-                     specs=_BODY, params=("theta",),
-                     rules=(ParamRule(numbers=("theta",)),), min_dim=8),
+                     specs=_BODY, params=Schema(
+                         {"theta": positive(), "mode": Key("string", "variance")},
+                         select="mode", variants=options("variance", "entropy"),
+                         min_dim=8)),
         CatalogEntry("one_lip_reduction", _build_one_lip_reduction,
                      "Poincare vs worst 1-Lipschitz variance",
                      constant_known=False, specs=_BODY),
     ]
 }
+_BASES.update({eid: e.params for eid, e in CATALOG.items()
+               if set(e.specs) <= {"measure"} and eid != "klartag_transfer"})
 
 
 def instantiate(inequality_id, params) -> InequalityInstance:
-    """Build a fully evaluable instance; raises HypothesisViolated with the
-    failing hypothesis name, location and margin when a check fails."""
+    """Build a fully evaluable instance from params with the entry's
+    defaults filled in.  The builder records its hypothesis margins in the
+    report it is handed; a failing check raises HypothesisViolated with the
+    hypothesis name, location and margin, and a float of the builder that
+    overflows or divides by zero raises NonFiniteConstant."""
     entry = CATALOG.get(inequality_id)
     if entry is None:
         raise UnknownInequalityId(inequality_id)
-    inst = entry.builder(params)
-    inst.constant_known = inst.constant_known and entry.constant_known
+    report = {}
+    try:
+        inst = entry.builder(fill(entry.params, params), report)
+    except ArithmeticError as exc:
+        raise NonFiniteConstant(f"{inequality_id}: {exc}") from exc
+    inst.id, inst.hypothesis_report = inequality_id, report
+    inst.constant_known = entry.constant_known
     return inst
 
 
@@ -1054,15 +985,15 @@ def hypothesis_margins(instance: InequalityInstance, points=None):
 
 
 def manifest():
-    """Machine-readable catalog manifest."""
+    """Machine-readable catalog manifest: per entry, the specs it needs and
+    the schema of its params, with types, bounds, defaults and the
+    dimension window."""
     return {
         eid: {
             "description": e.description,
             "constant_known": e.constant_known,
             "specs": list(e.specs),
-            "params": list(e.params),
-            "min_dim": e.min_dim,
-            "max_dim": e.max_dim,
+            "params": describe(e.params),
         }
         for eid, e in sorted(CATALOG.items())
     }

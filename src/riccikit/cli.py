@@ -1,6 +1,10 @@
 """Batch front-end: parse experiment configs, run verification suites, emit
 machine-readable reports.
 
+A config is checked against `DOCUMENT`, the schemas of its spec kinds and
+of its catalog entry; the JSON arguments of `ricci`, `spectrum` and
+`transport` against schemas in the same vocabulary (`riccikit.schema`).
+
 Exit codes: 0 all pass, 1 at least one inequality failure, 2 config error,
 3 runtime error (a row errored but the suite completed).  A report is a
 function of the config and its seed alone; `check --seed` overrides the seed
@@ -9,14 +13,13 @@ of every document.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import List, Optional
 
 import numpy as np
 
@@ -27,29 +30,35 @@ from .errors import (
     SchemaViolation,
     UnknownInequalityId,
 )
+from .schema import Key, Schema, number, positive, validate
 
 CSV_COLUMNS = [
     "suite", "inequality", "dim", "function",
     "lhs", "lhs_err", "rhs", "rhs_err", "slack", "status", "seed", "n",
 ]
 
-@dataclass
-class ExperimentConfig:
-    suite: str
-    inequality: str
-    dims: List[int]
-    samples: int = 200000
-    seed: int = 0
-    measure: Optional[dict] = None
-    target: Optional[dict] = None
-    body: Optional[dict] = None
-    params: dict = field(default_factory=dict)
-    function_filter: Optional[List[str]] = None
+# the keys of a config document besides `inequality`; its specs and params
+# are checked against the schemas of their kinds and of its catalog entry
+DOCUMENT = Schema({
+    "dims": Key("integer", ge=1, shape="+"),
+    "samples": Key("integer", 200000, ge=100),
+    "seed": Key("integer", 0, ge=0),
+    "suite": Key("string", None),
+    "measure": Key("object", None),
+    "target": Key("object", None),
+    "body": Key("object", None),
+    "params": Key("object", {}),
+    "function_filter": Key("string", None, shape="*"),
+})
+
+# a parsed config: its inequality and the keys of DOCUMENT, defaults filled in
+ExperimentConfig = dataclasses.make_dataclass("ExperimentConfig", ["inequality", *DOCUMENT.keys])
 
 
 def parse_config(document) -> ExperimentConfig:
-    """Validate a JSON config document; the first violation is reported with
-    a JSON-pointer path."""
+    """Validate a JSON config document against its schemas, with the
+    defaults filled in; the first violation is reported with a JSON-pointer
+    path."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -65,177 +74,34 @@ def parse_config(document) -> ExperimentConfig:
     if entry is None:
         raise UnknownInequalityId(ineq)
 
-    dims = document.get("dims")
-    if not isinstance(dims, list) or not dims:
-        raise SchemaViolation("/dims", "dims must be a non-empty list of integers")
-    for i, d in enumerate(dims):
-        if not isinstance(d, int) or d < 1:
-            raise SchemaViolation(f"/dims/{i}", f"invalid dimension {d!r}")
-
-    samples = document.get("samples", 200000)
-    if not isinstance(samples, int) or samples < 100:
-        raise SchemaViolation("/samples", "samples must be an integer >= 100")
-    seed = document.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise SchemaViolation("/seed", "seed must be a non-negative integer")
-
+    doc = validate(DOCUMENT, document, "", {})
+    dims = {f"/dims/{i}": d for i, d in enumerate(doc["dims"])}
     for key in ("measure", "target", "body"):
-        spec = document.get(key)
-        if spec is None and key in entry.specs:
+        if doc[key] is not None:
+            schema = bodies.SCHEMA if key == "body" else measures.SCHEMA
+            doc[key] = validate(schema, doc[key], f"/{key}", dims, key)
+        elif key in entry.specs:
             raise SchemaViolation(f"/{key}", f"{ineq} requires a {key} spec")
-        _check_spec(spec, f"/{key}", bodies if key == "body" else measures, dims)
+    # the params carry the theorem's dimension window: checked after the
+    # specs, an unknown kind is reported at its own pointer whatever the
+    # dimension
+    params = validate(entry.params, doc["params"], "/params", dims, ineq)
 
-    # the theorem's dimension window, after the specs, so an unknown kind is
-    # reported at its own pointer whatever the dimension
-    for i, d in enumerate(dims):
-        if d < entry.min_dim:
-            raise SchemaViolation(
-                f"/dims/{i}",
-                f"{ineq} requires dimension >= {entry.min_dim} "
-                f"(the admissibility window of the theorem)",
-            )
-        if entry.max_dim is not None and d > entry.max_dim:
-            raise SchemaViolation(
-                f"/dims/{i}",
-                f"{ineq} requires dimension <= {entry.max_dim} "
-                f"(the admissibility window of the theorem)",
-            )
-
-    params = document.get("params", {})
-    _check_params(entry, params, "/params", dims)
-
-    function_filter = document.get("function_filter")
-    if function_filter is not None:
-        if not isinstance(function_filter, list):
-            raise SchemaViolation("/function_filter", "must be a list of function ids")
-        known = {f.id for d in dims for f in engine.default_suite(d)}
-        for i, fid in enumerate(function_filter):
-            if not isinstance(fid, str) or fid not in known:
-                raise SchemaViolation(
-                    f"/function_filter/{i}",
-                    f"unknown function id {fid!r}; known: {sorted(known)}",
-                )
-
-    return ExperimentConfig(
-        suite=document.get("suite", ineq),
-        inequality=ineq,
-        dims=list(dims),
-        samples=samples,
-        seed=seed,
-        measure=document.get("measure"),
-        target=document.get("target"),
-        body=document.get("body"),
-        params=dict(params),
-        function_filter=function_filter,
-    )
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_numbers(obj, keys, pointer, owner):
-    """Reject a non-number (a bool is not a number) under any of `keys`
-    (every key when None) present in the dict `obj`."""
-    for key in obj if keys is None else keys:
-        if key in obj and not _is_number(obj[key]):
-            raise SchemaViolation(
-                f"{pointer}/{key}", f"{owner}: {key} must be a number, not {obj[key]!r}"
-            )
-
-
-def _check_spec(spec, pointer, module, dims):
-    """Reject a measure or body spec (kinds from `module`, `measures` or
-    `bodies`) whose kind is missing or unknown, that lacks a key its kind
-    requires or holds a non-number under a numeric key, a one-dimensional
-    measure kind at d > 1, and a box whose half-widths are not numbers
-    matching every listed dimension."""
-    if spec is None:
-        return
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in module.CONSTRUCTORS:
-        known = sorted(module.CONSTRUCTORS)
-        raise SchemaViolation(f"{pointer}/kind", f"kind {kind!r} is not one of {known}")
-    for key in module.REQUIRED_KEYS.get(kind, ()):
-        if key not in spec:
-            raise SchemaViolation(f"{pointer}/{key}", f"kind {kind!r} requires {key}")
-    _check_numbers(spec, module.NUMBER_KEYS, pointer, f"kind {kind!r}")
-    if kind == "uniform_body":
-        _check_spec(spec["body"], f"{pointer}/body", bodies, dims)
-    if kind in measures.ONE_DIMENSIONAL:
-        for i, d in enumerate(dims):
-            if d > 1:
-                raise SchemaViolation(
-                    f"/dims/{i}", f"measure kind {kind!r} requires dimension <= 1"
-                )
-    if kind != "box":
-        return
-    half_widths = spec.get("half_widths")
-    for i, d in enumerate(dims):
-        if not isinstance(half_widths, list) or len(half_widths) != d:
-            raise SchemaViolation(
-                f"{pointer}/half_widths",
-                f"a box of dimension {d} (/dims/{i}) needs {d} half-widths",
-            )
-    _check_numbers(dict(enumerate(half_widths)), None, f"{pointer}/half_widths", "box")
-
-
-def _check_vector(obj, key, pointer, owner, dims):
-    """A number, or a list of 1 or d numbers at every listed dimension d."""
-    value = obj[key]
-    if _is_number(value):
-        return
-    if not isinstance(value, list):
-        raise SchemaViolation(f"{pointer}/{key}", f"{owner}: {key} must be a number or a list")
-    _check_numbers(dict(enumerate(value)), None, f"{pointer}/{key}", owner)
-    for i, d in enumerate(dims):
-        if len(value) not in (1, d):
-            raise SchemaViolation(
-                f"{pointer}/{key}",
-                f"{owner}: {key} needs 1 or {d} entries at dimension {d} (/dims/{i}), "
-                f"not {len(value)}",
-            )
-
-
-def _check_params(entry, params, pointer, dims):
-    """Reject params that lack a key the catalog entry requires, or hold a
-    value of the wrong type under a typed key, at the key's JSON pointer:
-    its top-level params, then the keys its rules require by mode and in
-    nested objects."""
-    if not isinstance(params, dict):
-        raise SchemaViolation(pointer, "params must be an object")
-    for rule in (catalog.ParamRule(keys=entry.params),) + entry.rules:
-        obj, at = params, pointer
-        if rule.path:
-            obj, at = params.get(rule.path), f"{pointer}/{rule.path}"
-            if obj is None:
-                continue
-            if not isinstance(obj, dict):
-                raise SchemaViolation(at, f"{entry.id} needs an object here")
-        for key in rule.required(obj):
-            if key not in obj:
-                raise SchemaViolation(f"{at}/{key}", f"{entry.id} requires {key}")
-        _check_numbers(obj, rule.numbers, at, entry.id)
-        for key in rule.vectors:
-            if key in obj:
-                _check_vector(obj, key, at, entry.id, dims)
-        if rule.entry_key is not None:
-            name = obj[rule.entry_key]
-            nested = catalog.CATALOG.get(name) if isinstance(name, str) else None
-            if nested is None:
-                raise UnknownInequalityId(str(name))
-            missing = sorted(set(nested.specs) - {"measure"})
-            if missing:
-                raise SchemaViolation(
-                    f"{at}/{rule.entry_key}",
-                    f"{name} needs a {missing[0]} spec; {entry.id} passes it a measure only",
-                )
-            rest = {k: v for k, v in obj.items() if k != rule.entry_key}
-            _check_params(nested, rest, at, dims)
+    if doc["function_filter"] is not None:
+        known = {f.id for d in doc["dims"] for f in engine.default_suite(d)}
+        for i, fid in enumerate(doc["function_filter"]):
+            if fid not in known:
+                raise SchemaViolation(f"/function_filter/{i}",
+                                      f"unknown function id {fid!r}; known: {sorted(known)}")
+    doc.update(suite=doc["suite"] or ineq, params=params)
+    return ExperimentConfig(inequality=ineq, **{key: doc[key] for key in DOCUMENT.keys})
 
 
 def _instance_params(config: ExperimentConfig, d: int) -> dict:
-    params = dict(config.params)
+    """The params of a config with its specs built at dimension d; a params
+    key that names a spec or the dimension is ignored."""
+    params = {k: v for k, v in config.params.items()
+              if k not in ("measure", "target", "body")}
     params["dim"] = d
     if config.measure is not None:
         params["measure"] = measures.from_spec(config.measure, d)
@@ -374,20 +240,39 @@ def _cmd_check(args):
     return exit_code_for(report)
 
 
+def _json_arg(text, at, schema, dims):
+    """A JSON subcommand argument checked against `schema` at the pointer
+    `at`, with its defaults filled in."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(at, f"not valid JSON: {exc}") from exc
+    return validate(schema, obj, at, dims, at[1:])
+
+
+# the metric families `riccikit ricci` evaluates: the product families of the
+# catalog, the flat metric and the radial conformal metric
+_RICCI_FAMILY = Schema({"type": Key("string", "euclidean")}, select="type", variants={
+    **families.FAMILY.variants,
+    "euclidean": Schema(),
+    "conformal_radial": Schema({"theta": number(), "N": number(math.inf),
+                                "eps": number(1e-6, ge=0.0)}),
+})
+
+
 def _cmd_ricci(args):
     x = np.asarray(args.point, dtype=float)
     d = x.size
-    fam = json.loads(args.family)
-    mspec = json.loads(args.measure) if args.measure else {"kind": "gaussian"}
+    fam = _json_arg(args.family, "/family", _RICCI_FAMILY, {"/point": d})
+    mspec = _json_arg(args.measure, "/measure", measures.SCHEMA, {"/point": d})
     mu = measures.from_spec(mspec, d)
-    kind = fam.get("type", "euclidean")
     n_param = math.inf
-    if kind == "conformal_radial":
-        n_param = fam.get("N", math.inf)
-        data = families.ConformalMetricData.radial(fam["theta"], fam.get("eps", 1e-6))
+    if fam["type"] == "conformal_radial":
+        n_param = fam["N"]
+        data = families.ConformalMetricData.radial(fam["theta"], fam["eps"])
         closed = families.conformal_ricci_N(data, mu.potential, n_param, x)
         metric = fields.conformal_metric(data.phi, d)
-    elif kind == "euclidean":
+    elif fam["type"] == "euclidean":
         closed = mu.potential.hessian(x)
         metric = fields.euclidean_metric(d)
     else:
@@ -406,29 +291,41 @@ def _cmd_ricci(args):
     return 0
 
 
+_POTENTIAL_1D = Schema({"kind": Key("string", "uniform")}, select="kind", variants={
+    "uniform": Schema(),
+    "gaussian": Schema({"sigma": positive(1.0)}),
+    "exp": Schema({"rate": number(1.0)}),
+    "power": Schema({"c": number(1.0), "q": number(2.0, ge=0.0)}),
+})
+
 _POTENTIALS_1D = {
     "uniform": lambda p: (lambda t: 0.0),
-    "gaussian": lambda p: (lambda t: 0.5 * t * t / p.get("sigma", 1.0) ** 2),
-    "exp": lambda p: (lambda t: p.get("rate", 1.0) * t),
-    "power": lambda p: (lambda t: p.get("c", 1.0) * abs(t) ** p.get("q", 2.0)),
+    "gaussian": lambda p: (lambda t: 0.5 * t * t / p["sigma"] ** 2),
+    "exp": lambda p: (lambda t: p["rate"] * t),
+    "power": lambda p: (lambda t: p["c"] * abs(t) ** p["q"]),
 }
 
 
 def _cmd_spectrum(args):
-    spec = json.loads(args.potential)
-    kind = spec.get("kind", "uniform")
-    if kind not in _POTENTIALS_1D:
-        raise SchemaViolation("/potential/kind", f"unknown potential {kind!r}")
-    pot = _POTENTIALS_1D[kind](spec)
+    spec = _json_arg(args.potential, "/potential", _POTENTIAL_1D, {})
+    pot = _POTENTIALS_1D[spec["kind"]](spec)
     lam, cp = engine.spectral_gap_1d(pot, (args.a, args.b), n=args.n)
     json.dump({"lambda_1": lam, "poincare_constant": cp}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
 
+def _density_arg(text, at):
+    """The coordinate density of a 1-D product measure given as JSON."""
+    mu = measures.from_spec(_json_arg(text, at, measures.SCHEMA, {at: 1}), 1)
+    if mu.coord_densities is None:
+        raise SchemaViolation(f"{at}/kind", f"{mu.kind} is not a product measure")
+    return mu.coord_densities[0]
+
+
 def _cmd_transport(args):
-    mu = measures.from_spec(json.loads(args.mu), 1).coord_densities[0]
-    nu = measures.from_spec(json.loads(args.nu), 1).coord_densities[0]
+    mu = _density_arg(args.mu, "/mu")
+    nu = _density_arg(args.nu, "/nu")
     rows = []
     phi = transport.transport_potential_1d(mu, nu)
     vpot = mu.potential_field()
@@ -466,7 +363,7 @@ def build_parser():
 
     p = sub.add_parser("ricci", help="evaluate generalized Ricci tensors")
     p.add_argument("--family", required=True, help="metric family JSON")
-    p.add_argument("--measure", default=None, help="measure spec JSON")
+    p.add_argument("--measure", default='{"kind": "gaussian"}', help="measure spec JSON")
     p.add_argument("--point", nargs="+", type=float, required=True)
     p.set_defaults(func=_cmd_ricci)
 

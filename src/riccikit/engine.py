@@ -13,7 +13,7 @@ its own stream spawned from the seed, and concatenates them in shard order.
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -389,20 +389,7 @@ class ReportRow:
     n: int
 
     def as_dict(self):
-        return {
-            "suite": self.suite,
-            "inequality": self.inequality,
-            "dim": self.dim,
-            "function": self.function,
-            "lhs": self.lhs,
-            "lhs_err": self.lhs_err,
-            "rhs": self.rhs,
-            "rhs_err": self.rhs_err,
-            "slack": self.slack,
-            "status": self.status,
-            "seed": self.seed,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -416,20 +403,6 @@ class VerificationReport:
     def extend(self, other):
         self.rows.extend(other.rows)
         self.attachments.update(other.attachments)
-
-    @property
-    def failed(self):
-        return [r for r in self.rows if r.status == "fail"]
-
-    @property
-    def errored(self):
-        return [r for r in self.rows if r.status == "error"]
-
-    def summary(self):
-        by = {}
-        for r in self.rows:
-            by[r.status] = by.get(r.status, 0) + 1
-        return by
 
 
 def _status(lhs, lhs_err, rhs, rhs_err, constant_known):
@@ -543,6 +516,6 @@ def check_inequality(
         if lip_variances:
             sup_var = max(lip_variances)
             info["sup_one_lip_variance"] = sup_var
-            info["fitted_ratio"] = cp_lb / sup_var
+            info["fitted_ratio"] = cp_lb / sup_var if sup_var else None
         report.attachments[key] = info
     return report

@@ -109,7 +109,11 @@ class BoundaryQuadratureFailure(RicciKitError):
 
 
 class EigensolveFailure(RicciKitError):
-    """The 1D Sturm-Liouville eigensolver failed."""
+    """An eigensolver failed, or was handed a matrix with non-finite entries."""
+
+
+class NonFiniteConstant(RicciKitError):
+    """A constant or margin of an instance overflowed or divided by zero."""
 
 
 class SchemaViolation(RicciKitError):

@@ -21,6 +21,7 @@ from .errors import (
     UnknownInequalityId,
 )
 from .fields import PotentialField, as_point, coord_columns, product_metric
+from .schema import Key, Schema, number
 from .tensor_core import check_dimension_param
 
 # Above this condition number of D^2 Phi, stencil third derivatives are too
@@ -47,9 +48,6 @@ class HessianMetricData:
     v: PotentialField
     w_grad_comp: Callable[[np.ndarray], np.ndarray]
     w_hess_comp: Callable[[np.ndarray], np.ndarray]
-
-    def transport_map(self, x):
-        return self.phi.gradient(x)
 
     # -- constructors --------------------------------------------------------
 
@@ -283,6 +281,13 @@ class ProductMetricData:
             for p in self.profiles:
                 worst = min(worst, p[1](t))
         return worst >= 0.0, worst
+
+
+# the metric family documents `ProductMetricData.from_family` reads
+FAMILY = Schema({"type": Key("string")}, select="type", variants={
+    "product_power": Schema({"p": number()}),
+    "product_exp": Schema({"lam": number()}),
+})
 
 
 def product_ricci(data: ProductMetricData, v: PotentialField, x):

@@ -4,6 +4,9 @@ Product measures are built from per-coordinate `Density1D` objects; sampling
 goes through the coordinate quantile functions, so a sample set is a
 deterministic function of (spec, n, seed).  Uniform measures on bodies defer
 to the body's own sampler.
+
+`SCHEMA`, beside `CONSTRUCTORS`, gives each measure kind's keys with their
+types, ranges and defaults; `from_spec` fills the defaults.
 """
 
 import math
@@ -12,9 +15,11 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bodies import Box, ConvexBody, body_from_spec
+from . import bodies
+from .bodies import Box, ConvexBody
 from .errors import NonNormalizable
 from .fields import PotentialField, coord_columns, diag_matrices
+from .schema import Key, Schema, fill, number, positive
 from .transport import (
     Density1D,
     FlattenedPowerPotential,
@@ -65,10 +70,23 @@ class MeasureSpec:
         return np.concatenate(parts, axis=0)
 
     def coordinate_moment(self, k):
-        """Per-coordinate k-th moments (exact quadrature for products)."""
+        """Per-coordinate k-th moments (exact quadrature for products), one
+        quadrature per distinct coordinate density."""
         if self.coord_densities is None:
             raise NonNormalizable(f"{self.kind}: no coordinate densities")
-        return np.array([d.moment(k) for d in self.coord_densities])
+        out = np.empty(self.dim)
+        for dens, cols in distinct_densities(self.coord_densities):
+            out[cols] = dens.moment(k)
+        return out
+
+
+def distinct_densities(densities):
+    """(density, its coordinates) for each distinct density, in order of
+    first appearance."""
+    groups = {}
+    for i, dens in enumerate(densities):
+        groups.setdefault(id(dens), (dens, []))[1].append(i)
+    return list(groups.values())
 
 
 def _product_spec(kind, densities, d1=None, d2=None, **flags):
@@ -86,17 +104,14 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
         lambda x: diag_matrices(coord_columns(d2s, x))
     )
 
-    # coordinates by distinct density, in order of first appearance
-    groups = {}
-    for i, dens in enumerate(densities):
-        groups.setdefault(id(dens), (dens, []))[1].append(i)
+    groups = distinct_densities(densities)
 
     def sampler(n, rng):
         # one (d, n) block draws the stream exactly as d column draws in
         # coordinate order would; each distinct density inverts its rows at once
         u = rng.uniform(size=(dim, n))
         out = np.empty((n, dim))
-        for dens, cols in groups.values():
+        for dens, cols in groups:
             out[:, cols] = dens.ppf_many(u[cols]).T
         return out
 
@@ -117,37 +132,35 @@ def _product_spec(kind, densities, d1=None, d2=None, **flags):
 
 def gaussian(d, sigma=1.0):
     dens = gaussian_density(sigma)
-    spec = _product_spec(
+    return _product_spec(
         "gaussian",
         [dens] * d,
         d1=lambda t: t / sigma**2,
         d2=lambda t: 1.0 / sigma**2,
         log_concave=True,
         unconditional=True,
+        params={"sigma": sigma},
     )
-    spec.params = {"sigma": sigma}
-    return spec
 
 
 def exp_product(d, rate=1.0):
     """exp(-rate * sum x_i) on the positive orthant."""
     dens = exponential_density(rate)
-    spec = _product_spec(
+    return _product_spec(
         "exp_product",
         [dens] * d,
         d1=lambda t: rate,
         d2=lambda t: 0.0,
         log_concave=True,
         orthant=True,
+        params={"rate": rate},
     )
-    spec.params = {"rate": rate}
-    return spec
 
 
 def power_product(d, q, c=1.0):
     """mu_q^(x) d = exp(-c sum x_i^q) on the positive orthant, q >= 1."""
     dens = power_density(q, c)
-    spec = _product_spec(
+    return _product_spec(
         "power_product",
         [dens] * d,
         d1=lambda t: c * q * t ** (q - 1.0),
@@ -157,9 +170,8 @@ def power_product(d, q, c=1.0):
         ),
         log_concave=q >= 1.0,
         orthant=True,
+        params={"q": q, "c": c},
     )
-    spec.params = {"q": q, "c": c}
-    return spec
 
 
 def exp_quad_orthant(d, lam=1.0, beta=0.5):
@@ -167,46 +179,43 @@ def exp_quad_orthant(d, lam=1.0, beta=0.5):
     dens = Density1D(
         lambda t: lam * t + 0.5 * beta * t * t, (0.0, np.inf), name="expquad"
     )
-    spec = _product_spec(
+    return _product_spec(
         "exp_quad_orthant",
         [dens] * d,
         d1=lambda t: lam + beta * t,
         d2=lambda t: beta,
         log_concave=True,
         orthant=True,
+        params={"lam": lam, "beta": beta},
     )
-    spec.params = {"lam": lam, "beta": beta}
-    return spec
 
 
 def trunc_gaussian_orthant(d, r_max=1.0):
     """Standard Gaussian conditioned on the box [0, R]^d."""
     dens = Density1D(lambda t: 0.5 * t * t, (0.0, r_max), name="halfgauss")
-    spec = _product_spec(
+    return _product_spec(
         "trunc_gaussian_orthant",
         [dens] * d,
         d1=lambda t: t,
         d2=lambda t: 1.0,
         log_concave=True,
         orthant=True,
+        body=Box(np.full(d, 0.5 * r_max)),  # informational only
+        params={"R": r_max},
     )
-    spec.body = Box(np.full(d, 0.5 * r_max))  # informational only
-    spec.params = {"R": r_max}
-    return spec
 
 
 def uniform_box_orthant(d, r_max=1.0):
     dens = Density1D(lambda t: 0.0, (0.0, r_max), name="uniform")
-    spec = _product_spec(
+    return _product_spec(
         "uniform_box_orthant",
         [dens] * d,
         d1=lambda t: 0.0,
         d2=lambda t: 0.0,
         log_concave=True,
         orthant=True,
+        params={"R": r_max},
     )
-    spec.params = {"R": r_max}
-    return spec
 
 
 def laplace_product(d):
@@ -227,40 +236,37 @@ def laplace_product(d):
 def uniform_interval(a=-0.5, b=0.5):
     """Uniform measure on an interval as a 1-D product spec."""
     dens = uniform_density(a, b)
-    spec = _product_spec(
+    return _product_spec(
         "uniform_interval", [dens],
         d1=lambda t: 0.0, d2=lambda t: 0.0,
         log_concave=True, unconditional=(a == -b),
+        params={"a": a, "b": b},
     )
-    spec.params = {"a": a, "b": b}
-    return spec
 
 
 def cos_interval(half_width=0.5):
     """Density proportional to cos(pi x / (2 hw)) on [-hw, hw]."""
     w = math.pi / (2.0 * half_width)
-    spec = _product_spec(
+    return _product_spec(
         "cos_interval", [cos_density(half_width)],
         d1=lambda t: w * np.tan(np.clip(w * t, -1.5707, 1.5707)),
         d2=lambda t: w * w / np.cos(np.clip(w * t, -1.5707, 1.5707)) ** 2,
         log_concave=True, unconditional=True,
+        params={"half_width": half_width},
     )
-    spec.params = {"half_width": half_width}
-    return spec
 
 
 def trunc_gaussian_sym(d, half_width=1.5):
     dens = Density1D(lambda t: 0.5 * t * t, (-half_width, half_width), name="tgauss")
-    spec = _product_spec(
+    return _product_spec(
         "trunc_gaussian_sym",
         [dens] * d,
         d1=lambda t: t,
         d2=lambda t: 1.0,
         log_concave=True,
         unconditional=True,
+        params={"half_width": half_width},
     )
-    spec.params = {"half_width": half_width}
-    return spec
 
 
 def gamma_power_product(d, q, c=1.0):
@@ -276,7 +282,7 @@ def gamma_power_product(d, q, c=1.0):
         return base.sampler(n, rng) ** q
 
     a = 1.0 / q
-    spec = MeasureSpec(
+    return MeasureSpec(
         kind="gamma_power_product",
         dim=d,
         potential=PotentialField(
@@ -286,7 +292,6 @@ def gamma_power_product(d, q, c=1.0):
         orthant=True,
         params={"q": q, "c": c},
     )
-    return spec
 
 
 def uniform_body(body: ConvexBody):
@@ -308,8 +313,7 @@ def uniform_body(body: ConvexBody):
 
 
 def density_1d(dens: Density1D, d1=None, d2=None, kind="custom_1d"):
-    spec = _product_spec(kind, [dens], d1=d1, d2=d2, log_concave=False)
-    return spec
+    return _product_spec(kind, [dens], d1=d1, d2=d2, log_concave=False)
 
 
 def flat_power_1d(q):
@@ -324,47 +328,50 @@ def flat_power_1d(q):
         d2=fp.d2,
         log_concave=True,
         orthant=True,
+        params={"q": q},
     )
-    spec.params = {"q": q}
     spec.flat_power = fp
     return spec
 
 
-# kinds whose constructor ignores d: they exist in one dimension only
-ONE_DIMENSIONAL = frozenset({"uniform_interval", "cos_interval", "flat_power_1d"})
-
-# spec keys a kind cannot do without (the others have defaults)
-REQUIRED_KEYS = {
-    "power_product": ("q",),
-    "flat_power_1d": ("q",),
-    "uniform_body": ("body",),
-}
-
-# spec keys that hold a number wherever they appear
-NUMBER_KEYS = ("sigma", "rate", "q", "c", "lam", "beta", "R", "half_width", "a", "b")
+SCHEMA = Schema({"kind": Key("string")}, select="kind", variants={
+    "gaussian": Schema({"sigma": positive(1.0)}),
+    "exp_product": Schema({"rate": positive(1.0)}),
+    "power_product": Schema({"q": positive(), "c": positive(1.0)}),
+    "exp_quad_orthant": Schema({"lam": number(1.0), "beta": number(0.5, ge=0.0)}),
+    "trunc_gaussian_orthant": Schema({"R": positive(1.0)}),
+    "uniform_box_orthant": Schema({"R": positive(1.0)}),
+    "laplace_product": Schema(),
+    "trunc_gaussian_sym": Schema({"half_width": positive(1.5)}),
+    # the constructors of these three ignore d: they exist in one dimension only
+    "uniform_interval": Schema({"a": number(-0.5), "b": number(0.5)}, max_dim=1),
+    "cos_interval": Schema({"half_width": positive(0.5)}, max_dim=1),
+    "flat_power_1d": Schema({"q": number(gt=2.0)}, max_dim=1),
+    "uniform_body": Schema({"body": Key("object", schema=bodies.SCHEMA)}),
+})
 
 CONSTRUCTORS = {
-    "gaussian": lambda d, p: gaussian(d, p.get("sigma", 1.0)),
-    "exp_product": lambda d, p: exp_product(d, p.get("rate", 1.0)),
-    "power_product": lambda d, p: power_product(d, p["q"], p.get("c", 1.0)),
-    "exp_quad_orthant": lambda d, p: exp_quad_orthant(
-        d, p.get("lam", 1.0), p.get("beta", 0.5)
-    ),
-    "trunc_gaussian_orthant": lambda d, p: trunc_gaussian_orthant(d, p.get("R", 1.0)),
-    "uniform_box_orthant": lambda d, p: uniform_box_orthant(d, p.get("R", 1.0)),
+    "gaussian": lambda d, p: gaussian(d, p["sigma"]),
+    "exp_product": lambda d, p: exp_product(d, p["rate"]),
+    "power_product": lambda d, p: power_product(d, p["q"], p["c"]),
+    "exp_quad_orthant": lambda d, p: exp_quad_orthant(d, p["lam"], p["beta"]),
+    "trunc_gaussian_orthant": lambda d, p: trunc_gaussian_orthant(d, p["R"]),
+    "uniform_box_orthant": lambda d, p: uniform_box_orthant(d, p["R"]),
     "laplace_product": lambda d, p: laplace_product(d),
-    "trunc_gaussian_sym": lambda d, p: trunc_gaussian_sym(d, p.get("half_width", 1.5)),
-    "uniform_interval": lambda d, p: uniform_interval(p.get("a", -0.5), p.get("b", 0.5)),
-    "cos_interval": lambda d, p: cos_interval(p.get("half_width", 0.5)),
+    "trunc_gaussian_sym": lambda d, p: trunc_gaussian_sym(d, p["half_width"]),
+    "uniform_interval": lambda d, p: uniform_interval(p["a"], p["b"]),
+    "cos_interval": lambda d, p: cos_interval(p["half_width"]),
     "flat_power_1d": lambda d, p: flat_power_1d(p["q"]),
-    "uniform_body": lambda d, p: uniform_body(body_from_spec({**p["body"], "dim": d})),
+    "uniform_body": lambda d, p: uniform_body(
+        bodies.body_from_spec({**p["body"], "dim": d})
+    ),
 }
 
 
 def from_spec(doc, dim):
-    """Build a MeasureSpec from a JSON-style {kind, params...} document."""
+    """Build a MeasureSpec from a JSON-style {kind, params...} document, with
+    the defaults of its kind filled in."""
     kind = doc["kind"]
     if kind not in CONSTRUCTORS:
         raise NonNormalizable(f"unknown measure kind {kind!r}")
-    params = {k: v for k, v in doc.items() if k != "kind"}
-    return CONSTRUCTORS[kind](dim, params)
+    return CONSTRUCTORS[kind](dim, fill(SCHEMA, doc))

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateHessian,
     NoConvergence,
     NonCompactTarget,
+    NonNormalizable,
     NotStronglyConvex,
 )
 from .fields import PotentialField, as_point
@@ -68,6 +69,9 @@ class Density1D:
 
     def _build(self, grid_size):
         lo, hi = self._effective_bounds()
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise NonNormalizable(f"{self.name}: working interval [{lo}, {hi}] is empty "
+                                  "or wider than float range")
         grid = np.linspace(lo, hi, grid_size)
         vals = self._raw(grid)
         self._vmin = float(vals.min())
@@ -221,7 +225,10 @@ class Density1D:
         if self._ppf_interp is not None:
             return
         u, idx = np.unique(self.cdf_grid, return_index=True)
-        pchip = interpolate.PchipInterpolator(u, self.grid[idx], extrapolate=False)
+        try:
+            pchip = interpolate.PchipInterpolator(u, self.grid[idx], extrapolate=False)
+        except ValueError as exc:  # slopes beyond float range on a vast support
+            raise CDFInversionFailure(f"{self.name}: no quantile interpolant: {exc}") from exc
         x, c = pchip.x, pchip.c
         k = x.size - 1
         scale = k / (x[-1] - x[0])
@@ -580,6 +587,8 @@ class FlattenedPowerPotential:
         if self.q <= 2.0:
             raise ValueError("construction requires q > 2")
         self.p = self.q / (self.q - 1.0)
+        if self.p == 1.0:
+            raise NonNormalizable(f"q = {self.q}: its conjugate exponent rounds to 1")
         self.x_knee = 1.0 / self.p  # where |V'| reaches 1
 
     # primal-side derivatives (x >= 0; extend evenly)

@@ -9,8 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riccikit import fields
+
+# property tests draw the same examples on every run and keep no example
+# database on disk
+settings.register_profile("riccikit", derandomize=True, deadline=None, database=None)
+settings.load_profile("riccikit")
 
 
 def oracle_grad(f, x, h=1e-6):

@@ -258,6 +258,17 @@ class TestSerialization:
             clone = bd.body_from_spec(body.spec())
             assert clone.kind == body.kind and clone.dim == body.dim
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_volume_out_of_float_range_not_normalizable(self):
+        from riccikit.errors import NonNormalizable
+
+        with pytest.raises(NonNormalizable):
+            bd.body_from_spec({"kind": "box", "dim": 2, "half_widths": [1e308, 1e308]})
+        with pytest.raises(NonNormalizable):
+            bd.body_from_spec({"kind": "ball", "dim": 3, "radius": 1e200})
+        with pytest.raises(NonNormalizable):
+            bd.body_from_spec({"kind": "ball", "dim": 8, "radius": 1e-300})
+
 
 class TestRejectionBudget:
     def test_lp_budget_exceeded(self):

@@ -9,7 +9,7 @@ import pytest
 from riccikit import catalog as cat, families as fam, measures as ms
 from riccikit import tensor_core as tc
 from riccikit.bodies import Ball, ConeMeasureSampler, LpBall, Simplex
-from riccikit.errors import HypothesisViolated, UnknownInequalityId
+from riccikit.errors import EigensolveFailure, HypothesisViolated, UnknownInequalityId
 from riccikit.fields import PotentialField
 
 
@@ -100,6 +100,21 @@ class TestInstantiate:
                     config.inequality, cli._instance_params(config, d)
                 )
                 assert inst.hypothesis_report
+
+    def test_dropped_knobs_ignored(self):
+        # compact_bl always runs its KE check, and cone_variance always draws
+        # its probe with seed 5
+        mu = ms.uniform_interval()
+        inst = cat.instantiate("compact_bl", {"measure": mu, "run_ke": False})
+        assert "ke_residual" in inst.hypothesis_report
+        seeded = cat.instantiate("cone_variance", {"body": Simplex(4), "seed": 99})
+        plain = cat.instantiate("cone_variance", {"body": Simplex(4)})
+        assert seeded.hypothesis_report == plain.hypothesis_report
+
+    def test_non_finite_matrix_is_an_eigensolve_failure(self):
+        mats = np.array([np.eye(2), [[1.0, 0.0], [0.0, -np.inf]]])
+        with pytest.raises(EigensolveFailure):
+            cat._min_eig_batch(mats)
 
 
 class TestStructuralRelations:

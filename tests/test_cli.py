@@ -235,7 +235,7 @@ class TestParseConfig:
             with pytest.raises(SchemaViolation) as err:
                 cli.parse_config({k: v for k, v in doc.items() if k != key})
             assert err.value.pointer == f"/{key}"
-        for name in req.params:
+        for name in req.params.required:
             params = {k: v for k, v in doc["params"].items() if k != name}
             with pytest.raises(SchemaViolation) as err:
                 cli.parse_config({**doc, "params": params})
@@ -274,6 +274,33 @@ class TestParseConfig:
             )
         assert err.value.pointer == "/dims/1"
         assert "<= 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "doc,pointer",
+        [
+            ({"inequality": "classical_bl", "measure": {"kind": {}}, "dims": [2]},
+             "/measure/kind"),
+            ({"inequality": "hardy_dirichlet", "body": {"kind": [1, 2, 3]}, "dims": [2]},
+             "/body/kind"),
+            ({**MINIMAL, "dims": [True]}, "/dims/0"),
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": None}}, "/params/part"),
+            ({"inequality": "poly_product", "measure": {"kind": "exp_product"},
+              "dims": [2], "params": {"part": "3"}}, "/params/part"),
+            ({"inequality": "compact_bl", "measure": {"kind": "uniform_interval"},
+              "dims": [1], "params": {"R": "abc"}}, "/params/R"),
+            ({"inequality": "cone_variance", "body": {"kind": "simplex"}, "dims": [4],
+              "params": {"lam": "x"}}, "/params/lam"),
+            ({"inequality": "hardy_dirichlet", "body": {"kind": "ball", "radius": 0},
+              "dims": [6]}, "/body/radius"),
+        ],
+    )
+    def test_malformed_value_rejected(self, doc, pointer):
+        # each of these used to escape run_documents as a bare TypeError,
+        # KeyError or ValueError that lost the valid document's rows
+        with pytest.raises(SchemaViolation) as err:
+            cli.run_documents([{**doc, "samples": 2000}, MINIMAL])
+        assert err.value.pointer == pointer
 
     def test_json_string_accepted(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
@@ -431,6 +458,44 @@ class TestExitCodes:
             engine.default_suite(2)
         )
 
+    # these documents overflow floats on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            # the curvature gap overflows to -inf at the hypothesis points
+            ({"inequality": "bakry_emery_lsi", "measure": {"kind": "exp_product"},
+              "dims": [11], "params": {"family": {"type": "product_power", "p": 0.5},
+                                       "rho": 1e308}}, "non-finite"),
+            ({"inequality": "hardy_dirichlet", "dims": [2],
+              "body": {"kind": "box", "half_widths": [1e308, 1e308]}}, "volume inf"),
+            # a float of the builder overflows or divides by zero
+            ({"inequality": "qgt2_lsi", "dims": [1], "params": {"q": 200.0}},
+             "out of range"),
+            ({"inequality": "dim_bl_boundary", "body": {"kind": "ball"}, "dims": [4],
+              "params": {"N": -8.0, "theta": 1e-300}}, "division by zero"),
+            # densities the grid cannot hold
+            ({"inequality": "classical_bl", "dims": [1],
+              "measure": {"kind": "flat_power_1d", "q": 1e308}}, "rounds to 1"),
+            ({"inequality": "compact_bl", "dims": [1],
+              "measure": {"kind": "uniform_interval", "a": 1.0}}, "empty"),
+            ({"inequality": "classical_bl", "dims": [1],
+              "measure": {"kind": "exp_product", "rate": 1e-300}}, "no quantile"),
+        ],
+    )
+    def test_non_finite_becomes_error_row(self, doc, message):
+        # these used to escape run_documents as a LinAlgError and an
+        # OverflowError that lost the rows of the next document
+        rep = cli.run_documents([{**doc, "samples": 2000}, {**MINIMAL, "samples": 2000}])
+        ineq, d = doc["inequality"], doc["dims"][0]
+        errors = [r for r in rep.rows if r.status == "error"]
+        assert [(r.inequality, r.dim, r.function) for r in errors] == [(ineq, d, "-")]
+        assert message in rep.attachments[f"{ineq}:d={d}:error"]
+        others = [r for r in rep.rows if r.status != "error"]
+        assert [r.inequality for r in others] == ["classical_bl"] * len(
+            engine.default_suite(2)
+        )
+
     def test_seed_flag_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL))
@@ -474,6 +539,27 @@ class TestSubcommands:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["T"] == pytest.approx(1 - math.exp(-0.5), abs=1e-8)
         assert abs(rows[0]["monge_ampere_residual"]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "argv,pointer",
+        [
+            (["ricci", "--family", '{"type": "conformal_radial"}', "--point", "0.5", "0.5"],
+             "/family/theta"),
+            (["ricci", "--family", '{"type": "product_power"}', "--point", "1.0", "1.0"],
+             "/family/p"),
+            (["ricci", "--family", '{"type": "product_power", "p": 0.5}',
+              "--measure", '{"kind": {}}', "--point", "1.0", "1.0"], "/measure/kind"),
+            (["spectrum", "--potential", '{"kind": "gaussian", "sigma": "x"}',
+              "--a", "-1", "--b", "1"], "/potential/sigma"),
+            (["spectrum", "--potential", "[1]", "--a", "-1", "--b", "1"], "/potential"),
+            (["transport", "--mu", '{"kind": "gaussian", "sigma": "x"}',
+              "--nu", '{"kind": "uniform_interval"}', "--points", "0.5"], "/mu/sigma"),
+        ],
+    )
+    def test_bad_argument_exits_2_with_pointer(self, argv, pointer, capsys):
+        # each of these used to end in a raw traceback
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
 
     def test_manifest(self, capsys):
         assert cli.main(["manifest"]) == 0

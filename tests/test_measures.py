@@ -70,6 +70,26 @@ class TestSampling:
             pts = spec.sample(500, 1)
             assert pts.shape == (500, d)
 
+    def test_coordinate_moment_one_quadrature_per_density(self, monkeypatch):
+        # the twelve coordinates share one density, so one quadrature serves
+        # them all
+        from riccikit import transport as tr
+
+        mu = ms.laplace_product(12)
+        per_coordinate = np.array([dens.moment(2) for dens in mu.coord_densities])
+        moment = tr.Density1D.moment
+        calls = []
+
+        def counted(self, k):
+            calls.append(k)
+            return moment(self, k)
+
+        monkeypatch.setattr(tr.Density1D, "moment", counted)
+        got = mu.coordinate_moment(2)
+        assert calls == [2]
+        assert got.dtype == per_coordinate.dtype
+        assert np.array_equal(got, per_coordinate)
+
 
 class TestSpectralCrossOracle:
     def test_poincare_constant_vs_inverse_hessian_bound(self):
