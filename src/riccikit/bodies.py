@@ -202,7 +202,8 @@ class Ball(ConvexBody):
         return self.radius
 
     def spec(self):
-        return {"kind": "ball", "dim": self.dim, "radius": self.radius}
+        return {"kind": "ball", "dim": self.dim, "radius": self.radius,
+                "orthant": self.orthant}
 
 
 class Box(ConvexBody):
@@ -416,14 +417,16 @@ class LpBall(ConvexBody):
 
 class Curve2D(ConvexBody):
     """Smooth planar star body from a radial function rho(angle) with two
-    derivatives; convexity of the realized boundary is the caller's claim."""
+    derivatives; convexity of the realized boundary is the caller's claim.
+    `params` are the keys that rebuild it through `body_from_spec`."""
 
-    def __init__(self, rho, drho, ddrho, kind="curve2d"):
+    def __init__(self, rho, drho, ddrho, kind="curve2d", params=None):
         self.dim = 2
         self.rho = rho
         self.drho = drho
         self.ddrho = ddrho
         self.kind = kind
+        self.params = params or {}
 
     @classmethod
     def ellipse(cls, a, b):
@@ -436,9 +439,7 @@ class Curve2D(ConvexBody):
         def ddrho(t, h=1e-5):
             return (rho(t + h) - 2 * rho(t) + rho(t - h)) / h**2
 
-        body = cls(rho, drho, ddrho, kind="ellipse")
-        body._ab = (a, b)
-        return body
+        return cls(rho, drho, ddrho, kind="ellipse", params={"a": a, "b": b})
 
     def _angle(self, x):
         return math.atan2(x[1], x[0])
@@ -501,6 +502,10 @@ class Curve2D(ConvexBody):
 
     def radius_bound(self):
         return max(self.rho(t) for t in np.linspace(0, 2 * math.pi, 720))
+
+    def spec(self):
+        return {"kind": self.kind, "dim": self.dim, **self.params}
+
 
 SCHEMA = Schema({"kind": Key("string")}, select="kind", variants={
     "ball": Schema({"radius": positive(1.0), "orthant": Key("boolean", False)}),

@@ -13,7 +13,7 @@ broadcast.  A single point is a batch of one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -639,12 +639,15 @@ class FlattenedPowerPotential:
 
 @dataclass
 class KESolution:
+    """Fixed point Phi sampled on the solver's uniform grid.  Only the node
+    values are kept, no interpolant (there is no `phi` field): read
+    `phi_vals`, `second_derivative` and `interior_mask`."""
+
     grid: np.ndarray
     phi_vals: np.ndarray
     nu: Density1D
     iterations: int
     residual_sup: float
-    phi: PotentialField = field(repr=False, default=None)
 
     def interior_mask(self, q_lo=0.005, q_hi=0.995):
         cdf = _grid_cdf(self.grid, np.exp(-self.phi_vals))
@@ -677,27 +680,24 @@ def _fd5(vals, h, order):
     return out
 
 
-def _cumulative_smooth(vals, h):
-    """Cumulative integral on a uniform grid by trapezoid with the telescoped
-    Euler-Maclaurin endpoint correction.
-
-    Unlike composite Simpson, the O(h^4) error here varies smoothly from node
-    to node (no even/odd parity sawtooth), so finite differences of the
-    primitive recover the integrand and its derivative cleanly.
-    """
-    prim = np.concatenate(
-        [[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))]
-    )
-    d = _fd5(vals, h, order=1)
-    return prim - (h * h / 12.0) * (d - d[0])
-
-
 def _primitive_smooth_symmetric(vals, h):
-    """Primitive averaged between left-to-right and right-to-left
-    accumulation, so reflection symmetry of the integrand is preserved to
-    roundoff instead of drifting with the accumulation direction."""
-    fwd = _cumulative_smooth(vals, h)
-    bwd = _cumulative_smooth(vals[::-1], h)[::-1]
+    """Primitive on a uniform grid by trapezoid with the telescoped
+    Euler-Maclaurin endpoint correction, averaged between left-to-right and
+    right-to-left accumulation.
+
+    Unlike composite Simpson, the O(h^4) error varies smoothly from node to
+    node (no even/odd parity sawtooth), so finite differences of the
+    primitive recover the integrand and its derivative cleanly.  Averaging
+    the two directions keeps reflection symmetry of the integrand to roundoff
+    instead of drifting with the accumulation direction.  The right-to-left
+    pass reuses the trapezoid panels reversed and the derivative stencil
+    negated, since reversing the grid flips the sign of d/dx.
+    """
+    panels = 0.5 * h * (vals[1:] + vals[:-1])
+    d = _fd5(vals, h, order=1)
+    c = h * h / 12.0
+    fwd = np.concatenate([[0.0], np.cumsum(panels)]) - c * (d - d[0])
+    bwd = np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1] - c * (d[-1] - d)
     total = 0.5 * (fwd[-1] + bwd[0])
     return 0.5 * (fwd + (total - bwd))
 
@@ -708,6 +708,15 @@ def _normalized_cdf_smooth(vals, h):
     prim = _primitive_smooth_symmetric(vals, h)
     cdf = prim / max(prim[-1], 1e-300)
     return np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+
+
+def _simpson_weights(n, h):
+    """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] of a uniform grid
+    with an odd number n of nodes."""
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
 
 
 def ke_solve_1d(
@@ -725,11 +734,20 @@ def ke_solve_1d(
     The Picard map transports exp(-Phi_k) onto nu by monotone
     rearrangement, integrates the map into a new potential, damps, normalizes
     and recenters.  An Anderson step of depth 5 (`_ANDERSON_DEPTH`) mixes it:
-    with the last six pairs (Phi_j, F_j = map(Phi_j) - Phi_j) and their
-    differences dX, dF, gamma = lstsq(dF, F_k) and
-    Phi_{k+1} = Phi_k + F_k - (dX + dF) gamma, normalized and recentered
+    with the differences dX, dF of the last six pairs
+    (Phi_j, F_j = map(Phi_j) - Phi_j), kept as rows of two preallocated
+    arrays filled round-robin, gamma solves the normal equations
+    (dF dF^T) gamma = dF F_k (least squares, for rank-deficient histories) and
+    Phi_{k+1} = Phi_k + F_k - gamma (dX + dF), normalized and recentered
     again.  The residual is measured in sup norm over the interior quantile
     range of the solution.
+
+    The grid is uniform with an odd `grid_size`, so every normalizing and
+    barycenter integral is one dot product with cached composite-Simpson
+    weights, and the normalized density exp(-Phi) of each potential is
+    computed once and passed on to the barycenter and the transport.  The
+    target quantile is evaluated only at levels strictly inside its clip
+    range; the clipped ends take its two end values, computed once.
     """
     a, b = nu.support
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -745,9 +763,13 @@ def ke_solve_1d(
     edge = min(abs(a), abs(b))
     if edge <= 0.0:
         raise BarycenterNotZero("target support must surround the origin")
+    if grid_size % 2 == 0:
+        raise ValueError(f"grid_size must be odd for composite Simpson, got {grid_size}")
     half = _TAIL_LOG / edge
     grid = np.linspace(-half, half, grid_size)
     h = grid[1] - grid[0]
+    w = _simpson_weights(grid_size, h)
+    w_grid = w * grid
 
     # dense inverse-CDF interpolant of the target, built once; the transport
     # quantile is clipped at 1e-6 where the inverse CDF is well conditioned
@@ -758,6 +780,7 @@ def ke_solve_1d(
     nu_ppf = interpolate.PchipInterpolator(uu, tg[idx], extrapolate=False)
     u_lo = max(1e-6, float(uu[1]))
     u_hi = 1.0 - u_lo
+    t_lo, t_hi = np.asarray(nu_ppf([u_lo, u_hi]), dtype=float)
 
     # Huber-type start: quadratic core, linear tails with the fixed point's
     # true decay rate (the support edge), so nothing underflows on the grid;
@@ -769,86 +792,94 @@ def ke_solve_1d(
     phi = phi + math.log(np.trapezoid(np.exp(-phi), grid))
 
     def normalize(p):
+        """(p + log Z, exp(-p) / Z) with Z the Simpson integral of exp(-p)."""
         m = p.min()
-        z = integrate.simpson(np.exp(-(p - m)), x=grid)
-        return p + (math.log(z) - m)
+        e = np.exp(-(p - m))
+        z = w @ e
+        return p + (math.log(z) - m), e / z
 
     def settle(p):
-        p = normalize(p)
+        p, e = normalize(p)
         if recenter:
-            m1 = integrate.simpson(grid * np.exp(-p), x=grid)
+            m1 = w_grid @ e
             if abs(m1) > 0.1 * h:
                 spl = interpolate.CubicSpline(grid, p, extrapolate=True)
-                p = normalize(np.asarray(spl(grid + m1), dtype=float))
+                p, e = normalize(np.asarray(spl(grid + m1), dtype=float))
             elif abs(m1) > 1e-15:
                 # first-order argument shift: exact to O(m1^2), no resample noise
-                p = normalize(p + m1 * _fd5(p, h, order=1))
-        return p
+                p, e = normalize(p + m1 * _fd5(p, h, order=1))
+        return p, e
 
-    def transport(p):
-        cdf = _normalized_cdf_smooth(np.exp(-p), h)
-        u = np.clip(cdf, u_lo, u_hi)
-        return np.asarray(nu_ppf(u), dtype=float)
+    def transport(e):
+        # cdf is nondecreasing: levels at or below u_lo come first, at or
+        # above u_hi last
+        cdf = _normalized_cdf_smooth(e, h)
+        lo = np.searchsorted(cdf, u_lo, side="right")
+        hi = np.searchsorted(cdf, u_hi, side="left")
+        out = np.empty_like(cdf)
+        out[:lo] = t_lo
+        out[lo:hi] = nu_ppf(cdf[lo:hi])
+        out[hi:] = t_hi
+        return out
 
     w_pot = nu.potential
 
-    def residual(p):
+    def residual(p, e):
         # defect of exp(-Phi) = Phi'' exp(-W(Phi')) with honest finite
         # differences for Phi', Phi''
         d1 = _fd5(p, h, order=1)
         d2 = _fd5(p, h, order=2)
-        mask = _grid_cdf(grid, np.exp(-p))
+        mask = _grid_cdf(grid, e)
         mask = (mask >= 0.005) & (mask <= 0.995)
         if d2[mask].min() <= 0.0:
             return math.inf
         t = np.clip(d1[mask], a + 1e-13, b - 1e-13)
-        r = d2[mask] * np.exp(-np.asarray(w_pot(t), dtype=float)) - np.exp(-p[mask])
+        r = d2[mask] * np.exp(-np.asarray(w_pot(t), dtype=float)) - e[mask]
         return float(np.abs(r).max())
 
-    def picard(p):
-        new = normalize(_primitive_smooth_symmetric(transport(p), h))
-        return settle((1.0 - damping) * p + damping * new)
+    def picard(p, e):
+        new, _ = normalize(_primitive_smooth_symmetric(transport(e), h))
+        return settle((1.0 - damping) * p + damping * new)[0]
 
     res = math.inf
     iterations = 0
-    xs, fs = [], []  # the last _ANDERSON_DEPTH + 1 pairs (phi, picard(phi) - phi)
+    e = np.exp(-phi)
+    # rows of the last _ANDERSON_DEPTH differences, slot (k - 1) % depth
+    # written at step k; only the first min(k, depth) rows are ever read
+    dxs = np.empty((_ANDERSON_DEPTH, grid_size))
+    dfs = np.empty((_ANDERSON_DEPTH, grid_size))
+    prev_phi = prev_f = None
     for k in range(max_iter):
         iterations = k + 1
-        f = picard(phi) - phi
-        xs.append(phi)
-        fs.append(f)
-        del xs[:-_ANDERSON_DEPTH - 1], fs[:-_ANDERSON_DEPTH - 1]
+        f = picard(phi, e) - phi
         step = f
-        if len(fs) > 1:
-            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
-            step = f - (dx + df) @ np.linalg.lstsq(df, f, rcond=None)[0]
-        phi_next = settle(phi + step)
+        if k > 0:
+            slot = (k - 1) % _ANDERSON_DEPTH
+            np.subtract(phi, prev_phi, out=dxs[slot])
+            np.subtract(f, prev_f, out=dfs[slot])
+            used = min(k, _ANDERSON_DEPTH)
+            df = dfs[:used]
+            gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
+            step = f - gamma @ (dxs[:used] + df)
+        prev_phi, prev_f = phi, f
+        phi_next, e = settle(phi + step)
         delta = float(np.abs(phi_next - phi).max())
         phi = phi_next
         if delta < 0.25 * tol or (k > 10 and k % 5 == 0):
-            res = residual(phi)
+            res = residual(phi, e)
             if res < tol:
                 break
     else:
-        res = residual(phi)
+        res = residual(phi, e)
     if not res < tol:
         raise NoConvergence(
             f"KE iteration stalled at residual {res:.3e} after {iterations} steps",
             residual=res,
         )
-
-    spl = interpolate.CubicSpline(grid, phi)
-    phi_field = PotentialField(
-        fn=lambda x: float(spl(float(np.atleast_1d(x)[0]))),
-        grad=lambda x: np.array([float(spl(float(np.atleast_1d(x)[0]), 1))]),
-        hess=lambda x: np.array([[float(spl(float(np.atleast_1d(x)[0]), 2))]]),
-        convex=True,
-    )
     return KESolution(
         grid=grid,
         phi_vals=phi,
         nu=nu,
         iterations=iterations,
         residual_sup=res,
-        phi=phi_field,
     )

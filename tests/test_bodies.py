@@ -258,6 +258,22 @@ class TestSerialization:
             clone = bd.body_from_spec(body.spec())
             assert clone.kind == body.kind and clone.dim == body.dim
 
+    def test_round_trip_every_kind(self):
+        # every key off its default, so a spec that drops one rebuilds a
+        # different body (a 3 x 0.5 ellipse without its semi-axes is 2 x 1)
+        bodies = {
+            "ball": bd.Ball(3, 2.0, orthant=True),
+            "box": bd.Box([1.0, 0.5]),
+            "simplex": bd.Simplex(4, 2.0),
+            "lp": bd.LpBall(2, 3.0, radius=1.5),
+            "ellipse": bd.Curve2D.ellipse(3.0, 0.5),
+        }
+        assert set(bodies) == set(bd.CONSTRUCTORS)
+        for body in bodies.values():
+            clone = bd.body_from_spec(body.spec())
+            assert clone.spec() == body.spec()
+            assert clone.volume() == body.volume()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_volume_out_of_float_range_not_normalizable(self):
         from riccikit.errors import NonNormalizable

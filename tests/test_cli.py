@@ -503,8 +503,8 @@ class TestExitCodes:
         out2 = tmp_path / "b.csv"
         cli.main(["check", "--config", str(path), "--out", str(out1)])
         cli.main(["check", "--config", str(path), "--seed", "99", "--out", str(out2)])
-        rows1 = list(csv.DictReader(out1.open()))
-        rows2 = list(csv.DictReader(out2.open()))
+        rows1 = list(csv.DictReader(out1.read_text().splitlines()))
+        rows2 = list(csv.DictReader(out2.read_text().splitlines()))
         assert rows1 != rows2
         assert all(r["seed"] == "99" for r in rows2)
 

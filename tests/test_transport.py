@@ -245,6 +245,62 @@ class TestKESolver:
         assert sol.residual_sup < 1e-8
         assert sol.iterations <= max_steps
 
+    @pytest.mark.parametrize(
+        "make,kwargs,steps",
+        [
+            (lambda: tr.uniform_density(-0.5, 0.5), {}, 10),
+            (lambda: tr.cos_density(0.5), {}, 12),
+            (lambda: tr.Density1D(lambda t: t**2 / 0.18, (-0.3, 1.0), name="skew"), {}, 15),
+            (lambda: tr.cos_density(0.5), {"initial_shift": 3.0}, 12),
+        ],
+        ids=["uniform", "cos", "skewed", "cos-shifted"],
+    )
+    def test_step_count_not_above_reference(self, make, kwargs, steps):
+        # reference step counts on these targets: cheaper steps must not
+        # cost extra steps
+        assert tr.ke_solve_1d(make(), **kwargs).iterations <= steps
+
+    def test_cached_simpson_weights_match_scipy(self):
+        from scipy import integrate
+
+        sol = tr.ke_solve_1d(tr.cos_density(0.5))
+        grid = sol.grid
+        w = tr._simpson_weights(grid.size, grid[1] - grid[0])
+        e = np.exp(-sol.phi_vals)
+        assert w @ e == pytest.approx(integrate.simpson(e, x=grid), rel=1e-14)
+        # the barycenter integral cancels to ~0: compare on the scale of |x| e
+        m1 = integrate.simpson(grid * e, x=grid)
+        assert abs((w * grid) @ e - m1) <= 1e-14 * (w @ (np.abs(grid) * e))
+
+    def test_symmetric_primitive_matches_two_pass_reference(self):
+        # reference: accumulate the trapezoid-plus-endpoint-correction
+        # primitive once per direction, each with its own stencil
+        def one_pass(v, h):
+            prim = np.concatenate([[0.0], np.cumsum(0.5 * h * (v[1:] + v[:-1]))])
+            d = tr._fd5(v, h, order=1)
+            return prim - (h * h / 12.0) * (d - d[0])
+
+        x = np.linspace(-3.0, 4.0, 4097)
+        h = x[1] - x[0]
+        for v in (np.exp(-x * x), np.exp(-np.abs(x - 0.3)) * (2.0 + np.sin(5 * x))):
+            fwd, bwd = one_pass(v, h), one_pass(v[::-1], h)[::-1]
+            want = 0.5 * (fwd + (0.5 * (fwd[-1] + bwd[0]) - bwd))
+            got = tr._primitive_smooth_symmetric(v, h)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_even_grid_refused(self):
+        with pytest.raises(ValueError, match="odd"):
+            tr.ke_solve_1d(tr.uniform_density(-0.5, 0.5), grid_size=16384)
+
+    def test_repeat_solve_bit_identical(self):
+        # more steps than Anderson history rows, so the round-robin rows
+        # are overwritten; no unwritten row may leak into the step
+        a = tr.ke_solve_1d(tr.Density1D(lambda t: t**2 / 0.18, (-0.3, 1.0)))
+        b = tr.ke_solve_1d(tr.Density1D(lambda t: t**2 / 0.18, (-0.3, 1.0)))
+        assert a.iterations > tr._ANDERSON_DEPTH + 1
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.phi_vals, b.phi_vals)
+
     def test_trace_bound(self):
         sol = tr.ke_solve_1d(tr.uniform_density(-0.5, 0.5))
         mask = sol.interior_mask(1e-4, 1 - 1e-4)
