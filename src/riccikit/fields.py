@@ -7,7 +7,9 @@ Conventions:
     so a callback written for one point still serves single points, and the
     finite-difference fallbacks loop over the rows of a batch.  `value`,
     `third_tensor` and `fourth_1d` take one point;
-  * metrics take one point, a 1-D float array of shape (d,);
+  * metrics take an (m, d) array of points in `values` and `derivatives` and
+    call `fn`/`deriv` once per row with a (d,) point; `value` and
+    `derivative` are batches of one;
   * quadratic-form fields take an (n, d) array of points and return their
     weights in one of four forms: an (n,) array for s(x) * Id, (n, d) for
     diag(w(x)), (n, d, d) for a full matrix, or a ScalarPlusRankOne for
@@ -97,10 +99,8 @@ class PotentialField:
         x = as_point(x)
         if self.fourth is not None:
             return float(np.asarray(self.fourth(x)).reshape(()))
-        h = numdiff.THIRD_ORDER_STEP
-        tp = self.third_tensor(x + h)[0, 0, 0]
-        tm = self.third_tensor(x - h)[0, 0, 0]
-        return (tp - tm) / (2.0 * h)
+        third = lambda p: self.third_tensor(p)[0, 0, 0]
+        return float(numdiff.central_grad(third, x, numdiff.THIRD_ORDER_STEP)[0])
 
 
 def _per_row(f, x):
@@ -200,9 +200,9 @@ def power_potential(c, q, dim=1):
 class MetricField:
     """Coordinate matrix field g(x) of a Riemannian metric.
 
-    `deriv`, when given, supplies the analytic first derivatives; `domain`
-    is an optional membership predicate used by stencil code to detect a
-    step leaving the domain.
+    `fn` maps a (d,) point to g(x); `deriv`, when given, supplies the analytic
+    first derivatives; `domain` is an optional membership predicate that
+    detects a stencil point leaving the domain.
     """
 
     dim: int
@@ -211,26 +211,34 @@ class MetricField:
     domain: Optional[Callable[[np.ndarray], bool]] = None
     name: str = "metric"
 
-    def value(self, x, check=True):
-        x = as_point(x, self.dim)
-        if self.domain is not None and not self.domain(x):
-            raise StepTooLarge(f"{self.name}: point {x} outside the metric domain")
-        g = np.asarray(self.fn(x), dtype=float)
-        if check:
-            return numdiff.check_psd_metric(g, x)
-        return numdiff.symmetrize(g)
+    def values(self, points):
+        """(m, d, d) metric matrices at an (m, d) array of points: `fn` once per
+        row, then one batched symmetrize and PSD check; a row outside `domain`
+        raises StepTooLarge naming it."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        out = [p for p in points if self.domain and not self.domain(p)]
+        if out:
+            raise StepTooLarge(f"{self.name}: point {out[0]} outside the metric domain")
+        g = np.array([self.fn(p) for p in points], dtype=float)
+        return numdiff.check_psd_metric(g, points)
 
-    def inverse(self, x):
-        return np.linalg.inv(self.value(x))
+    def value(self, x):
+        return self.values(as_point(x, self.dim))[0]
+
+    def derivatives(self, points, h=None):
+        """(m, d, d, d) arrays d g / d x_k at an (m, d) array of points: `deriv`
+        once per row, else one `values` batch over the central-difference
+        stencils of all rows (step h, default 1e-4*(1+|x|) per row)."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        if self.deriv is not None:
+            return np.array([self.deriv(p) for p in points], dtype=float)
+        steps = [numdiff.step_first(p) for p in points] if h is None else h
+        h = np.broadcast_to(np.asarray(steps, dtype=float), len(points))
+        g = self.values(numdiff.stencil(points, h))
+        return numdiff.first_differences(g.reshape(h.shape + (-1,) + g.shape[1:]), h)
 
     def derivative(self, x, h=None):
-        """(d,d,d) array of d g / d x_k; analytic callback preferred."""
-        x = as_point(x, self.dim)
-        if self.deriv is not None:
-            return np.asarray(self.deriv(x), dtype=float)
-        if h is None:
-            h = numdiff.step_first(x)
-        return numdiff.central_jacobian(lambda y: self.value(y), x, h)
+        return self.derivatives(as_point(x, self.dim), h)[0]
 
 
 def euclidean_metric(d):

@@ -2,7 +2,8 @@
 
 Step sizes follow a single discipline: h = FIRST_ORDER_SCALE*(1+|x|) for first
 derivatives and h = SECOND_ORDER_SCALE*(1+|x|) for second derivatives, which
-balances truncation against roundoff at double precision.
+balances truncation against roundoff at double precision.  Every difference
+quotient combines values taken at the rows of one `stencil`.
 """
 
 import numpy as np
@@ -31,66 +32,76 @@ def symmetrize(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
+def stencil(x, h, second=False):
+    """Rows x + h e_0, x - h e_0, ..., x - h e_{d-1} around a (d,) point x;
+    with `second`, then x and x + h (+-e_i +-e_j) for i < j in the sign order
+    (+,+), (+,-), (-,+), (-,-).  (m, rows, d) for m centres and m steps."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    eye = np.eye(d)
+    offsets = [np.stack([eye, -eye], axis=1).reshape(2 * d, d)]
+    if second:
+        i, j = np.triu_indices(d, 1)
+        pairs = [eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]]
+        offsets += [np.zeros((1, d)), np.stack(pairs, axis=1).reshape(-1, d)]
+    h = np.asarray(h, dtype=float)[..., None, None]
+    return x[..., None, :] + h * np.concatenate(offsets)
+
+
+def first_differences(f, h):
+    """(f(x + h e_k) - f(x - h e_k)) / 2h from values f at the 2d first stencil
+    rows, along axis 0 of f (axis 1 with one step per centre)."""
+    h, f = np.asarray(h, dtype=float), np.asarray(f, dtype=float)
+    pairs = f.reshape(f.shape[: h.ndim] + (-1, 2) + f.shape[h.ndim + 1 :])
+    plus, minus = np.moveaxis(pairs, h.ndim + 1, 0)
+    return (plus - minus) / (2.0 * h.reshape(h.shape + (1,) * (plus.ndim - h.ndim)))
+
+
+def second_differences(f, h):
+    """Hessian from scalar values f at the rows of `stencil(x, h, second=True)`."""
+    f = np.asarray(f, dtype=float)
+    d = int(np.sqrt((f.size - 1) // 2))
+    axis, f0, quads = f[: 2 * d], f[2 * d], f[2 * d + 1 :].reshape(-1, 4).T
+    out = np.empty((d, d))
+    out[np.diag_indices(d)] = (axis[0::2] - 2.0 * f0 + axis[1::2]) / h**2
+    i, j = np.triu_indices(d, 1)
+    out[i, j] = out[j, i] = (quads[0] - quads[1] - quads[2] + quads[3]) / (4.0 * h**2)
+    return out
+
+
 def central_grad(f, x, h):
     """Gradient of a scalar function by central differences."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    g = np.empty(d)
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+    return first_differences([float(f(p)) for p in stencil(x, h)], h)
 
 
 def central_hess(f, x, h):
     """Hessian of a scalar function by second-order central differences."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    out = np.empty((d, d))
-    f0 = f(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h**2)
-    return out
+    return second_differences([float(f(p)) for p in stencil(x, h, second=True)], h)
 
 
 def central_jacobian(F, x, h):
     """Jacobian of a vector- or matrix-valued function; axis 0 indexes the
     differentiation direction."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    cols = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        cols.append((np.asarray(F(x + e)) - np.asarray(F(x - e))) / (2.0 * h))
-    return np.array(cols)
+    return first_differences([F(p) for p in stencil(x, h)], h)
 
 
 def min_eigenvalue(a):
     return float(np.linalg.eigvalsh(symmetrize(a))[0])
 
 
-def check_psd_metric(g, point):
-    """Validate the positive-definiteness of a metric value.
+def check_psd_metric(g, points):
+    """Validate the positive-definiteness of a metric value at a point, or of
+    (m, d, d) values at the rows of an (m, d) array, with one eigh.
 
     Eigenvalues above -PSD_SLACK*(1+|g|_F) are attributed to roundoff and the
-    matrix is clamped to its PSD part; anything lower raises.
+    matrix is clamped to its PSD part; anything lower raises, naming the point.
     """
     g = symmetrize(np.asarray(g, dtype=float))
-    w, v = np.linalg.eigh(g)
-    tol = PSD_SLACK * (1.0 + float(np.linalg.norm(g)))
-    if w[0] < -tol:
-        raise NonPositiveDefiniteMetric(point, w[0])
-    if w[0] <= 0.0:
-        w = np.clip(w, tol, None)
-        g = (v * w) @ v.T
+    stack = g.reshape((-1,) + g.shape[-2:])
+    w, v = np.linalg.eigh(stack)
+    for k in np.flatnonzero(w[:, 0] <= 0.0):
+        tol = PSD_SLACK * (1.0 + float(np.linalg.norm(stack[k])))
+        if w[k, 0] < -tol:
+            raise NonPositiveDefiniteMetric(np.reshape(points, (len(w), -1))[k], w[k, 0])
+        stack[k] = (v[k] * np.clip(w[k], tol, None)) @ v[k].T
     return g

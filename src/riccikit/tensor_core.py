@@ -3,6 +3,10 @@
 Everything here works from the metric matrix g(x) alone (plus optional
 analytic first derivatives), so it doubles as the universal finite-difference
 oracle against which the closed-form family formulas are validated.
+
+A generalized Ricci point is one `numdiff.stencil`: one `MetricField.values`
+batch (callbacks still run per row), then one batched inv, slogdet and
+Christoffel contraction; the symbols at x serve both Ric_g and Hess_g P.
 """
 
 import math
@@ -11,19 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .errors import InvalidDimensionParameter, StepTooLarge
+from .errors import InvalidDimensionParameter
 from .fields import MetricField, PotentialField, as_point
 
 
 @dataclass
 class ChristoffelTensor:
-    """Gamma[m, i, j] = Gamma^m_{ij}, symmetric in (i, j)."""
+    """Gamma[..., m, i, j] = Gamma^m_{ij}, symmetric in (i, j), at a point or
+    at each point of a batch."""
 
     point: np.ndarray
     gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = 0.5 * (self.gamma + np.swapaxes(self.gamma, 1, 2))
 
 
 @dataclass
@@ -41,58 +43,39 @@ class CurvaturePoint:
     n_param: float
 
 
+def _gamma(ginv, dg):
+    """Christoffel symbols from (m, d, d) g^-1 and dg[:, k] = d g / d x_k."""
+    # term[:, k, i, j] = d_j g_ki + d_i g_kj - d_k g_ij
+    term = np.einsum("njki->nkij", dg) + np.einsum("nikj->nkij", dg) - dg
+    return numdiff.symmetrize(0.5 * np.einsum("nmk,nkij->nmij", ginv, term))
+
+
 def christoffel(metric: MetricField, x, h=None) -> ChristoffelTensor:
-    """Gamma^m_{ij} = 1/2 g^{mk} (d_j g_ki + d_i g_kj - d_k g_ij).
+    """Gamma^m_{ij} = 1/2 g^{mk} (d_j g_ki + d_i g_kj - d_k g_ij) at a (d,)
+    point or at each row of an (m, d) batch.
 
     Uses analytic metric derivatives when the field supplies them, central
     differences with h = 1e-4*(1+|x|) otherwise.
     """
-    x = as_point(x, metric.dim)
-    ginv = np.linalg.inv(metric.value(x))
-    dg = metric.derivative(x, h=h)  # dg[k] = d g / d x_k
-    # term[k, i, j] = d_j g_ki + d_i g_kj - d_k g_ij
-    term = (
-        np.einsum("jki->kij", dg) + np.einsum("ikj->kij", dg) - dg
-    )
-    gamma = 0.5 * np.einsum("mk,kij->mij", ginv, term)
-    return ChristoffelTensor(point=x, gamma=gamma)
+    x = np.asarray(x, dtype=float)
+    gamma = _gamma(np.linalg.inv(metric.values(x)), metric.derivatives(x, h=h))
+    return ChristoffelTensor(point=x, gamma=gamma.reshape(x.shape[:-1] + gamma.shape[1:]))
 
 
 def riemannian_hessian(metric: MetricField, f: PotentialField, x, h=None):
     """(Hess_g f)_ij = d^2_ij f - Gamma^k_ij d_k f."""
     x = as_point(x, metric.dim)
     gam = christoffel(metric, x, h=h).gamma
-    hess = f.hessian(x)
-    grad = f.gradient(x)
-    return numdiff.symmetrize(hess - np.einsum("kij,k->ij", gam, grad))
+    return numdiff.symmetrize(f.hessian(x) - np.einsum("kij,k->ij", gam, f.gradient(x)))
 
 
-def geometric_ricci_fd(metric: MetricField, x, h=None):
-    """Ricci tensor from finite differences of the Christoffel symbols.
-
-    Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik
-             + Gamma^i_im Gamma^m_jk - Gamma^i_jm Gamma^m_ik,
-    symmetrized on output.  The outer differentiation step defaults to
-    1e-3*(1+|x|).
-    """
-    x = as_point(x, metric.dim)
-    d = metric.dim
-    if h is None:
-        h = numdiff.step_second(x)
-    gam0 = christoffel(metric, x).gamma
-    dgam = np.empty((d, d, d, d))  # dgam[a] = d Gamma / d x_a
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = h
-        try:
-            gp = christoffel(metric, x + e).gamma
-            gm = christoffel(metric, x - e).gamma
-        except StepTooLarge:
-            raise StepTooLarge(
-                f"Ricci stencil of width {h:.2e} leaves the domain at {x}"
-            )
-        dgam[a] = (gp - gm) / (2.0 * h)
-
+def _ricci(gam, h):
+    """Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_im Gamma^m_jk
+    - Gamma^i_jm Gamma^m_ik from the symbols at the first 2d + 1 rows of a
+    stencil of step h (x +- h e_a, then x), symmetrized."""
+    d = gam.shape[-1]
+    dgam = numdiff.first_differences(gam[: 2 * d], h)  # dgam[a] = d Gamma / d x_a
+    gam0 = gam[2 * d]
     ric = (
         np.einsum("iijk->jk", dgam)
         - np.einsum("jiik->jk", dgam)
@@ -102,44 +85,20 @@ def geometric_ricci_fd(metric: MetricField, x, h=None):
     return numdiff.symmetrize(ric)
 
 
+def geometric_ricci_fd(metric: MetricField, x, h=None):
+    """Ricci tensor from central differences of the Christoffel symbols at
+    x +- h e_a; the outer step defaults to 1e-3*(1+|x|)."""
+    x = as_point(x, metric.dim)
+    if h is None:
+        h = numdiff.step_second(x)
+    centres = numdiff.stencil(x, h, second=True)[: 2 * metric.dim + 1]
+    return _ricci(christoffel(metric, centres).gamma, h)
+
+
 def lebesgue_to_volume_potential(metric: MetricField, v: PotentialField, x):
     """P(x) with exp(-P) vol_g = exp(-V) dx, i.e. P = V + 1/2 log det g."""
     x = as_point(x, metric.dim)
-    sign, logdet = np.linalg.slogdet(metric.value(x))
-    return v.value(x) + 0.5 * logdet
-
-
-def volume_potential_field(metric: MetricField, v: PotentialField) -> PotentialField:
-    """P = V + 1/2 log det g as a PotentialField.
-
-    The log-det part is differentiated with the shared stencil discipline;
-    its gradient uses tr(g^{-1} dg) when analytic metric derivatives exist.
-    """
-
-    def half_logdet(x):
-        sign, logdet = np.linalg.slogdet(metric.value(x))
-        return 0.5 * logdet
-
-    def grad(x):
-        x = as_point(x, metric.dim)
-        gv = v.gradient(x)
-        if metric.deriv is not None:
-            ginv = np.linalg.inv(metric.value(x))
-            dg = metric.derivative(x)
-            return gv + 0.5 * np.einsum("ij,kji->k", ginv, dg)
-        return gv + numdiff.central_grad(half_logdet, x, numdiff.step_first(x))
-
-    def hess(x):
-        x = as_point(x, metric.dim)
-        return v.hessian(x) + numdiff.central_hess(
-            half_logdet, x, numdiff.step_second(x)
-        )
-
-    return PotentialField(
-        fn=lambda x: v.value(x) + half_logdet(as_point(x, metric.dim)),
-        grad=grad,
-        hess=hess,
-    )
+    return v.value(x) + 0.5 * np.linalg.slogdet(metric.value(x))[1]
 
 
 def check_dimension_param(n_param, d, exclude_d=False):
@@ -161,20 +120,42 @@ def generalized_ricci(
 
     V is the potential with respect to Lebesgue measure and is converted
     internally to the volume-measure potential P = V + 1/2 log det g; the
-    N-variant subtracts (dP tensor dP)/(N - d).
+    N-variant subtracts (dP tensor dP)/(N - d).  grad P uses tr(g^{-1} dg)
+    when the metric has analytic derivatives.
     """
     x = as_point(x, metric.dim)
     d = metric.dim
     check_dimension_param(n_param, d)
 
-    ric_g = geometric_ricci_fd(metric, x)
-    p = volume_potential_field(metric, v)
-    ric_gmu = numdiff.symmetrize(ric_g + riemannian_hessian(metric, p, x))
-    if math.isinf(n_param):
-        ric_n = ric_gmu.copy()
+    h = numdiff.step_second(x)
+    pts = numdiff.stencil(x, h, second=True)
+    centres = pts[: 2 * d + 1]  # x +- h e_a, then x
+    if metric.deriv is None:
+        # the centres' first-order stencils join the batch; x's also serves grad P
+        h1 = np.array([numdiff.step_first(c) for c in centres])
+        fd = numdiff.stencil(centres, h1)
+        g = metric.values(np.concatenate([pts, fd.reshape(-1, d)]))
+        dg = numdiff.first_differences(g[len(pts):].reshape(fd.shape[:2] + (d, d)), h1)
     else:
-        gp = p.gradient(x)
-        ric_n = numdiff.symmetrize(ric_gmu - np.outer(gp, gp) / (n_param - d))
+        g = metric.values(pts)
+        dg = metric.derivatives(centres)
+    ginv = np.linalg.inv(g[: 2 * d + 1])
+    gam = _gamma(ginv, dg)
+    ric_g = _ricci(gam, h)
+
+    half_logdet = 0.5 * np.linalg.slogdet(g)[1]
+    if metric.deriv is None:
+        dlogdet = numdiff.first_differences(half_logdet[-2 * d:], h1[-1])
+    else:
+        dlogdet = 0.5 * np.einsum("ij,kji->k", ginv[-1], dg[-1])
+    grad_p = v.gradient(x) + dlogdet
+    hess_logdet = numdiff.second_differences(half_logdet[: len(pts)], h)
+    hess_p = numdiff.symmetrize(v.hessian(x) + hess_logdet)
+    hess_g_p = numdiff.symmetrize(hess_p - np.einsum("kij,k->ij", gam[-1], grad_p))
+    ric_gmu = numdiff.symmetrize(ric_g + hess_g_p)
+    ric_n = ric_gmu.copy()
+    if not math.isinf(n_param):
+        ric_n = numdiff.symmetrize(ric_gmu - np.outer(grad_p, grad_p) / (n_param - d))
     return CurvaturePoint(
         x=x, ric_g=ric_g, ric_gmu=ric_gmu, ric_gmu_n=ric_n, n_param=n_param
     )

@@ -650,15 +650,16 @@ class KESolution:
     residual_sup: float
 
     def interior_mask(self, q_lo=0.005, q_hi=0.995):
-        cdf = _grid_cdf(self.grid, np.exp(-self.phi_vals))
+        cdf = _grid_cdf(np.exp(-self.phi_vals), self.grid[1] - self.grid[0])
         return (cdf >= q_lo) & (cdf <= q_hi)
 
     def second_derivative(self):
         return _fd5(self.phi_vals, self.grid[1] - self.grid[0], order=2)
 
 
-def _grid_cdf(grid, pdf):
-    cdf = integrate.cumulative_simpson(pdf, x=grid, initial=0.0)
+def _grid_cdf(pdf, h):
+    """Normalized composite-Simpson CDF of a density on a uniform grid of step h."""
+    cdf = integrate.cumulative_simpson(pdf, dx=h, initial=0.0)
     cdf = np.maximum.accumulate(cdf)
     return cdf / cdf[-1]
 
@@ -829,7 +830,7 @@ def ke_solve_1d(
         # differences for Phi', Phi''
         d1 = _fd5(p, h, order=1)
         d2 = _fd5(p, h, order=2)
-        mask = _grid_cdf(grid, e)
+        mask = _grid_cdf(e, h)
         mask = (mask >= 0.005) & (mask <= 0.995)
         if d2[mask].min() <= 0.0:
             return math.inf
@@ -838,7 +839,8 @@ def ke_solve_1d(
         return float(np.abs(r).max())
 
     def picard(p, e):
-        new, _ = normalize(_primitive_smooth_symmetric(transport(e), h))
+        # no normalize before damping: settle normalizes the mix anyway
+        new = _primitive_smooth_symmetric(transport(e), h)
         return settle((1.0 - damping) * p + damping * new)[0]
 
     res = math.inf

@@ -1,9 +1,14 @@
 """Config parsing, report emission, exit codes and round trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -519,6 +524,33 @@ class TestSubcommands:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["max_abs_disagreement"] < 1e-4
+
+    @pytest.mark.parametrize("family,extra,digest", [
+        ('{"type": "product_power", "p": 0.5}',
+         ["--measure", '{"kind": "exp_product"}', "--point", "0.7", "1.3"],
+         "f10e6a6882f82564"),
+        ('{"type": "conformal_radial", "theta": 0.8, "N": -3}',
+         ["--point", "0.5", "-0.6", "0.7"], "8dcd11a218f92f9f"),
+    ])
+    def test_ricci_stdout_pinned(self, family, extra, digest, capsys):
+        # sha256 prefix of the stdout of the pointwise finite-difference
+        # implementation (numpy 2.4.6, scipy 1.17.1, x86-64): the batched
+        # stencil prints the same bytes
+        assert cli.main(["ricci", "--family", family, *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_python_m_riccikit(self, capsys, tmp_path):
+        # `python -m riccikit` runs the same CLI from a source checkout
+        argv = ["ricci", "--family", '{"type": "product_power", "p": 0.5}',
+                "--measure", '{"kind": "exp_product"}', "--point", "1.0", "1.0"]
+        src = str(Path(catalog.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "riccikit", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert cli.main(argv) == 0
+        assert done.stdout == capsys.readouterr().out
 
     def test_spectrum_uniform(self, capsys):
         rc = cli.main([
