@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import bodies, families, measures, transport
-from .bodies import ConeMeasureSampler, ConvexBody, Simplex
+from .bodies import Ball, Box, ConeMeasureSampler, ConvexBody, LpBall, Simplex
 from .errors import (
     EigensolveFailure,
     HypothesisViolated,
@@ -104,9 +104,11 @@ def _hypothesis_points(measure, n=_HYPOTHESIS_SAMPLES):
 
 
 def _min_eig_batch(mats):
+    """Least eigenvalue of each of n matrices, given as an (n, d, d) stack or
+    as the (n, d) diagonals of diagonal ones."""
     if not np.isfinite(mats).all():
         raise EigensolveFailure("least eigenvalue of a matrix with non-finite entries")
-    return np.linalg.eigvalsh(mats)[:, 0]
+    return mats.min(axis=1) if mats.ndim == 2 else np.linalg.eigvalsh(mats)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,15 @@ def _inverse_hessian_field(measure):
     return QuadraticFormField(dim=measure.dim, batch=batch, name="(D2V)^-1")
 
 
+def _coord_derivatives(measure):
+    """The V_i' and V_i'' callbacks of a product measure, or None when the
+    measure has none."""
+    d1, d2 = measure.coord_d1, measure.coord_d2
+    if d1 is None or d2 is None or d1[0] is None or d2[0] is None:
+        return None
+    return d1, d2
+
+
 def _negdim_matrix(measure, pts):
     """D^2 V + grad V grad V^T / (2d) at an (n, d) batch."""
     g = measure.potential.gradient(pts)
@@ -136,21 +147,43 @@ def _negdim_matrix(measure, pts):
 
 
 def _negdim_weight_field(measure):
-    return QuadraticFormField(
-        dim=measure.dim,
-        batch=lambda pts: np.linalg.inv(_negdim_matrix(measure, pts)),
-        name="negdim^-1",
-    )
+    """(D^2 V + grad V grad V^T / 2d)^-1.  On a product measure D^2 V =
+    diag(D): at d = 1 the weight is the scalar 1/(V'' + V'^2/2), which also
+    holds where V'' = 0, and at d >= 2 Sherman-Morrison gives diag(1/D) -
+    (g/D)(g/D)^T / (2d + <g, g/D>) where D > 0.  A zero V_i'' can still leave
+    the matrix positive definite, so such a batch is inverted densely."""
+    d, derivs = measure.dim, _coord_derivatives(measure)
+
+    def batch(pts):
+        if derivs is not None:
+            g, dd = (coord_columns(c, pts) for c in derivs)
+            if d == 1:
+                return 1.0 / (dd + g * g / 2.0)[:, 0]
+            if (dd > 0.0).all():
+                gd = g / dd
+                u = gd / np.sqrt(2.0 * d + np.vecdot(g, gd))[:, None]
+                return ScalarPlusRankOne(1.0 / dd, -1.0, u)
+        return np.linalg.inv(_negdim_matrix(measure, pts))
+
+    return QuadraticFormField(dim=d, batch=batch, name="negdim^-1")
 
 
 def _check_product_ricci(measure, data, report, pts):
     """Record ric_positive, the least eigenvalue of the product-metric
-    generalized Ricci tensor over pts, and return its inverse as a field."""
-    ric = lambda p: families.product_ricci(data, measure.potential, p)
+    generalized Ricci tensor over pts, and return its inverse as a field.
+    On a product measure the tensor is diag(V_i'' + V_i' u_i'/u_i -
+    u_i''/u_i), kept as its (n, d) diagonal and inverted entrywise."""
+    derivs = _coord_derivatives(measure)
+    if derivs is None:
+        ric = lambda p: families.product_ricci(data, measure.potential, p)
+        weight = lambda p: np.linalg.inv(ric(p))
+    else:
+        def ric(p):
+            g, dd = (coord_columns(c, p) for c in derivs)
+            return dd + families.product_ricci_diagonal(data, g, p)
+        weight = lambda p: 1.0 / ric(p)
     _least(report, "ric_positive", _min_eig_batch(ric(pts)), pts, tol=-1e-12)
-    return QuadraticFormField(
-        dim=measure.dim, batch=lambda p: np.linalg.inv(ric(p)), name="Ric^-1"
-    )
+    return QuadraticFormField(dim=measure.dim, batch=weight, name="Ric^-1")
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +659,22 @@ def _build_cone_variance(params, report):
     )
 
 
-def _simplex_uniform_second_moment(body):
+def _uniform_second_moment(body):
+    """E|x|^2 under the uniform measure on a simplex, box, ball (orthant or
+    not) or l_p ball, in closed form."""
     d = body.dim
-    return 2.0 * d / ((d + 1.0) * (d + 2.0)) * body.scale**2
+    if isinstance(body, Simplex):
+        return 2.0 * d / ((d + 1.0) * (d + 2.0)) * body.scale**2
+    if isinstance(body, Box):
+        return float(np.sum(body.a**2)) / 3.0
+    if isinstance(body, Ball):
+        return d * body.radius**2 / (d + 2.0)
+    if isinstance(body, LpBall):
+        p, lg = body.p, math.lgamma
+        return d * body.radius**2 * math.exp(
+            lg(3.0 / p) + lg(1.0 + d / p) - lg(1.0 / p) - lg(1.0 + (d + 2.0) / p)
+        )
+    raise ValueError(f"no closed-form second moment for body kind {body.kind!r}")
 
 
 def _build_l1_type(params, report):
@@ -640,14 +686,8 @@ def _build_l1_type(params, report):
     report["diagonality_inf"] = lam_emp
     report["diagonality_sup"] = lam_sup
     lam = lam_emp if params["lam"] is None else params["lam"]
-    if isinstance(body, Simplex):
-        i1 = _simplex_uniform_second_moment(body)
-        i2 = 2.0 * d / (d + 1.0)
-    else:
-        mu = measures.uniform_body(body)
-        pts = mu.sample(100000, 13)
-        i1 = float((pts**2).sum(axis=1).mean())
-        i2, _ = _cone_second_moment_ratio(body, report, lam)
+    i1 = _uniform_second_moment(body)
+    i2, _ = _cone_second_moment_ratio(body, report, lam)
     rhs_base = (i1 + i2 / lam**2) / d**2
     alt = (1.0 + (d + 2.0) * (lam_sup / lam) ** 2) / d**2 * i1
     return InequalityInstance(

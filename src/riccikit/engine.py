@@ -279,8 +279,8 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     The caller may pass work it has already done: `boundary`, the
     `boundary_sample` at (len(samples), seed); `weight_values`, the weights
     at the samples from `rhs_weight.compact`; `grads`, the gradients of f
-    at the samples.  Raises HypothesisViolated if the weight fails PSD at a
-    sample point.
+    at the samples.  Raises HypothesisViolated naming the sample point where
+    the weighted energy is not finite or the weight fails PSD.
     """
     if instance.eval_mode == "fixed_rhs":
         return instance.rhs_fixed, instance.rhs_fixed_err
@@ -289,6 +289,9 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     if weight_values is None:
         weight_values = instance.rhs_weight.compact(samples)
     vals = quad_form(weight_values, grads)
+    if not np.isfinite(vals).all():
+        i = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise HypothesisViolated("rhs_energy_finite", samples[i], float(vals[i]))
     if np.any(vals < -1e-10):
         i = int(np.argmin(vals))
         raise HypothesisViolated("rhs_weight_psd", samples[i], float(vals[i]))

@@ -146,8 +146,8 @@ def _hessian_metric_at(data: HessianMetricData, x):
 
 def hessian_trace_form(g, third):
     """H_ij = Tr[(D^2 Phi)^-1 D^2 Phi_{x_i} (D^2 Phi)^-1 D^2 Phi_{x_j}]."""
-    ginv = np.linalg.inv(g)
-    return np.einsum("ab,bci,ce,eaj->ij", ginv, third, ginv, third)
+    m = np.linalg.inv(g) @ np.moveaxis(third, 2, 0)
+    return np.einsum("iac,jca->ij", m, m)
 
 
 def hessian_ricci(data: HessianMetricData, x, return_h=False):
@@ -290,14 +290,21 @@ FAMILY = Schema({"type": Key("string")}, select="type", variants={
 })
 
 
+def product_ricci_diagonal(data: ProductMetricData, grad, x):
+    """The metric's diagonal term V_{x_i} u_i'/u_i - u_i''/u_i of the
+    product-metric generalized Ricci tensor, in the shape of x, from the
+    gradient `grad` of V at the (d,) point or (n, d) batch x."""
+    u, du, ddu = data._profiles_at(x)
+    return grad * du / u - ddu / u
+
+
 def product_ricci(data: ProductMetricData, v: PotentialField, x):
     """D^2 V + diag{ V_{x_i} u_i'/u_i - u_i''/u_i } at a (d,) point, (d, d),
     or at each row of an (n, d) batch, (n, d, d)."""
     x = as_point(x)
-    u, du, ddu = data._profiles_at(x)
     ric = v.hessian(x)
     idx = np.arange(data.dim)
-    ric[..., idx, idx] += v.gradient(x) * du / u - ddu / u
+    ric[..., idx, idx] += product_ricci_diagonal(data, v.gradient(x), x)
     return ric
 
 

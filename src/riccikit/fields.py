@@ -13,7 +13,8 @@ Conventions:
   * quadratic-form fields take an (n, d) array of points and return their
     weights in one of four forms: an (n,) array for s(x) * Id, (n, d) for
     diag(w(x)), (n, d, d) for a full matrix, or a ScalarPlusRankOne for
-    s(x) * Id + c u(x) u(x)^T; one point is a batch of one;
+    s(x) * Id or diag(s(x)), plus c u(x) u(x)^T; one point is a batch of
+    one;
   * metric derivative arrays have shape (d, d, d) with axis 0 the
     differentiation direction: deriv(x)[k] = d g / d x_k;
   * third-derivative tensors of potentials are fully symmetric (d, d, d)
@@ -302,15 +303,17 @@ def hessian_metric(phi: PotentialField, d, domain=None):
         t = phi.third_tensor(x)
         return np.moveaxis(t, 2, 0)
 
+    # values() symmetrizes the batch, so an analytic `hess` is called bare
     return MetricField(
-        dim=d, fn=lambda x: phi.hessian(x), deriv=deriv, domain=domain, name="hessian"
+        dim=d, fn=phi.hess or phi.hessian, deriv=deriv, domain=domain, name="hessian"
     )
 
 
 @dataclass(frozen=True)
 class ScalarPlusRankOne:
-    """Weights s(x) Id + c u(x) u(x)^T at n points: s of shape (n,), a
-    scalar c and u of shape (n, d)."""
+    """Weights S(x) + c u(x) u(x)^T at n points: S = s Id for s of shape
+    (n,), S = diag(s) for s of shape (n, d); a scalar c and u of shape
+    (n, d)."""
 
     s: np.ndarray
     c: float
@@ -326,7 +329,7 @@ class QuadraticFormField:
       (n,)               s(x) * Id;
       (n, d)             diag(w(x));
       (n, d, d)          a full matrix (symmetrized on evaluation);
-      ScalarPlusRankOne  s(x) * Id + c u(x) u(x)^T.
+      ScalarPlusRankOne  s(x) * Id or diag(s(x)), plus c u(x) u(x)^T.
     """
 
     dim: int
@@ -343,7 +346,7 @@ class QuadraticFormField:
                 np.asarray(out.s, dtype=float), out.c, np.asarray(out.u, dtype=float)
             )
             shape = (out.s.shape, np.shape(out.c), out.u.shape)
-            allowed = [((n,), (), (n, d))]
+            allowed = [((n,), (), (n, d)), ((n, d), (), (n, d))]
         else:
             out = np.asarray(out, dtype=float)
             shape, allowed = out.shape, [(n,), (n, d), (n, d, d)]
@@ -369,7 +372,7 @@ def as_matrices(w, d):
     QuadraticFormField: (n,) scalars, (n, d) diagonals, (n, d, d) or a
     ScalarPlusRankOne."""
     if isinstance(w, ScalarPlusRankOne):
-        return w.s[:, None, None] * np.eye(d) + w.c * np.einsum("ni,nj->nij", w.u, w.u)
+        return as_matrices(w.s, d) + w.c * np.einsum("ni,nj->nij", w.u, w.u)
     if w.ndim == 3:
         return w
     return diag_matrices(w if w.ndim == 2 else np.repeat(w[:, None], d, axis=1))
@@ -380,7 +383,7 @@ def quad_form(w, vectors):
     QuadraticFormField.compact) and an (n, d) array of vectors."""
     if isinstance(w, ScalarPlusRankOne):
         uv = np.einsum("ni,ni->n", w.u, vectors)
-        return w.s * np.einsum("ni,ni->n", vectors, vectors) + w.c * (uv * uv)
+        return quad_form(w.s, vectors) + w.c * (uv * uv)
     if w.ndim == 1:
         return w * np.einsum("ni,ni->n", vectors, vectors)
     if w.ndim == 2:

@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from riccikit import catalog as cat, families as fam, measures as ms
+from riccikit import catalog as cat, engine as eng, families as fam, measures as ms
 from riccikit import tensor_core as tc
-from riccikit.bodies import Ball, ConeMeasureSampler, LpBall, Simplex
+from riccikit.bodies import Ball, Box, ConeMeasureSampler, LpBall, Simplex
 from riccikit.errors import EigensolveFailure, HypothesisViolated, UnknownInequalityId
-from riccikit.fields import PotentialField
+from riccikit.fields import PotentialField, ScalarPlusRankOne, as_matrices
 
 
 class TestInstantiate:
@@ -309,3 +309,156 @@ class TestRicciGate:
         for k in inner:
             fd = tc.generalized_ricci(metric, mu.potential, pts[k]).ric_gmu
             assert np.abs(ric[k] - fd).max() < 1e-4 * (1.0 + np.abs(ric[k]).max())
+
+
+def _dense_negdim_inverse(mu, pts):
+    return np.linalg.inv(cat._negdim_matrix(mu, pts))
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestStructuredProductWeights:
+    """On a product measure the RHS weights of negdim_bl and of the
+    product-Ricci entries keep the structure of D^2 V: diagonal, or diagonal
+    plus rank one, never a batched dense inverse."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    @pytest.mark.parametrize(
+        "make",
+        [ms.gaussian, ms.trunc_gaussian_orthant, lambda d: ms.power_product(d, 1.5)],
+        ids=["gaussian", "trunc_gaussian_orthant", "power_product"],
+    )
+    def test_negdim_sherman_morrison_matches_inv(self, make, d):
+        mu = make(d)
+        inst = cat.instantiate("negdim_bl", {"measure": mu})
+        pts = mu.sample(500, 4)
+        w = inst.rhs_weight.compact(pts)
+        assert isinstance(w, ScalarPlusRankOne) and w.s.shape == (500, d)
+        assert _rel_err(as_matrices(w, d), _dense_negdim_inverse(mu, pts)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [ms.gaussian, ms.exp_product, ms.trunc_gaussian_orthant])
+    def test_negdim_scalar_at_d1(self, make):
+        mu = make(1)
+        inst = cat.instantiate("negdim_bl", {"measure": mu})
+        pts = mu.sample(500, 4)
+        w = inst.rhs_weight.compact(pts)
+        assert w.shape == (500,)
+        assert _rel_err(w, _dense_negdim_inverse(mu, pts)[:, 0, 0]) <= 1e-12
+
+    def test_negdim_exp_product_d1_keeps_its_pass_rows(self):
+        # V'' = 0 there, so a Sherman-Morrison update of diag(1/V'') would
+        # give NaN weights; the weight is 1/(V'^2/2) = 2/rate^2
+        inst = cat.instantiate("negdim_bl", {"measure": ms.exp_product(1, rate=2.0)})
+        pts = inst.measure.sample(100, 1)
+        assert np.array_equal(inst.rhs_weight.compact(pts), np.full(100, 0.5))
+        rep = eng.check_inequality(inst, budget=4000, seed=3)
+        assert rep.rows and all(r.status == "pass" for r in rep.rows)
+        assert all(np.isfinite(r.rhs) and np.isfinite(r.rhs_err) for r in rep.rows)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    @pytest.mark.parametrize(
+        "inequality,params",
+        [
+            ("generalized_bl", {"family": {"type": "product_power", "p": 0.5}}),
+            ("generalized_bl", {"family": {"type": "product_exp", "lam": 0.5}}),
+            ("poly_product", {"part": 1, "p": 0.7}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "make", [ms.exp_product, lambda d: ms.power_product(d, 1.5)],
+        ids=["exp_product", "power_product"],
+    )
+    def test_product_ricci_weight_matches_inv(self, make, inequality, params, d):
+        mu = make(d)
+        inst = cat.instantiate(inequality, {**params, "measure": mu})
+        family = params.get("family", {"type": "product_power", "p": params.get("p")})
+        data = fam.ProductMetricData.from_family(family, d)
+        pts = mu.sample(500, 4)
+        w = inst.rhs_weight.compact(pts)
+        assert w.shape == (500, d)
+        dense = np.linalg.inv(fam.product_ricci(data, mu.potential, pts))
+        assert _rel_err(as_matrices(w, d), dense) <= 1e-12
+        hyp = cat._hypothesis_points(mu)
+        ric = fam.product_ricci(data, mu.potential, hyp)
+        assert inst.hypothesis_report["ric_positive"] == np.linalg.eigvalsh(ric).min()
+
+    @pytest.mark.parametrize(
+        "inequality,params,make",
+        [
+            ("negdim_bl", {}, ms.gaussian),
+            ("negdim_bl", {}, ms.trunc_gaussian_orthant),
+            ("generalized_bl", {"family": {"type": "product_power", "p": 0.5}},
+             ms.exp_product),
+            ("generalized_bl", {"family": {"type": "product_exp", "lam": 0.5}},
+             ms.exp_quad_orthant),
+            ("poly_product", {"part": 1, "p": 0.5}, ms.exp_product),
+        ],
+    )
+    def test_no_dense_inverse_on_stock_product_measures(self, monkeypatch,
+                                                        inequality, params, make):
+        stacks = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        inst = cat.instantiate(inequality, {**params, "measure": make(6)})
+        rep = eng.check_inequality(inst, budget=1000, seed=2)
+        assert all(r.status != "error" for r in rep.rows)
+        assert stacks == []
+
+    def test_dense_path_without_coordinate_derivatives(self):
+        mu = ms.gaussian(3)
+        bare = ms.MeasureSpec(kind="bare", dim=3, potential=mu.potential,
+                              sampler=mu.sampler)
+        inst = cat.instantiate("negdim_bl", {"measure": bare})
+        pts = mu.sample(200, 4)
+        w = inst.rhs_weight.compact(pts)
+        assert w.shape == (200, 3, 3)
+        ref = cat.instantiate("negdim_bl", {"measure": mu}).rhs_weight.values(pts)
+        assert _rel_err(w, ref) <= 1e-12
+
+    def test_dense_path_where_a_second_derivative_vanishes(self):
+        # exponential x Gaussian: D = diag(0, 1), yet D + g g^T/4 has
+        # determinant rate^2/4 > 0, so the weight exists without D^-1
+        from riccikit.transport import exponential_density, gaussian_density
+
+        mu = ms._product_spec(
+            "exp_gauss", [exponential_density(1.0), gaussian_density(1.0)],
+            d1=[lambda t: 1.0, lambda t: t], d2=[lambda t: 0.0, lambda t: 1.0],
+        )
+        inst = cat.instantiate("negdim_bl", {"measure": mu})
+        pts = mu.sample(200, 4)
+        w = inst.rhs_weight.compact(pts)
+        assert w.shape == (200, 2, 2)
+        assert _rel_err(w, _dense_negdim_inverse(mu, pts)) <= 1e-12
+        assert np.isfinite(w).all()
+
+
+class TestUniformSecondMoment:
+    @pytest.mark.parametrize(
+        "body",
+        [Ball(3), Ball(5, 2.0), Ball(4, 1.5, orthant=True), Box([0.5, 1.0, 2.0]),
+         LpBall(3, 3.0), LpBall(4, 1.5, 2.0), LpBall(6, 5.0), Simplex(4, 2.0)],
+        ids=lambda b: f"{b.kind}{b.dim}",
+    )
+    def test_closed_form_matches_monte_carlo(self, body):
+        pts = body.sample_uniform(200000, np.random.default_rng(21))
+        r2 = np.sum(pts**2, axis=1)
+        se = r2.std(ddof=1) / np.sqrt(len(r2))
+        assert abs(cat._uniform_second_moment(body) - r2.mean()) <= 4.0 * se
+
+    def test_l1_type_is_deterministic_off_the_simplex(self):
+        body = LpBall(3, 3.0)
+        a = cat.instantiate("l1_type", {"body": body})
+        b = cat.instantiate("l1_type", {"body": LpBall(3, 3.0)})
+        assert a.rhs_fixed == b.rhs_fixed
+        lam = a.params["lam"]
+        i2, _ = cat._cone_second_moment_ratio(body, {}, lam)
+        want = (cat._uniform_second_moment(body) + i2 / lam**2) / 9.0
+        assert a.rhs_fixed == pytest.approx(want, rel=1e-14)

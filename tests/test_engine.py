@@ -10,8 +10,13 @@ from scipy import integrate
 
 from riccikit import catalog as cat, cli, engine as eng, families as fam, measures as ms
 from riccikit.bodies import Ball, LpBall, Simplex
-from riccikit.errors import BoundaryQuadratureFailure, DegenerateSample, EigensolveFailure
-from riccikit.fields import QuadraticFormField, ScalarPlusRankOne, quad_form
+from riccikit.errors import (
+    BoundaryQuadratureFailure,
+    DegenerateSample,
+    EigensolveFailure,
+    HypothesisViolated,
+)
+from riccikit.fields import QuadraticFormField, ScalarPlusRankOne, as_matrices, quad_form
 
 
 class TestSuiteFunctions:
@@ -349,9 +354,27 @@ class TestWeightContraction:
         with pytest.raises(ValueError, match="shape"):
             field.compact(np.zeros((3, 2)))
 
+    def test_diagonal_plus_rank_one_matches_its_dense_expansion(self):
+        rng = np.random.default_rng(3)
+        n, d = 500, 5
+        s, u, v = rng.uniform(0.5, 2.0, (n, d)), rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        field = QuadraticFormField(dim=d, batch=lambda pts: ScalarPlusRankOne(s, -0.3, u))
+        w = field.compact(np.zeros((n, d)))
+        dense = np.zeros((n, d, d))
+        dense[:, np.arange(d), np.arange(d)] = s
+        dense -= 0.3 * np.einsum("ni,nj->nij", u, u)
+        assert np.array_equal(as_matrices(w, d), dense)
+        want = np.einsum("nij,ni,nj->n", dense, v, v)
+        assert np.all(np.abs(quad_form(w, v) - want) <= 1e-13 * np.abs(want).max())
+
     def test_compact_rejects_unshaped_rank_one(self):
         field = QuadraticFormField(
             dim=2, batch=lambda pts: ScalarPlusRankOne(np.ones(len(pts)), 1.0, pts[:, :1])
+        )
+        with pytest.raises(ValueError, match="shape"):
+            field.compact(np.zeros((3, 2)))
+        field = QuadraticFormField(
+            dim=2, batch=lambda pts: ScalarPlusRankOne(np.ones((len(pts), 3)), 1.0, pts)
         )
         with pytest.raises(ValueError, match="shape"):
             field.compact(np.zeros((3, 2)))
@@ -419,6 +442,38 @@ class TestSharedPerCheckWork:
         inst = cat.instantiate("hardy_boundary", {"body": LpBall(6, 3.0), "N": -1.0})
         with pytest.raises(BoundaryQuadratureFailure, match="lp"):
             eng.check_inequality(inst, budget=2000, seed=4)
+
+
+class TestNonFiniteEnergy:
+    def _instance(self, bad, value=np.inf):
+        inst = cat.instantiate("classical_bl", {"measure": ms.gaussian(2)})
+
+        def batch(pts):
+            w = np.ones(len(pts))
+            w[bad] = value
+            return w
+
+        weight = QuadraticFormField(dim=2, batch=batch, name="one bad weight")
+        return dataclasses.replace(inst, rhs_weight=weight)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_estimate_rhs_names_the_point(self, value):
+        inst = self._instance(1234, value)
+        samples = eng.sample_measure(inst.measure, 2000, 7)
+        f = eng.default_suite(2, seed=7)[0]
+        with pytest.raises(HypothesisViolated) as err:
+            eng.estimate_rhs(inst, f, samples)
+        assert err.value.hypothesis == "rhs_energy_finite"
+        assert np.array_equal(err.value.location, samples[1234])
+
+    def test_rows_become_error_rows(self):
+        inst = self._instance(1234)
+        report = eng.check_inequality(inst, budget=2000, seed=7)
+        assert len(report.rows) == 12
+        assert all(r.status == "error" for r in report.rows)
+        errors = [k for k in report.attachments if k.endswith(":error")]
+        assert len(errors) == 12
+        assert all("rhs_energy_finite" in report.attachments[k] for k in errors)
 
 
 class TestSlackRule:

@@ -97,6 +97,31 @@ class TestHessianRicci:
             fam.hessian_ricci(data, [0.3, 0.3])
 
 
+class TestHessianTraceForm:
+    @pytest.mark.parametrize("d", [1, 3, 6, 12])
+    def test_matches_the_four_operand_contraction(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        g = a @ a.T + d * np.eye(d)
+        t = rng.normal(size=(d, d, d))
+        # fully symmetric, as a third-derivative tensor is
+        t = sum(np.transpose(t, p) for p in
+                [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+        ginv = np.linalg.inv(g)
+        want = np.einsum("ab,bci,ce,eaj->ij", ginv, t, ginv, t)
+        got = fam.hessian_trace_form(g, t)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_hessian_metric_calls_the_analytic_hessian(self):
+        d = 3
+        phi = logcosh_phi(d)
+        metric = fields.hessian_metric(phi, d)
+        assert metric.fn is phi.hess
+        pts = np.random.default_rng(1).normal(size=(7, d))
+        want = np.array([phi.hessian(p) for p in pts])
+        assert np.array_equal(metric.values(pts), want)
+
+
 class TestHLowerBound:
     def test_identity_transport_zero(self):
         d = 2
