@@ -6,6 +6,13 @@ The catalog is closed: balls, axis-aligned boxes, the corner simplex
 radial function.  The cone measure is realized exactly as the push-forward
 of the uniform measure under x -> x / gauge(x).
 
+Every body method evaluates a batch: it takes an (n, d) array of points (a
+single point is a batch of one) and returns one row per point.  `gauge` is
+(n,), `gauge_grad` and `normal` are (n, d), and `boundary_curvature` is the
+pair (II_0, H_0) of shapes (n, d, d) and (n,), read at the radial projection
+of each point to the boundary.  A point where a quantity is undefined raises
+for the whole batch, naming its first bad row.
+
 `SCHEMA`, beside `CONSTRUCTORS`, gives each body kind's keys with their
 types, ranges and defaults; `body_from_spec` fills the defaults.
 """
@@ -28,41 +35,44 @@ from .schema import Key, Schema, fill, number, positive
 _CORNER_MARGIN = 1e-8
 
 
+def _rows(pts):
+    return np.atleast_2d(np.asarray(pts, dtype=float))
+
+
+def _reject(bad, pts, error, what):
+    """Raise `error` naming the first row of `pts` flagged in `bad`."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"{what}: row {i}, {pts[i]}")
+
+
+def _projector(n):
+    """Id - n n^T for each row of n."""
+    return np.eye(n.shape[1]) - n[:, :, None] * n[:, None, :]
+
+
 class ConvexBody:
     """Base class; subclasses fill in gauge/normal/curvature/sampling."""
 
     dim: int
     kind: str
 
-    def gauge(self, x):
+    def gauge(self, pts):
         raise NotImplementedError
 
-    def gauge_many(self, pts):
-        return np.array([self.gauge(p) for p in np.atleast_2d(pts)])
-
-    def gauge_grad(self, x):
+    def gauge_grad(self, pts):
         raise NotImplementedError
 
-    def gauge_grad_many(self, pts):
-        return np.array([self.gauge_grad(p) for p in np.atleast_2d(pts)])
-
-    def normal(self, x):
-        """Outer unit normal at the radial projection of x to the boundary."""
-        g = self.gauge_grad(x)
-        n = np.linalg.norm(g)
-        if n <= 0.0:
-            raise UndefinedAtOrigin("gauge gradient vanishes")
-        return g / n
-
-    def normal_many(self, pts):
-        """Outer unit normals for the rows of an (n, d) array of points."""
-        g = self.gauge_grad_many(pts)
+    def normal(self, pts):
+        """Outer unit normals at the radial projections of the points to the
+        boundary."""
+        pts = _rows(pts)
+        g = self.gauge_grad(pts)
         norm = np.sqrt(np.vecdot(g, g))
-        if np.any(norm <= 0.0):
-            raise UndefinedAtOrigin("gauge gradient vanishes")
+        _reject(norm <= 0.0, pts, UndefinedAtOrigin, "gauge gradient vanishes")
         return g / norm[:, None]
 
-    def boundary_curvature(self, x):
+    def boundary_curvature(self, pts):
         raise NotImplementedError
 
     def sample_uniform(self, n, rng):
@@ -79,40 +89,23 @@ class ConvexBody:
         return {"kind": self.kind, "dim": self.dim}
 
 
-def gauge_and_normal(body: ConvexBody, x):
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0.0:
-        raise UndefinedAtOrigin("gauge direction undefined at the origin")
-    return float(body.gauge(x)), body.normal(x)
-
-
-def boundary_curvature(body: ConvexBody, x):
-    return body.boundary_curvature(np.asarray(x, dtype=float))
-
-
-def polar_map_norm(body: ConvexBody, x):
-    """Operator norm of the differential of T(x) = x / gauge(x):
+def polar_map_norm(body: ConvexBody, pts):
+    """Operator norm of the differential of T(x) = x / gauge(x) at each row:
     |x| / (p(x) <x, n(T(x))>)."""
-    x = np.asarray(x, dtype=float)
-    p = float(body.gauge(x))
-    if p <= 0.0:
-        raise UndefinedAtOrigin("polar map undefined where the gauge vanishes")
-    n = body.normal(x)
-    xn = float(x @ n)
-    if xn <= 0.0:
-        raise NonPositiveAngle(f"<x, n> = {xn:.3e} <= 0")
-    return float(np.linalg.norm(x)) / (p * xn)
+    x = _rows(pts)
+    p = body.gauge(x)
+    _reject(p <= 0.0, x, UndefinedAtOrigin, "polar map undefined where the gauge vanishes")
+    xn = np.vecdot(x, body.normal(x))
+    _reject(xn <= 0.0, x, NonPositiveAngle, "<x, n> <= 0")
+    return np.sqrt(np.vecdot(x, x)) / (p * xn)
 
 
 def diagonality_bounds(body: ConvexBody, samples):
     """Empirical (inf, sup) over boundary samples of <n, e_i>/<n, x>."""
-    x = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = body.normal_many(x)
+    x = _rows(samples)
+    n = body.normal(x)
     xn = np.vecdot(x, n)
-    bad = np.flatnonzero(xn <= 0.0)
-    if bad.size:
-        i = bad[0]
-        raise NonPositiveAngle(f"<x, n> = {xn[i]:.3e} at {x[i]}")
+    _reject(xn <= 0.0, x, NonPositiveAngle, "<x, n> <= 0")
     r = n / xn[:, None]
     return float(r.min()), float(r.max())
 
@@ -131,8 +124,7 @@ class ConeMeasureSampler:
 
     def sample(self, count):
         pts = self.body.sample_uniform(count, self._rng)
-        g = self.body.gauge_many(pts)
-        return pts / g[:, None]
+        return pts / self.body.gauge(pts)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +137,20 @@ class Ball(ConvexBody):
         self.orthant = orthant
         self.kind = "ball"
 
-    def gauge(self, x):
-        return float(np.linalg.norm(x)) / self.radius
+    def gauge(self, pts):
+        return np.linalg.norm(_rows(pts), axis=1) / self.radius
 
-    def gauge_many(self, pts):
-        return np.linalg.norm(np.atleast_2d(pts), axis=1) / self.radius
-
-    def gauge_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            raise UndefinedAtOrigin("ball gauge gradient at the origin")
-        return x / (r * self.radius)
-
-    def gauge_grad_many(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        # row dot products round like the pointwise np.linalg.norm(x)
+    def gauge_grad(self, pts):
+        pts = _rows(pts)
+        # row dot products, not norm(axis=1): the Dirichlet rows' bytes
+        # depend on this rounding
         r = np.sqrt(np.vecdot(pts, pts))
-        if np.any(r == 0.0):
-            raise UndefinedAtOrigin("ball gauge gradient at the origin")
+        _reject(r == 0.0, pts, UndefinedAtOrigin, "ball gauge gradient at the origin")
         return pts / (r[:, None] * self.radius)
 
-    def boundary_curvature(self, x):
-        n = self.normal(x)
-        proj = np.eye(self.dim) - np.outer(n, n)
-        return proj / self.radius, (self.dim - 1) / self.radius
+    def boundary_curvature(self, pts):
+        n = self.normal(pts)
+        return _projector(n) / self.radius, np.full(len(n), (self.dim - 1) / self.radius)
 
     def sample_uniform(self, n, rng):
         z = rng.standard_normal((n, self.dim))
@@ -214,31 +195,27 @@ class Box(ConvexBody):
         self.dim = self.a.size
         self.kind = "box"
 
-    def gauge(self, x):
-        return float(np.max(np.abs(np.asarray(x, dtype=float)) / self.a))
+    def gauge(self, pts):
+        return np.max(np.abs(_rows(pts)) / self.a, axis=1)
 
-    def gauge_many(self, pts):
-        return np.max(np.abs(np.atleast_2d(pts)) / self.a, axis=1)
-
-    def _facet(self, x):
-        r = np.abs(np.asarray(x, dtype=float)) / self.a
-        p = float(r.max())
-        if p <= 0.0:
-            raise UndefinedAtOrigin("box gauge at the origin")
-        hits = np.nonzero(r >= p * (1.0 - _CORNER_MARGIN))[0]
-        if len(hits) > 1:
-            raise NonSmoothBoundaryPoint(f"edge/corner of the box at {x}")
-        return int(hits[0])
-
-    def gauge_grad(self, x):
-        j = self._facet(x)
-        g = np.zeros(self.dim)
-        g[j] = math.copysign(1.0 / self.a[j], x[j])
+    def gauge_grad(self, pts):
+        """+-e_j/a_j on the facet x_j = +-a_j; edges and corners, where two
+        facets tie, are rejected."""
+        pts = _rows(pts)
+        r = np.abs(pts) / self.a
+        rows = np.arange(len(pts))
+        j = np.argmax(r, axis=1)
+        p = r[rows, j]
+        _reject(p <= 0.0, pts, UndefinedAtOrigin, "box gauge at the origin")
+        ties = np.count_nonzero(r >= (p * (1.0 - _CORNER_MARGIN))[:, None], axis=1)
+        _reject(ties > 1, pts, NonSmoothBoundaryPoint, "edge/corner of the box")
+        g = np.zeros_like(pts)
+        g[rows, j] = np.copysign(1.0 / self.a[j], pts[rows, j])
         return g
 
-    def boundary_curvature(self, x):
-        self._facet(x)
-        return np.zeros((self.dim, self.dim)), 0.0
+    def boundary_curvature(self, pts):
+        n = len(self.gauge_grad(pts))  # rejects the origin, edges and corners
+        return np.zeros((n, self.dim, self.dim)), np.zeros(n)
 
     def sample_uniform(self, n, rng):
         return rng.uniform(-self.a, self.a, size=(n, self.dim))
@@ -256,9 +233,9 @@ class Box(ConvexBody):
 class Simplex(ConvexBody):
     """Corner simplex {x_i >= 0, sum x_i <= scale} in the positive orthant.
 
-    The gauge sum(x)/scale is exact on the closed orthant; the relative
-    boundary is the open diagonal facet, where the cone measure is
-    Dirichlet(1, ..., 1).
+    The gauge sum(x)/scale is exact on the closed orthant and rejected off
+    it; the relative boundary is the open diagonal facet, where the cone
+    measure is Dirichlet(1, ..., 1).
     """
 
     def __init__(self, dim, scale=1.0):
@@ -266,26 +243,20 @@ class Simplex(ConvexBody):
         self.scale = float(scale)
         self.kind = "simplex"
 
-    def gauge(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -1e-12):
-            raise UndefinedAtOrigin("simplex gauge defined on the orthant cone")
-        return float(np.sum(x)) / self.scale
+    def gauge(self, pts):
+        pts = _rows(pts)
+        _reject(np.any(pts < -1e-12, axis=1), pts, UndefinedAtOrigin,
+                "simplex gauge defined on the orthant cone")
+        return np.sum(pts, axis=1) / self.scale
 
-    def gauge_many(self, pts):
-        return np.sum(np.atleast_2d(pts), axis=1) / self.scale
+    def gauge_grad(self, pts):
+        return np.full((len(_rows(pts)), self.dim), 1.0 / self.scale)
 
-    def gauge_grad(self, x):
-        return np.full(self.dim, 1.0 / self.scale)
-
-    def gauge_grad_many(self, pts):
-        return np.full((len(np.atleast_2d(pts)), self.dim), 1.0 / self.scale)
-
-    def boundary_curvature(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.scale * _CORNER_MARGIN):
-            raise NonSmoothBoundaryPoint("relative-boundary edge of the facet")
-        return np.zeros((self.dim, self.dim)), 0.0
+    def boundary_curvature(self, pts):
+        pts = _rows(pts)
+        _reject(np.any(pts < self.scale * _CORNER_MARGIN, axis=1), pts,
+                NonSmoothBoundaryPoint, "relative-boundary edge of the facet")
+        return np.zeros((len(pts), self.dim, self.dim)), np.zeros(len(pts))
 
     def sample_uniform(self, n, rng):
         e = rng.standard_exponential(size=(n, self.dim + 1))
@@ -322,31 +293,13 @@ class LpBall(ConvexBody):
         self.radius = float(radius)
         self.kind = "lp"
 
-    def gauge(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(np.abs(x) ** self.p) ** (1.0 / self.p)) / self.radius
+    def gauge(self, pts):
+        return np.sum(np.abs(_rows(pts)) ** self.p, axis=1) ** (1.0 / self.p) / self.radius
 
-    def gauge_many(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.sum(np.abs(pts) ** self.p, axis=1) ** (1.0 / self.p) / self.radius
-
-    def gauge_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.sum(np.abs(x) ** self.p)
-        if s <= 0.0:
-            raise UndefinedAtOrigin("l_p gauge gradient at the origin")
-        return (
-            s ** (1.0 / self.p - 1.0)
-            * np.sign(x)
-            * np.abs(x) ** (self.p - 1.0)
-            / self.radius
-        )
-
-    def gauge_grad_many(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def gauge_grad(self, pts):
+        pts = _rows(pts)
         s = np.sum(np.abs(pts) ** self.p, axis=1)
-        if np.any(s <= 0.0):
-            raise UndefinedAtOrigin("l_p gauge gradient at the origin")
+        _reject(s <= 0.0, pts, UndefinedAtOrigin, "l_p gauge gradient at the origin")
         return (
             (s ** (1.0 / self.p - 1.0))[:, None]
             * np.sign(pts)
@@ -354,29 +307,27 @@ class LpBall(ConvexBody):
             / self.radius
         )
 
-    def _gauge_hess(self, x):
-        x = np.asarray(x, dtype=float)
+    def _gauge_hess(self, pts):
         p = self.p
-        s = np.sum(np.abs(x) ** p)
-        u = np.sign(x) * np.abs(x) ** (p - 1.0)
-        diag = np.diag((p - 1.0) * np.abs(x) ** (p - 2.0))
-        return (
-            s ** (1.0 / p - 2.0) * ((1.0 - p) * np.outer(u, u) + s * diag)
-            / self.radius
-        )
+        a = np.abs(pts)
+        s = np.sum(a**p, axis=1)
+        u = np.sign(pts) * a ** (p - 1.0)
+        h = (1.0 - p) * u[:, :, None] * u[:, None, :]
+        diag = np.arange(self.dim)
+        h[:, diag, diag] += s[:, None] * ((p - 1.0) * a ** (p - 2.0))
+        return (s ** (1.0 / p - 2.0))[:, None, None] * h / self.radius
 
-    def boundary_curvature(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.p < 2.0 and np.any(np.abs(x) < _CORNER_MARGIN * self.radius):
-            raise NonSmoothBoundaryPoint(
-                "l_p curvature blows up on coordinate hyperplanes for p < 2"
-            )
-        g = self.gauge_grad(x)
-        gn = np.linalg.norm(g)
-        n = g / gn
-        proj = np.eye(self.dim) - np.outer(n, n)
-        ii = proj @ self._gauge_hess(x) @ proj / gn
-        return ii, float(np.trace(ii))
+    def boundary_curvature(self, pts):
+        pts = _rows(pts)
+        if self.p < 2.0:
+            _reject(np.any(np.abs(pts) < _CORNER_MARGIN * self.radius, axis=1), pts,
+                    NonSmoothBoundaryPoint,
+                    "l_p curvature blows up on coordinate hyperplanes for p < 2")
+        g = self.gauge_grad(pts)
+        gn = np.sqrt(np.vecdot(g, g))
+        proj = _projector(g / gn[:, None])
+        ii = proj @ self._gauge_hess(pts) @ proj / gn[:, None, None]
+        return ii, np.trace(ii, axis1=1, axis2=2)
 
     def sample_uniform(self, n, rng, budget_factor=None):
         if budget_factor is None:
@@ -394,7 +345,7 @@ class LpBall(ConvexBody):
             m = min(4 * (n - have) + 64, 1 << 20)
             cand = rng.uniform(-self.radius, self.radius, size=(m, self.dim))
             tries += m
-            keep = cand[self.gauge_many(cand) <= 1.0]
+            keep = cand[self.gauge(cand) <= 1.0]
             k = min(len(keep), n - have)
             out[have : have + k] = keep[:k]
             have += k
@@ -417,8 +368,9 @@ class LpBall(ConvexBody):
 
 class Curve2D(ConvexBody):
     """Smooth planar star body from a radial function rho(angle) with two
-    derivatives; convexity of the realized boundary is the caller's claim.
-    `params` are the keys that rebuild it through `body_from_spec`."""
+    derivatives, each a numpy function of an array of angles; convexity of
+    the realized boundary is the caller's claim.  `params` are the keys that
+    rebuild it through `body_from_spec`."""
 
     def __init__(self, rho, drho, ddrho, kind="curve2d", params=None):
         self.dim = 2
@@ -430,58 +382,60 @@ class Curve2D(ConvexBody):
 
     @classmethod
     def ellipse(cls, a, b):
+        """Semi-axes a, b: rho = ab s^(-1/2) with s = b^2 cos^2 t + a^2 sin^2 t,
+        and its derivatives in closed form."""
+        k = a * a - b * b  # s' = k sin 2t, s'' = 2k cos 2t
+
+        def s(t):
+            return (b * np.cos(t)) ** 2 + (a * np.sin(t)) ** 2
+
         def rho(t):
-            return a * b / math.sqrt((b * math.cos(t)) ** 2 + (a * math.sin(t)) ** 2)
+            return a * b / np.sqrt(s(t))
 
-        def drho(t, h=1e-6):
-            return (rho(t + h) - rho(t - h)) / (2 * h)
+        def drho(t):
+            return -a * b * k * np.sin(2.0 * t) / (2.0 * s(t) ** 1.5)
 
-        def ddrho(t, h=1e-5):
-            return (rho(t + h) - 2 * rho(t) + rho(t - h)) / h**2
+        def ddrho(t):
+            st = s(t)
+            ds, dds = k * np.sin(2.0 * t), 2.0 * k * np.cos(2.0 * t)
+            return a * b * (0.75 * ds * ds / st**2.5 - 0.5 * dds / st**1.5)
 
         return cls(rho, drho, ddrho, kind="ellipse", params={"a": a, "b": b})
 
-    def _angle(self, x):
-        return math.atan2(x[1], x[0])
+    def gauge(self, pts):
+        pts = _rows(pts)
+        r = np.linalg.norm(pts, axis=1)
+        _reject(r == 0.0, pts, UndefinedAtOrigin, "curve gauge at the origin")
+        return r / self.rho(np.arctan2(pts[:, 1], pts[:, 0]))
 
-    def gauge(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            raise UndefinedAtOrigin("curve gauge at the origin")
-        return float(r / self.rho(self._angle(x)))
-
-    def gauge_grad(self, x):
+    def gauge_grad(self, pts):
         # direction = outer normal; magnitude fixed by Euler homogeneity
         # <x, grad p(x)> = p(x)
-        x = np.asarray(x, dtype=float)
-        n = self.normal(x)
-        xn = float(x @ n)
-        if xn <= 0.0:
-            raise NonPositiveAngle(f"<x, n> = {xn:.3e} along the ray of {x}")
-        return n * (self.gauge(x) / xn)
+        pts = _rows(pts)
+        n = self.normal(pts)
+        xn = np.vecdot(pts, n)
+        _reject(xn <= 0.0, pts, NonPositiveAngle, "<x, n> <= 0 along the ray")
+        return n * (self.gauge(pts) / xn)[:, None]
 
-    def normal(self, x):
-        t = self._angle(np.asarray(x, dtype=float))
+    def normal(self, pts):
+        # the tangent of t -> rho(t) (cos t, sin t) turned clockwise; its
+        # pairing with the boundary point is rho^2 > 0, so it points outward
+        pts = _rows(pts)
+        t = np.arctan2(pts[:, 1], pts[:, 0])
         r, dr = self.rho(t), self.drho(t)
-        gamma_p = np.array(
-            [dr * math.cos(t) - r * math.sin(t), dr * math.sin(t) + r * math.cos(t)]
-        )
-        n = np.array([gamma_p[1], -gamma_p[0]])
-        n /= np.linalg.norm(n)
-        pt = np.array([r * math.cos(t), r * math.sin(t)])
-        return n if float(n @ pt) > 0 else -n
+        c, s = np.cos(t), np.sin(t)
+        n = np.column_stack([dr * s + r * c, r * s - dr * c])
+        return n / np.linalg.norm(n, axis=1)[:, None]
 
-    def boundary_curvature(self, x):
-        t = self._angle(np.asarray(x, dtype=float))
+    def boundary_curvature(self, pts):
+        pts = _rows(pts)
+        t = np.arctan2(pts[:, 1], pts[:, 0])
         r, dr, ddr = self.rho(t), self.drho(t), self.ddrho(t)
         kappa = (r * r + 2.0 * dr * dr - r * ddr) / (r * r + dr * dr) ** 1.5
-        n = self.normal(x)
-        proj = np.eye(2) - np.outer(n, n)
-        return kappa * proj, float(kappa)
+        return kappa[:, None, None] * _projector(self.normal(pts)), kappa
 
     def sample_uniform(self, n, rng, budget_factor=64):
-        rmax = max(self.rho(t) for t in np.linspace(0, 2 * math.pi, 720))
+        rmax = self.radius_bound()
         out = np.empty((n, 2))
         have, tries = 0, 0
         while have < n:
@@ -490,7 +444,7 @@ class Curve2D(ConvexBody):
             m = 4 * (n - have) + 64
             cand = rng.uniform(-rmax, rmax, size=(m, 2))
             tries += m
-            keep = cand[[self.gauge(c) <= 1.0 for c in cand]]
+            keep = cand[self.gauge(cand) <= 1.0]
             k = min(len(keep), n - have)
             out[have : have + k] = keep[:k]
             have += k
@@ -501,7 +455,7 @@ class Curve2D(ConvexBody):
         return val
 
     def radius_bound(self):
-        return max(self.rho(t) for t in np.linspace(0, 2 * math.pi, 720))
+        return float(np.max(self.rho(np.linspace(0, 2 * math.pi, 720))))
 
     def spec(self):
         return {"kind": self.kind, "dim": self.dim, **self.params}

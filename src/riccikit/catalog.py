@@ -270,8 +270,9 @@ def _build_negdim_bl(params, report):
 
 
 def _ball_radius(body):
-    """Radius of a ball-like body, which the mean-curvature terms read."""
-    if not hasattr(body, "radius"):
+    """Radius of a Euclidean ball, which the mean-curvature terms read; an l_p
+    ball has a radius too, but not the ball's curvature."""
+    if not isinstance(body, Ball):
         raise HypothesisViolated(f"ball_like_body ({body.kind})", None, -math.inf)
     return body.radius
 
@@ -629,7 +630,7 @@ def _cone_second_moment_ratio(body, report, lam, seed=11):
         return val, 0.0
     sampler = ConeMeasureSampler(body, seed=seed)
     pts = sampler.sample(20000)
-    vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal_many(pts)) ** 2
+    vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal(pts)) ** 2
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
@@ -756,6 +757,7 @@ def _build_dim_bl_boundary(params, report):
         boundary = BoundaryTerm(body=body, weight=bweight, free_constant=True)
     elif part == 2:
         # ball: II_0 = Id/R >= theta <x,n>/|x|^2 Id = (theta/R) Id iff theta <= 1
+        _ball_radius(body)
         _margin(report, "locally_convex", 1.0 - theta, tol=1e-12)
     elif part == 3:
         dirichlet = True

@@ -140,11 +140,11 @@ def dirichlet_wrap(f: TestFunction, body) -> TestFunction:
     """Multiply by (1 - gauge^2) so the function vanishes on the boundary."""
 
     def grad(p):
-        return _dirichlet_values(f, p, body.gauge_many(p), body.gauge_grad_many(p))[1]
+        return _dirichlet_values(f, p, body.gauge(p), body.gauge_grad(p))[1]
 
     return TestFunction(
         id=f.id + "*(1-p^2)",
-        fn=lambda p: (1.0 - body.gauge_many(p) ** 2) * f.fn(p),
+        fn=lambda p: (1.0 - body.gauge(p) ** 2) * f.fn(p),
         grad=grad,
         vanishes_on_boundary=True,
     )
@@ -455,7 +455,7 @@ def check_inequality(
         boundary = boundary_sample(instance, budget, seed)
     if instance.dirichlet:
         body = instance.body
-        gauge = (body.gauge_many(samples), body.gauge_grad_many(samples))
+        gauge = (body.gauge(samples), body.gauge_grad(samples))
 
     ratios = []
     lip_variances = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riccikit import bodies as bd
+from riccikit import bodies as bd, engine
 from riccikit.errors import (
     NonPositiveAngle,
     NonSmoothBoundaryPoint,
@@ -16,103 +16,206 @@ from riccikit.errors import (
 from conftest import oracle_grad, oracle_jacobian_opnorm
 
 
+def scalar_gauge(body):
+    """The gauge at one point as a float, for the pointwise oracles."""
+    return lambda y: float(body.gauge(y[None])[0])
+
+
+# every body kind, each key off its default, and an orthant ball
+PROTOCOL_BODIES = {
+    "ball": bd.Ball(4, 2.0),
+    "orthant ball": bd.Ball(4, 1.5, orthant=True),
+    "box": bd.Box([1.0, 2.0, 0.5, 1.0]),
+    "simplex": bd.Simplex(4, 2.0),
+    "lp": bd.LpBall(4, 3.0, 1.5),
+    "ellipse": bd.Curve2D.ellipse(2.0, 1.0),
+}
+
+
+class TestBatchProtocol:
+    """Every method takes an (n, d) array and returns one row per point."""
+
+    def test_every_kind_covered(self):
+        assert set(bd.CONSTRUCTORS) <= set(PROTOCOL_BODIES)
+
+    @staticmethod
+    def _points(body, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.05, 1.0, size=(n, body.dim))
+        if body.kind == "simplex" or getattr(body, "orthant", False):
+            return pts
+        return pts * rng.choice([-1.0, 1.0], size=pts.shape)
+
+    @staticmethod
+    def _evaluate(body, pts):
+        ii, h = body.boundary_curvature(pts)
+        return {"gauge": body.gauge(pts), "gauge_grad": body.gauge_grad(pts),
+                "normal": body.normal(pts), "ii": ii, "h": h,
+                "polar": bd.polar_map_norm(body, pts)}
+
+    @pytest.mark.parametrize("name", list(PROTOCOL_BODIES))
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_shapes(self, name, n):
+        body = PROTOCOL_BODIES[name]
+        d = body.dim
+        got = self._evaluate(body, self._points(body, n, seed=1))
+        assert {k: v.shape for k, v in got.items()} == {
+            "gauge": (n,), "gauge_grad": (n, d), "normal": (n, d),
+            "ii": (n, d, d), "h": (n,), "polar": (n,),
+        }
+
+    @pytest.mark.parametrize("name", list(PROTOCOL_BODIES))
+    def test_batch_of_one_is_its_row(self, name):
+        body = PROTOCOL_BODIES[name]
+        pts = self._points(body, 7, seed=2)
+        whole = self._evaluate(body, pts)
+        for i in range(len(pts)):
+            one = self._evaluate(body, pts[i : i + 1])
+            for key, value in one.items():
+                assert np.array_equal(value[0], whole[key][i]), (key, i)
+
+    @pytest.mark.parametrize("name", list(PROTOCOL_BODIES))
+    def test_gauge_grad_matches_stencil(self, name):
+        body = PROTOCOL_BODIES[name]
+        pts = self._points(body, 7, seed=3)
+        got = body.gauge_grad(pts)
+        want = np.array([oracle_grad(scalar_gauge(body), x) for x in pts])
+        assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", list(PROTOCOL_BODIES))
+    def test_euler_identity_and_unit_normals(self, name):
+        # <x, grad p(x)> = p(x) for a 1-homogeneous gauge
+        body = PROTOCOL_BODIES[name]
+        pts = self._points(body, 7, seed=4)
+        p = body.gauge(pts)
+        assert np.abs(np.vecdot(pts, body.gauge_grad(pts)) - p).max() < 1e-13 * p.max()
+        n = body.normal(pts)
+        assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("name", list(PROTOCOL_BODIES))
+    def test_curvature_is_tangential(self, name):
+        # II_0 is symmetric, annihilates the normal, and H_0 is its trace
+        body = PROTOCOL_BODIES[name]
+        pts = self._points(body, 7, seed=5)
+        ii, h = body.boundary_curvature(pts)
+        n = body.normal(pts)
+        assert np.abs(ii - np.swapaxes(ii, 1, 2)).max() < 1e-12
+        assert np.abs(np.einsum("nij,nj->ni", ii, n)).max() < 1e-12
+        assert np.abs(np.trace(ii, axis1=1, axis2=2) - h).max() < 1e-12
+
+    @pytest.mark.parametrize("body", [bd.Ball(4), bd.LpBall(4, 3.0), bd.Box(np.ones(4))])
+    def test_origin_row_rejected_by_name(self, body):
+        pts = np.vstack([np.full((3, 4), 0.3), np.zeros(4), np.zeros(4)])
+        for method in (body.gauge_grad, body.normal, body.boundary_curvature):
+            with pytest.raises(UndefinedAtOrigin, match="row 3"):
+                method(pts)
+
+    def test_curve_origin_rejected(self):
+        e = bd.Curve2D.ellipse(2.0, 1.0)
+        with pytest.raises(UndefinedAtOrigin, match="row 1"):
+            e.gauge([[0.5, 0.2], [0.0, 0.0]])
+
+    def test_box_edge_rejected(self):
+        box = bd.Box(np.ones(4))
+        with pytest.raises(NonSmoothBoundaryPoint, match="row 1"):
+            box.gauge_grad([[0.5, 0.1, 0.1, 0.2], [0.5, 0.5, 0.1, 0.2]])
+
+    def test_simplex_gauge_rejects_rows_off_the_orthant(self):
+        # the gauge sum(x)/scale is no gauge off the orthant cone: a negative
+        # coordinate is rejected, not summed into a gauge below zero
+        s = bd.Simplex(3)
+        with pytest.raises(UndefinedAtOrigin, match="row 1"):
+            s.gauge([[0.2, 0.3, 0.1], [-0.5, 0.2, 0.2]])
+        # the Dirichlet cut-off 1 - p^2 reads the same gauge
+        wrapped = engine.dirichlet_wrap(engine.default_suite(3)[0], s)
+        with pytest.raises(UndefinedAtOrigin):
+            wrapped.fn(np.array([[-0.5, 0.2, 0.2]]))
+
+
 class TestGaugeAndNormal:
     def test_ball_basic(self):
-        p, n = bd.gauge_and_normal(bd.Ball(3), [2.0, 0.0, 0.0])
-        assert p == 2.0
-        assert np.allclose(n, [1.0, 0.0, 0.0])
+        ball = bd.Ball(3)
+        x = [[2.0, 0.0, 0.0]]
+        assert ball.gauge(x).tolist() == [2.0]
+        assert np.allclose(ball.normal(x), [[1.0, 0.0, 0.0]])
 
     def test_simplex_facet_diagonal(self):
         # facet normal is (1,...,1)/sqrt(d): <n,e_i>/<n,x> = 1 on the facet
         d = 5
         s = bd.Simplex(d)
-        x = np.array([0.3, 0.1, 0.25, 0.2, 0.15])
-        p, n = bd.gauge_and_normal(s, x)
-        assert p == pytest.approx(1.0)
+        x = np.array([[0.3, 0.1, 0.25, 0.2, 0.15]])
+        assert s.gauge(x)[0] == pytest.approx(1.0)
+        n = s.normal(x)
         assert np.allclose(n, np.full(d, 1.0 / math.sqrt(d)))
-        ratios = n / float(n @ x)
+        ratios = n / np.vecdot(n, x)[:, None]
         assert np.abs(ratios - 1.0).max() < 1e-10
 
     def test_lp_normal_matches_stencil(self, rng):
         lp = bd.LpBall(3, 4.0)
         x = np.array([0.5, 0.4, 0.7])
         x = x / lp.gauge(x)
-        n = lp.normal(x)
+        n = lp.normal(x)[0]
         want = x**3
         want /= np.linalg.norm(want)
         assert np.abs(n - want).max() < 1e-12
-        g_fd = oracle_grad(lp.gauge, x)
+        g_fd = oracle_grad(scalar_gauge(lp), x)
         assert np.abs(n - g_fd / np.linalg.norm(g_fd)).max() < 1e-7
 
     def test_origin_rejected(self):
         with pytest.raises(UndefinedAtOrigin):
-            bd.gauge_and_normal(bd.Ball(2), [0.0, 0.0])
-
-    def test_gauge_grad_many_matches_pointwise(self, rng):
-        pts = rng.uniform(0.05, 1.0, size=(32, 4))
-        for body in (bd.Ball(4, 2.0), bd.LpBall(4, 3.0, 1.5), bd.Simplex(4, 2.0),
-                     bd.Box(np.array([1.0, 2.0, 0.5, 1.0]))):
-            want = np.array([body.gauge_grad(x) for x in pts])
-            got = body.gauge_grad_many(pts)
-            assert got.shape == (32, 4)
-            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        for body in (bd.Ball(4), bd.LpBall(4, 3.0), bd.Box(np.ones(4))):
-            with pytest.raises(UndefinedAtOrigin):
-                body.gauge_grad_many(np.vstack([pts[:3], np.zeros(4)]))
-        with pytest.raises(NonSmoothBoundaryPoint):
-            bd.Box(np.ones(4)).gauge_grad_many([[0.5, 0.5, 0.1, 0.2]])
+            bd.Ball(2).normal([[0.0, 0.0]])
 
     @given(t=st.floats(0.1, 10.0), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_gauge_homogeneity(self, t, seed):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(0.1, 1.0, 4)
+        x = rng.uniform(0.1, 1.0, (1, 4))
         for body in (bd.Ball(4), bd.LpBall(4, 3.0), bd.Simplex(4), bd.Box(np.ones(4))):
-            assert body.gauge(t * x) == pytest.approx(t * body.gauge(x), rel=1e-10)
+            assert body.gauge(t * x)[0] == pytest.approx(t * body.gauge(x)[0], rel=1e-10)
 
     def test_curve2d_homogeneity(self):
         e = bd.Curve2D.ellipse(2.0, 1.0)
-        x = np.array([0.5, 0.3])
+        x = np.array([[0.5, 0.3]])
         for t in (0.5, 2.0, 7.0):
-            assert e.gauge(t * x) == pytest.approx(t * e.gauge(x), rel=1e-10)
+            assert e.gauge(t * x)[0] == pytest.approx(t * e.gauge(x)[0], rel=1e-10)
 
     def test_supporting_hyperplane(self, rng):
         # <x - y, n(x)> >= 0 for boundary x and any body point y
         for body in (bd.Ball(3), bd.LpBall(3, 4.0), bd.Simplex(3)):
-            bx = bd.ConeMeasureSampler(body, seed=3).sample(50)
+            bx = bd.ConeMeasureSampler(body, seed=3).sample(50)[:20]
             ys = body.sample_uniform(100, rng)
-            for x in bx[:20]:
-                n = body.normal(x)
-                assert float(((x - ys) @ n).min()) > -1e-9
+            n = body.normal(bx)
+            gaps = np.einsum("xyi,xi->xy", bx[:, None, :] - ys[None], n)
+            assert float(gaps.min()) > -1e-9
 
 
 class TestBoundaryCurvature:
     def test_ball_closed_form(self):
-        ii, h = bd.boundary_curvature(bd.Ball(6, 2.0), [2.0, 0, 0, 0, 0, 0])
-        assert h == pytest.approx(2.5)
+        ii, h = bd.Ball(6, 2.0).boundary_curvature([[2.0, 0, 0, 0, 0, 0]])
+        assert h.tolist() == [2.5]
         n = np.zeros(6)
         n[0] = 1.0
-        assert np.allclose(ii, (np.eye(6) - np.outer(n, n)) / 2.0)
+        assert np.allclose(ii[0], (np.eye(6) - np.outer(n, n)) / 2.0)
 
     def test_simplex_facet_flat(self):
-        ii, h = bd.boundary_curvature(bd.Simplex(4), [0.3, 0.25, 0.25, 0.2])
-        assert h == 0.0 and np.abs(ii).max() == 0.0
+        ii, h = bd.Simplex(4).boundary_curvature([[0.3, 0.25, 0.25, 0.2]])
+        assert h.tolist() == [0.0] and np.abs(ii).max() == 0.0
 
     def test_simplex_edge_rejected(self):
         with pytest.raises(NonSmoothBoundaryPoint):
-            bd.boundary_curvature(bd.Simplex(3), [0.0, 0.5, 0.5])
+            bd.Simplex(3).boundary_curvature([[0.0, 0.5, 0.5]])
 
     def test_box_corner_rejected(self):
         with pytest.raises(NonSmoothBoundaryPoint):
-            bd.boundary_curvature(bd.Box([1.0, 1.0]), [1.0, 1.0])
+            bd.Box([1.0, 1.0]).boundary_curvature([[1.0, 1.0]])
 
     def test_ellipse_vertex_curvature(self):
-        # curvature of an ellipse at the end of the major axis is a/b^2
+        # curvature of an ellipse at the end of the major axis is a/b^2, at
+        # the end of the minor axis b/a^2
         e = bd.Curve2D.ellipse(2.0, 1.0)
-        _, k = bd.boundary_curvature(e, [2.0, 0.0])
-        assert k == pytest.approx(2.0, rel=1e-5)
-        _, k2 = bd.boundary_curvature(e, [0.0, 1.0])
-        assert k2 == pytest.approx(1.0 / 4.0, rel=1e-5)
+        _, k = e.boundary_curvature([[2.0, 0.0], [0.0, 1.0]])
+        assert k[0] == pytest.approx(2.0, rel=1e-12)
+        assert k[1] == pytest.approx(1.0 / 4.0, rel=1e-12)
 
     def test_lp_curvature_vs_stencil(self, rng):
         from conftest import oracle_hess
@@ -120,20 +223,20 @@ class TestBoundaryCurvature:
         lp = bd.LpBall(3, 4.0)
         x = np.array([0.6, 0.45, 0.55])
         x = x / lp.gauge(x)
-        h_fd = oracle_hess(lp.gauge, x)
-        g = lp.gauge_grad(x)
+        h_fd = oracle_hess(scalar_gauge(lp), x)
+        g = lp.gauge_grad(x)[0]
         n = g / np.linalg.norm(g)
         proj = np.eye(3) - np.outer(n, n)
         want = proj @ h_fd @ proj / np.linalg.norm(g)
-        ii, _ = bd.boundary_curvature(lp, x)
-        assert np.abs(ii - want).max() < 1e-6
+        ii, _ = lp.boundary_curvature(x)
+        assert np.abs(ii[0] - want).max() < 1e-6
 
 
 class TestConeMeasure:
     def test_samples_on_relative_boundary(self):
         s = bd.Simplex(4)
         pts = bd.ConeMeasureSampler(s, seed=1).sample(5000)
-        assert np.abs(s.gauge_many(pts) - 1.0).max() < 1e-10
+        assert np.abs(s.gauge(pts) - 1.0).max() < 1e-10
 
     def test_ball_gives_uniform_sphere(self):
         pts = bd.ConeMeasureSampler(bd.Ball(4), seed=2).sample(40000)
@@ -204,8 +307,10 @@ class TestDiagonality:
         [bd.LpBall(3, 3.0), bd.Ball(4, orthant=True), bd.Box([1.0, 0.5, 2.0])],
     )
     def test_batched_bounds_match_pointwise(self, body):
+        # the reference evaluates each row as a batch of one
         pts = bd.ConeMeasureSampler(body, seed=4).sample(500)
-        ratios = np.array([body.normal(x) / float(x @ body.normal(x)) for x in pts])
+        normals = np.vstack([body.normal(x) for x in pts])
+        ratios = normals / np.vecdot(pts, normals)[:, None]
         lam, big = bd.diagonality_bounds(body, pts)
         assert abs(lam - ratios.min()) <= 1e-14 * abs(ratios.min())
         assert abs(big - ratios.max()) <= 1e-14 * abs(ratios.max())
@@ -219,12 +324,12 @@ class TestDiagonality:
 
 class TestPolarMapNorm:
     def test_unit_ball(self):
-        assert bd.polar_map_norm(bd.Ball(3), [0.5, 0.0, 0.0]) == pytest.approx(2.0)
+        assert bd.polar_map_norm(bd.Ball(3), [[0.5, 0.0, 0.0]]) == pytest.approx([2.0])
 
     def test_simplex_facet(self):
-        x = np.array([0.3, 0.3, 0.2, 0.2])
+        x = np.array([[0.3, 0.3, 0.2, 0.2]])
         want = np.linalg.norm(x) * 2.0  # <x,n> = 1/sqrt(d), p = 1
-        assert bd.polar_map_norm(bd.Simplex(4), x) == pytest.approx(want)
+        assert bd.polar_map_norm(bd.Simplex(4), x) == pytest.approx([want])
 
     @pytest.mark.parametrize(
         "body,point",
@@ -236,15 +341,20 @@ class TestPolarMapNorm:
     )
     def test_matches_fd_jacobian(self, body, point):
         x = np.asarray(point)
-        want = oracle_jacobian_opnorm(lambda y: y / body.gauge(y), x)
-        assert bd.polar_map_norm(body, x) == pytest.approx(want, abs=1e-5)
+        gauge = scalar_gauge(body)
+        want = oracle_jacobian_opnorm(lambda y: y / gauge(y), x)
+        assert bd.polar_map_norm(body, x[None]) == pytest.approx([want], abs=1e-5)
 
     def test_scaling_degree(self):
         body = bd.LpBall(3, 3.0)
         x = np.array([0.5, 0.2, 0.6])
-        base = bd.polar_map_norm(body, x)
-        for t in (0.5, 2.0, 5.0):
-            assert bd.polar_map_norm(body, t * x) == pytest.approx(base / t)
+        ts = np.array([1.0, 0.5, 2.0, 5.0])
+        norms = bd.polar_map_norm(body, ts[:, None] * x)
+        assert norms == pytest.approx(norms[0] / ts)
+
+    def test_origin_rejected(self):
+        with pytest.raises(UndefinedAtOrigin, match="row 1"):
+            bd.polar_map_norm(bd.Ball(3), [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 class TestSerialization:

@@ -173,7 +173,7 @@ class TestStructuralRelations:
         body = LpBall(3, 3.0)
         ratio, err = cat._cone_second_moment_ratio(body, {}, None, seed=11)
         pts = ConeMeasureSampler(body, seed=11).sample(20000)
-        vals = np.array([float(p @ p) / float(p @ body.normal(p)) ** 2 for p in pts])
+        vals = np.array([float(p @ p) / float(p @ body.normal(p)[0]) ** 2 for p in pts])
         assert abs(ratio - vals.mean()) <= 1e-14 * vals.mean()
         want_err = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(err - want_err) <= 1e-12 * want_err

@@ -1,6 +1,7 @@
 """Config parsing, report emission, exit codes and round trips."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from riccikit import catalog, cli, engine
+from riccikit.bodies import LpBall
 from riccikit.errors import IOFailure, SchemaViolation, UnknownInequalityId
 
 
@@ -400,11 +402,23 @@ class TestExitCodes:
                        str(tmp_path / "out.csv")])
         assert rc == 3
 
-    def test_check_error_becomes_error_row(self):
-        # boundary quadrature has no rule for an l_p ball, so the first
-        # document fails inside check_inequality; the second must survive
+    def test_check_error_becomes_error_row(self, monkeypatch):
+        # boundary quadrature has no rule for an l_p ball, swapped in for the
+        # ball after instantiation, so the first document fails inside
+        # check_inequality; the second must survive
+        instantiate = catalog.instantiate
+
+        def lp_boundary(ineq, params):
+            inst = instantiate(ineq, params)
+            if inst.boundary is None:
+                return inst
+            body = LpBall(inst.dim, 3.0)
+            return dataclasses.replace(
+                inst, boundary=dataclasses.replace(inst.boundary, body=body))
+
+        monkeypatch.setattr(catalog, "instantiate", lp_boundary)
         docs = [
-            {"inequality": "hardy_boundary", "body": {"kind": "lp", "p": 3.0},
+            {"inequality": "hardy_boundary", "body": {"kind": "ball"},
              "dims": [6], "samples": 2000, "params": {"N": -1.0}},
             {**MINIMAL, "samples": 2000},
         ]
@@ -429,6 +443,12 @@ class TestExitCodes:
              "ball_like_body"),
             ({"inequality": "strong_boundary", "dims": [8], "params": {"theta": 0.5}},
              "ball_like_body"),
+            # an l_p ball has a radius but not the ball's curvature: for p > 2,
+            # II_0 vanishes at r e_1
+            ({"inequality": "strong_boundary", "body": {"kind": "lp", "p": 4.0},
+              "dims": [8], "params": {"theta": 0.3}}, "ball_like_body (lp)"),
+            ({"inequality": "dim_bl_boundary", "body": {"kind": "lp", "p": 4.0},
+              "dims": [6], "params": {"N": -8.0, "part": 2}}, "ball_like_body (lp)"),
             ({"inequality": "muq_lsi", "measure": {"kind": "gaussian"}, "dims": [2]},
              "power_product_measure"),
             # x^p profiles are undefined at the Gaussian's negative samples
