@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     NonNormalizable,
@@ -368,15 +367,16 @@ class LpBall(ConvexBody):
 
 class Curve2D(ConvexBody):
     """Smooth planar star body from a radial function rho(angle) with two
-    derivatives, each a numpy function of an array of angles; convexity of
-    the realized boundary is the caller's claim.  `params` are the keys that
-    rebuild it through `body_from_spec`."""
+    derivatives, each a numpy function of an array of angles, and its area;
+    convexity of the realized boundary is the caller's claim.  `params` are
+    the keys that rebuild it through `body_from_spec`."""
 
-    def __init__(self, rho, drho, ddrho, kind="curve2d", params=None):
+    def __init__(self, rho, drho, ddrho, area, kind="curve2d", params=None):
         self.dim = 2
         self.rho = rho
         self.drho = drho
         self.ddrho = ddrho
+        self.area = area
         self.kind = kind
         self.params = params or {}
 
@@ -400,7 +400,7 @@ class Curve2D(ConvexBody):
             ds, dds = k * np.sin(2.0 * t), 2.0 * k * np.cos(2.0 * t)
             return a * b * (0.75 * ds * ds / st**2.5 - 0.5 * dds / st**1.5)
 
-        return cls(rho, drho, ddrho, kind="ellipse", params={"a": a, "b": b})
+        return cls(rho, drho, ddrho, math.pi * a * b, kind="ellipse", params={"a": a, "b": b})
 
     def gauge(self, pts):
         pts = _rows(pts)
@@ -421,6 +421,7 @@ class Curve2D(ConvexBody):
         # the tangent of t -> rho(t) (cos t, sin t) turned clockwise; its
         # pairing with the boundary point is rho^2 > 0, so it points outward
         pts = _rows(pts)
+        _reject(~pts.any(axis=1), pts, UndefinedAtOrigin, "curve normal at the origin")
         t = np.arctan2(pts[:, 1], pts[:, 0])
         r, dr = self.rho(t), self.drho(t)
         c, s = np.cos(t), np.sin(t)
@@ -429,6 +430,7 @@ class Curve2D(ConvexBody):
 
     def boundary_curvature(self, pts):
         pts = _rows(pts)
+        _reject(~pts.any(axis=1), pts, UndefinedAtOrigin, "curve curvature at the origin")
         t = np.arctan2(pts[:, 1], pts[:, 0])
         r, dr, ddr = self.rho(t), self.drho(t), self.ddrho(t)
         kappa = (r * r + 2.0 * dr * dr - r * ddr) / (r * r + dr * dr) ** 1.5
@@ -451,8 +453,7 @@ class Curve2D(ConvexBody):
         return out
 
     def volume(self):
-        val, _ = integrate.quad(lambda t: 0.5 * self.rho(t) ** 2, 0, 2 * math.pi)
-        return val
+        return self.area
 
     def radius_bound(self):
         return float(np.max(self.rho(np.linspace(0, 2 * math.pi, 720))))

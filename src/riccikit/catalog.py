@@ -623,11 +623,13 @@ def _build_klartag_transfer(params, report):
 
 
 def _cone_second_moment_ratio(body, report, lam, seed=11):
-    """E_sigma |x|^2/<x,n>^2, exact on the simplex, MC elsewhere."""
+    """E_sigma |x|^2/<x,n>^2, exact on the simplex and a ball (1), MC elsewhere."""
     if isinstance(body, Simplex):
         d = body.dim
         val = 2.0 * d / (d + 1.0)
         return val, 0.0
+    if isinstance(body, Ball):
+        return 1.0, 0.0
     sampler = ConeMeasureSampler(body, seed=seed)
     pts = sampler.sample(20000)
     vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal(pts)) ** 2

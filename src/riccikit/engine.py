@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bodies import Ball, Simplex
 from .catalog import InequalityInstance
@@ -333,6 +332,8 @@ def spectral_gap_1d(potential, interval, n=4096, richardson=True):
     it returns an array of the same shape or a scalar, which is broadcast.
     Returns (lambda_1, 1/lambda_1).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if n < 256:
         raise EigensolveFailure("need at least 256 grid points")
 

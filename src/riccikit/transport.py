@@ -5,7 +5,8 @@ The monotone rearrangement T = G^{-1} o F between two densities is the 1-D
 optimal-transport map; its potential Phi (T = Phi') provides the Hessian
 metric used by the refined inequalities.  All CDF work is grid-based with
 local quadrature corrections, so map values are good to ~1e-10 well inside
-the support of a density whose potential is continuous there.
+the support of a density whose potential is smooth there.  The cubics and
+quadrature rules are this module's own, so no scipy subpackage is loaded.
 
 A raw 1-D potential is batch-first: it is called with a 1-D float array of
 abscissae and returns an array of the same shape, or a scalar, which is
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .errors import (
     BarycenterNotZero,
@@ -34,29 +34,149 @@ _BASE_GRID = 4096
 _TAIL_LOG = 42.0  # truncate unbounded supports where the density has fallen
                   # below exp(-42) of its peak (past the 1e-12 quantile)
 _ANDERSON_DEPTH = 5  # difference columns of the KE fixed point's Anderson step
+# unit panel at 0: 5-point Gauss-Lobatto (its ends see any kink), then 3-point GL per half
+_GL, _GLW, _LOB = *np.polynomial.legendre.leggauss(3), 0.5 * math.sqrt(3 / 7)
+_GL_SPLIT = np.r_[-0.5, -_LOB, 0.0, _LOB, 0.5, (_GL - 1) / 4, (_GL + 1) / 4]
+_GL_SPLIT_WEIGHTS = np.r_[1 / 20, 49 / 180, 16 / 45, 49 / 180, 1 / 20, _GLW / 4, _GLW / 4]
+
+
+# -- piecewise cubics and quadrature rules ---------------------------------------
+
+
+class PiecewiseCubic:
+    """The C^1 cubic with values y and slopes d at knots x, as scipy's
+    `CubicHermiteSpline`: c0 s^3 + c1 s^2 + c2 s + c3, s = t - x_j, on piece j.
+    `pchip` takes the slopes of scipy 1.17.1's `PchipInterpolator` (Fritsch &
+    Carlson 1980) bit for bit, `not_a_knot` those of its `CubicSpline`.  A
+    call finds each piece by a guide table (Chen & Asau 1974): a bucket per
+    piece width names a piece at or left of the abscissa's, two forward steps
+    follow, and abscissae still unresolved (crowded tails) binary-search."""
+
+    def __init__(self, x, y, d):
+        h, k = np.diff(x), x.size - 1
+        slope = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2 * slope) / h
+        # 0.0 + as scipy's evaluation starts from 0.0, which turns -0.0 into 0.0
+        self.c = (t / h, (slope - d[:-1]) / h - t, 0.0 + d[:-1], 0.0 + y[:-1])
+        self.x, self.scale = x, k / (x[-1] - x[0])
+        # guide[b]: the last piece whose left knot lies in a bucket before b
+        buckets = np.fmin((x[:-1] - x[0]) * self.scale, k - 1).astype(np.intp)
+        self.guide = np.maximum(np.r_[0, np.cumsum(np.bincount(buckets, minlength=k))[:-1]] - 1, 0)
+        self.right = np.append(x[1:-1], np.nan)  # the last piece is closed
+
+    @classmethod
+    def pchip(cls, x, y):
+        """scipy's `_find_derivatives` and `_edge_case`."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h, m = np.diff(x), np.diff(y) / np.diff(x)
+            if x.size == 2:  # scipy's linear case
+                return cls(x, y, np.r_[m, m])
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            d = np.empty_like(y)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            turn = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(turn, 3.0 * m0, e))
+        if not np.isfinite(d).all():
+            raise ValueError("PCHIP slopes beyond float range")
+        return cls(x, y, d)
+
+    @classmethod
+    def not_a_knot(cls, x, ys):
+        """A not-a-knot spline per row of ys (four or more knots), one solve."""
+        h = np.diff(x)
+        m = np.diff(ys, axis=1) / h
+        e0, e1 = x[2] - x[0], x[-1] - x[-3]
+        rhs = np.column_stack([((h[0] + 2 * e0) * h[1] * m[:, 0] + h[0] ** 2 * m[:, 1]) / e0,
+                               3 * (h[1:] * m[:, :-1] + h[:-1] * m[:, 1:]),
+                               (h[-1] ** 2 * m[:, -2] + (2 * e1 + h[-1]) * h[-2] * m[:, -1]) / e1])
+        d = _solve_tridiagonal(np.concatenate([[0.0], h[1:], [e1]]),
+                               np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]]),
+                               np.concatenate([[e0], h[:-1], [0.0]]), rhs.T)
+        return [cls(x, y, dy) for y, dy in zip(ys, d.T)]
+
+    def __call__(self, t, nu=0):
+        """Value (nu = 0) or first derivative (nu = 1) in scipy's order; the end
+        pieces extrapolate, and NaN (fmin sends it to the last bucket) stays NaN."""
+        x, right, guide = self.x, self.right, self.guide
+        shape, t = np.shape(t), np.asarray(t, dtype=float).reshape(-1)
+        j = guide[np.fmax(np.fmin((t - x[0]) * self.scale, guide.size - 1), 0).astype(np.intp)]
+        j += right[j] <= t
+        j += right[j] <= t
+        late = right[j] <= t
+        if late.any():
+            j[late] = np.clip(np.searchsorted(x, t[late], "right") - 1, 0, guide.size - 1)
+        s = t - x[j]
+        ss = s * s
+        c = self.c
+        if nu == 0:
+            return ((c[3][j] + c[2][j] * s) + c[1][j] * ss + c[0][j] * (ss * s)).reshape(shape)
+        return ((c[2][j] + c[1][j] * s * 2.0) + c[0][j] * ss * 3.0).reshape(shape)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """x with lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i] (rhs
+    (n, m), lower[0] = upper[-1] = 0) by cyclic reduction: the odd rows absorb
+    their even neighbours, are solved alike, and the even unknowns follow."""
+    zero = np.zeros((1,) + rhs.shape[1:])
+    if diag.size % 2 == 0:  # a decoupled unit row keeps the count odd
+        return _solve_tridiagonal(np.append(lower, 0.0), np.append(diag, 1.0),
+                                  np.append(upper, 0.0), np.concatenate([rhs, zero]))[:-1]
+    if diag.size == 1:
+        return rhs / diag[:, None]
+    a, g = -lower[1::2] / diag[:-1:2], -upper[1::2] / diag[2::2]
+    odd = _solve_tridiagonal(
+        a * lower[:-1:2], diag[1::2] + a * upper[:-1:2] + g * lower[2::2], g * upper[2::2],
+        rhs[1::2] + a[:, None] * rhs[:-1:2] + g[:, None] * rhs[2::2])
+    out = np.empty_like(rhs)
+    out[1::2] = odd
+    out[::2] = (rhs[::2] - lower[::2, None] * np.concatenate([zero, odd])
+                - upper[::2, None] * np.concatenate([odd, zero])) / diag[::2, None]
+    return out
+
+
+def _cumulative_simpson(y, x=None, dx=None):
+    """scipy's `cumulative_simpson(y, x=x or dx=dx, initial=0.0)` of three or
+    more points, bit for bit: Cartwright's (2017) rule takes an even panel's
+    node right of it, an odd panel's and the last one's node left of it."""
+    h = np.diff(x) if x is not None else np.full(y.size - 1, float(dx))
+
+    def panels(f, h):  # [t_i, t_{i+1}] with the node t_{i+2}
+        if x is None:
+            return h[:-1] / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+        r31 = h[:-1] / (h[:-1] + h[1:])
+        r = r31 * (h[:-1] / h[1:])
+        return h[:-1] / 6 * ((3 - r31) * f[:-2] + (3 + r + r31) * f[1:-1] + (-r) * f[2:])
+
+    fwd, bwd = panels(y, h), panels(y[::-1], h[::-1])[::-1]
+    out = np.empty(y.size - 1)
+    out[:-1:2], out[1::2], out[-1] = fwd[::2], bwd[::2], bwd[-1]
+    return np.concatenate([[0.0], np.cumsum(out) + 0.0])
 
 
 class Density1D:
     """A probability density exp(-V)/Z on an interval, with cached CDF.
 
     The working grid has ~4096 base points and is refined where the mass
-    concentrates (equal-mass re-gridding).  `cdf`/`ppf` use the cached grid
-    plus a local quadrature/Newton correction; the vectorized `cdf_many` /
-    `ppf_many` paths interpolate and are meant for sampling.  `ppf_many`
-    evaluates the monotone cubic (PCHIP) through the CDF nodes, bit for bit
-    as scipy's `PchipInterpolator` does, but finds each level's interval
-    through a cached guide table instead of a binary search; levels in
-    buckets crowded with nodes (the tails) fall back to the binary search.
+    concentrates (equal-mass re-gridding); its CDF is cumulative Simpson and
+    Z its last node.  `cdf`/`ppf` use the cached grid plus a local
+    Gauss-Legendre/Newton correction; the vectorized `cdf_many` / `ppf_many`
+    paths interpolate and are meant for sampling.  `ppf_many` evaluates the
+    monotone cubic (PCHIP) through the CDF nodes, bit for bit as scipy's
+    `PchipInterpolator` does.
 
     `potential` is the raw (unnormalized) potential V.  It is always called
     with a 1-D float array and returns an array of the same shape, or a
     scalar, which is broadcast; a build evaluates it on whole grids.
 
-    The ~1e-10 accuracy well inside the support holds for potentials that are
-    continuous on the support.  Across a jump of the potential the cumulative
-    Simpson grid is off by about 1e-4 (potential 0 on [0, 1] and [2, 3] and
-    700 between gives F(1) = 0.49989 against an exact 0.5); `cdf` is not
-    corrected for that, and `ppf` refuses the levels it cannot meet.
+    Z, the CDF and the moments are good to ~1e-10 for potentials smooth on
+    the support (log Z: gaussian -1.2e-11, exponential -1.0e-10); a kink
+    between grid nodes costs more (|t|: log Z 1.5e-7 off, `moment(0)` =
+    0.99999985).  Across a jump the grid CDF is off by about 1e-4 (potential
+    0 on [0, 1] and [2, 3], 700 between: F(1) = 0.49989, not 0.5); `cdf` is
+    not corrected for that, and `ppf` refuses the levels it cannot meet.
     """
 
     def __init__(self, potential, support, name="density", grid_size=_BASE_GRID):
@@ -76,20 +196,20 @@ class Density1D:
         vals = self._raw(grid)
         self._vmin = float(vals.min())
         pdf = np.exp(-(vals - self._vmin))
-        cdf = self._cumulative(grid, pdf)
+        cdf = np.maximum.accumulate(_cumulative_simpson(pdf, x=grid))
         total = cdf[-1]
         # refine: place half the nodes at equal-mass levels
         levels = np.linspace(0.0, total, grid_size // 2 + 1)[1:-1]
         extra = np.interp(levels, cdf, grid)
         grid = np.unique(np.concatenate([grid, extra]))
         pdf = np.exp(-(self._raw(grid) - self._vmin))
-        cdf = self._cumulative(grid, pdf)
+        cdf = np.maximum.accumulate(_cumulative_simpson(pdf, x=grid))
         self._z = cdf[-1]
         self.grid = grid
         self._pdf_grid = pdf / self._z
         self.cdf_grid = cdf / self._z
         self.log_z = math.log(self._z) - self._vmin
-        self._ppf_interp = None
+        self._ppf_interp = self._moment_nodes = None
         if not (self._z > 0.0 and np.isfinite(self._z)):
             raise NoConvergence(f"{self.name}: normalization failed")
 
@@ -102,11 +222,6 @@ class Density1D:
         out = np.asarray(self.raw_potential(pts), dtype=float)
         out = np.broadcast_to(out, pts.shape)
         return out.reshape(x.shape) if x.ndim else out[0]
-
-    @staticmethod
-    def _cumulative(grid, pdf):
-        cdf = integrate.cumulative_simpson(pdf, x=grid, initial=0.0)
-        return np.maximum.accumulate(cdf)
 
     def _effective_bounds(self):
         a, b = self.support
@@ -149,15 +264,30 @@ class Density1D:
         return np.exp(-self.potential(x))
 
     def cdf(self, x):
-        """CDF with a local quadrature correction off the cached grid."""
+        """CDF at the grid node left of x plus the pdf's integral up to x."""
         x = float(x)
         if x <= self.grid[0]:
             return 0.0
         if x >= self.grid[-1]:
             return 1.0
         i = np.searchsorted(self.grid, x) - 1
-        corr, _ = integrate.quad(self.pdf, self.grid[i], x, limit=60)
+        corr = self._gauss_legendre(self.grid[i : i + 1], np.array([x]))[1].sum()
         return min(max(self.cdf_grid[i] + corr, 0.0), 1.0)
+
+    def _gauss_legendre(self, a, b):
+        """Nodes and weighted pdf of the 3-point Gauss-Legendre rule on the
+        halves of each panel [a_i, b_i], the pdf evaluated once per round.  A
+        panel where that sum and its 5-point Gauss-Lobatto rule differ by over
+        1e-16 (a kink or jump inside) is replaced by its halves, tested alike."""
+        kept = []
+        while a.size:
+            mid, w = 0.5 * (a + b), (b - a)[:, None]
+            t = mid[:, None] + w * _GL_SPLIT
+            f = self.pdf(t) * (w * _GL_SPLIT_WEIGHTS)
+            split = np.abs(f[:, :5].sum(1) - f[:, 5:].sum(1)) > 1e-16
+            kept.append((t[~split, 5:], f[~split, 5:]))
+            a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        return tuple(np.concatenate(v, axis=None) for v in zip(*kept))
 
     def ppf(self, u, tol=1e-13):
         """Quantile by bracketed Newton on the corrected CDF.
@@ -219,57 +349,18 @@ class Density1D:
     def cdf_many(self, x):
         return np.interp(np.asarray(x, dtype=float), self.grid, self.cdf_grid)
 
-    def _ensure_ppf_interp(self):
-        """Build the quantile PCHIP once and cache its breakpoints, its
-        coefficients and a guide table over its levels."""
-        if self._ppf_interp is not None:
-            return
-        u, idx = np.unique(self.cdf_grid, return_index=True)
-        try:
-            pchip = interpolate.PchipInterpolator(u, self.grid[idx], extrapolate=False)
-        except ValueError as exc:  # slopes beyond float range on a vast support
-            raise CDFInversionFailure(f"{self.name}: no quantile interpolant: {exc}") from exc
-        x, c = pchip.x, pchip.c
-        k = x.size - 1
-        scale = k / (x[-1] - x[0])
-        # guide[b]: the last interval whose left breakpoint lies in a bucket
-        # before b.  The bucket map is monotone, so no level of bucket b lies
-        # left of it, also under rounding.
-        buckets = np.fmin((x[:-1] - x[0]) * scale, k - 1).astype(np.intp)
-        guide = np.maximum(np.searchsorted(buckets, np.arange(k), "left") - 1, 0)
-        # right ends for the forward steps; the last interval is closed
-        right = np.append(x[1:-1], np.inf)
-        # 0.0 + c3 as scipy's evaluation starts (it turns -0.0 into 0.0)
-        self._ppf_interp = (x, right, guide, scale, 0.0 + c[3], c[2], c[1], c[0])
-
     def ppf_many(self, u):
-        """Quantiles at an array of levels by the quantile PCHIP, bit-identical
-        to scipy's `PchipInterpolator(..., extrapolate=False)` on the clipped
-        levels.
-
-        The interval of a level comes from a guide table (Chen & Asau 1974):
-        the level's bucket, one per interval of equal width in level, names an
-        interval at or left of the one holding it, and at most two forward
-        steps reach it.  Levels still unresolved after the steps (buckets
-        crowded with breakpoints, as in the tails) fall back to a binary
-        search.  The cubic is evaluated in scipy's order.
-        """
-        self._ensure_ppf_interp()
-        x, right, guide, scale, c3, c2, c1, c0 = self._ppf_interp
-        u = np.clip(np.asarray(u, dtype=float), 1e-15, 1.0 - 1e-15)
-        shape = u.shape
-        u = np.clip(u, self.cdf_grid[0], self.cdf_grid[-1]).reshape(-1)
-        # fmin sends a NaN level to the last bucket; it stays NaN, as in scipy
-        j = guide[np.fmin((u - x[0]) * scale, guide.size - 1).astype(np.intp)]
-        j += right[j] <= u
-        j += right[j] <= u
-        late = right[j] <= u
-        if late.any():
-            j[late] = np.minimum(np.searchsorted(x, u[late], "right") - 1, guide.size - 1)
-        s = u - x[j]
-        ss = s * s
-        out = (c3[j] + c2[j] * s) + c1[j] * ss + c0[j] * (ss * s)
-        return np.clip(out, self.grid[0], self.grid[-1]).reshape(shape)
+        """Quantiles by the PCHIP through the CDF nodes, built once; bit for bit
+        scipy's `PchipInterpolator(..., extrapolate=False)` at clipped levels."""
+        if self._ppf_interp is None:
+            u0, idx = np.unique(self.cdf_grid, return_index=True)
+            try:
+                self._ppf_interp = PiecewiseCubic.pchip(u0, self.grid[idx])
+            except ValueError as exc:  # slopes beyond float range on a vast support
+                raise CDFInversionFailure(f"{self.name}: no quantile interpolant: {exc}") from exc
+        u = np.clip(np.clip(np.asarray(u, dtype=float), 1e-15, 1.0 - 1e-15),
+                    self.cdf_grid[0], self.cdf_grid[-1])
+        return np.clip(self._ppf_interp(u), self.grid[0], self.grid[-1])
 
     def sample(self, n, rng):
         return self.ppf_many(rng.uniform(size=n))
@@ -277,15 +368,13 @@ class Density1D:
     # -- moments and transforms ------------------------------------------------
 
     def moment(self, k=1):
-        """k-th moment by adaptive quadrature (grid Simpson is not accurate
-        enough for the barycenter normalization of the fixed-point solver)."""
-        val, _ = integrate.quad(
-            lambda t: t**k * float(self.pdf(t)),
-            self.grid[0],
-            self.grid[-1],
-            limit=200,
-        )
-        return float(val)
+        """k-th moment by Gauss-Legendre on panels of four grid steps, nodes and
+        weighted pdf kept (grid Simpson is too coarse for the KE barycenter)."""
+        if self._moment_nodes is None:
+            e = np.append(self.grid[:-1:4], self.grid[-1])
+            self._moment_nodes = self._gauss_legendre(e[:-1], e[1:])
+        t, wpdf = self._moment_nodes
+        return float(wpdf @ t**k)
 
     def mean(self):
         return self.moment(1)
@@ -380,10 +469,8 @@ def transport_potential_1d(mu: Density1D, nu: Density1D, n=2049) -> PotentialFie
         nu._refuse_flat(crossed[0])
     ts = nu.ppf_many(us)
     tp = mu.pdf(xs) / np.maximum(nu.pdf(ts), 1e-300)
-    phi_vals = integrate.cumulative_simpson(ts, x=xs, initial=0.0)
-    spl = interpolate.CubicSpline(xs, phi_vals)
-    t_spl = interpolate.CubicSpline(xs, ts)
-    tp_spl = interpolate.CubicSpline(xs, tp)
+    rows = np.stack([_cumulative_simpson(ts, x=xs), ts, tp])  # Phi, T = Phi' and T'
+    spl, t_spl, tp_spl = PiecewiseCubic.not_a_knot(xs, rows)
 
     return PotentialField(
         fn=lambda x: spl(x)[..., 0],
@@ -659,8 +746,7 @@ class KESolution:
 
 def _grid_cdf(pdf, h):
     """Normalized composite-Simpson CDF of a density on a uniform grid of step h."""
-    cdf = integrate.cumulative_simpson(pdf, dx=h, initial=0.0)
-    cdf = np.maximum.accumulate(cdf)
+    cdf = np.maximum.accumulate(_cumulative_simpson(pdf, dx=h))
     return cdf / cdf[-1]
 
 
@@ -778,10 +864,10 @@ def ke_solve_1d(
     tg = np.linspace(a, b, 65537)
     t_cdf = _normalized_cdf_smooth(np.asarray(nu.pdf(tg), dtype=float), tg[1] - tg[0])
     uu, idx = np.unique(t_cdf, return_index=True)
-    nu_ppf = interpolate.PchipInterpolator(uu, tg[idx], extrapolate=False)
+    nu_ppf = PiecewiseCubic.pchip(uu, tg[idx])
     u_lo = max(1e-6, float(uu[1]))
     u_hi = 1.0 - u_lo
-    t_lo, t_hi = np.asarray(nu_ppf([u_lo, u_hi]), dtype=float)
+    t_lo, t_hi = nu_ppf([u_lo, u_hi])
 
     # Huber-type start: quadratic core, linear tails with the fixed point's
     # true decay rate (the support edge), so nothing underflows on the grid;
@@ -804,8 +890,8 @@ def ke_solve_1d(
         if recenter:
             m1 = w_grid @ e
             if abs(m1) > 0.1 * h:
-                spl = interpolate.CubicSpline(grid, p, extrapolate=True)
-                p, e = normalize(np.asarray(spl(grid + m1), dtype=float))
+                spl = PiecewiseCubic.not_a_knot(grid, p[None])[0]
+                p, e = normalize(spl(grid + m1))
             elif abs(m1) > 1e-15:
                 # first-order argument shift: exact to O(m1^2), no resample noise
                 p, e = normalize(p + m1 * _fd5(p, h, order=1))

@@ -103,9 +103,11 @@ class TestBatchProtocol:
         assert np.abs(np.einsum("nij,nj->ni", ii, n)).max() < 1e-12
         assert np.abs(np.trace(ii, axis1=1, axis2=2) - h).max() < 1e-12
 
-    @pytest.mark.parametrize("body", [bd.Ball(4), bd.LpBall(4, 3.0), bd.Box(np.ones(4))])
+    @pytest.mark.parametrize("body", [bd.Ball(4), bd.LpBall(4, 3.0), bd.Box(np.ones(4)),
+                                      bd.Curve2D.ellipse(2.0, 1.0)])
     def test_origin_row_rejected_by_name(self, body):
-        pts = np.vstack([np.full((3, 4), 0.3), np.zeros(4), np.zeros(4)])
+        d = body.dim
+        pts = np.vstack([np.full((3, d), 0.3), np.zeros(d), np.zeros(d)])
         for method in (body.gauge_grad, body.normal, body.boundary_curvature):
             with pytest.raises(UndefinedAtOrigin, match="row 3"):
                 method(pts)
@@ -114,6 +116,10 @@ class TestBatchProtocol:
         e = bd.Curve2D.ellipse(2.0, 1.0)
         with pytest.raises(UndefinedAtOrigin, match="row 1"):
             e.gauge([[0.5, 0.2], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (3.0, 0.5), (1.0, 1.0)])
+    def test_ellipse_volume_is_pi_a_b(self, a, b):
+        assert bd.Curve2D.ellipse(a, b).volume() == math.pi * a * b
 
     def test_box_edge_rejected(self):
         box = bd.Box(np.ones(4))

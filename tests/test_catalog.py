@@ -178,6 +178,15 @@ class TestStructuralRelations:
         want_err = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(err - want_err) <= 1e-12 * want_err
 
+    @pytest.mark.parametrize("body", [Ball(3), Ball(5, 2.0), Ball(4, 1.5, orthant=True)],
+                             ids=lambda b: f"{b.kind}{b.dim}{'+' * b.orthant}")
+    def test_cone_second_moment_ratio_on_a_ball_is_one(self, body):
+        # |x|^2 / <x, n>^2 = 1 on the sphere: the closed form, and a draw
+        assert cat._cone_second_moment_ratio(body, {}, None) == (1.0, 0.0)
+        pts = ConeMeasureSampler(body, seed=11).sample(20000)
+        vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal(pts)) ** 2
+        assert np.abs(vals - 1.0).max() <= 1e-12
+
     def test_qgt2_rho_analytic(self):
         inst = cat.instantiate("qgt2_lsi", {"q": 3.0})
         assert inst.params["rho_q"] == pytest.approx(0.375, abs=1e-6)
