@@ -22,13 +22,15 @@ import numpy as np
 
 from . import bodies, families, measures, transport
 from .bodies import Ball, Box, ConeMeasureSampler, ConvexBody, LpBall, Simplex
-from .errors import (
-    EigensolveFailure,
-    HypothesisViolated,
-    NonFiniteConstant,
-    UnknownInequalityId,
+from .errors import HypothesisViolated, NonFiniteConstant, UnknownInequalityId
+from .fields import (
+    QuadraticFormField,
+    ScalarPlusRankOne,
+    coord_columns,
+    diag_matrices,
+    inverse,
+    least_eig,
 )
-from .fields import QuadraticFormField, ScalarPlusRankOne, coord_columns
 from .schema import Key, Schema, describe, fill, number, options, positive
 
 _HYPOTHESIS_SEED = 2025
@@ -87,103 +89,67 @@ class CatalogEntry:
     max_dim = property(lambda self: self.params.max_dim)
 
 
-def _margin(report, name, value, location=None, tol=1e-9, enforce=True):
+def _margin(report, name, value, location=None, tol=1e-9):
     report[name] = float(value)
-    if enforce and value < -tol:
+    if value < -tol:
         raise HypothesisViolated(name, location, float(value))
 
 
-def _least(report, name, values, pts, tol=1e-9):
-    """Record the least of `values` at the points `pts` as a margin."""
-    i = int(np.argmin(values))
-    _margin(report, name, values[i], location=pts[i], tol=tol)
+def _least_eig(report, name, tensor, pts, tol=1e-9):
+    """Record the least eigenvalue of `tensor` (points -> compact form) over
+    the points `pts` as a margin."""
+    eigs = least_eig(tensor(pts), pts.shape[1])
+    i = int(np.argmin(eigs))
+    _margin(report, name, eigs[i], location=pts[i], tol=tol)
 
 
 def _hypothesis_points(measure, n=_HYPOTHESIS_SAMPLES):
     return measure.sample(n, _HYPOTHESIS_SEED)
 
 
-def _min_eig_batch(mats):
-    """Least eigenvalue of each of n matrices, given as an (n, d, d) stack or
-    as the (n, d) diagonals of diagonal ones."""
-    if not np.isfinite(mats).all():
-        raise EigensolveFailure("least eigenvalue of a matrix with non-finite entries")
-    return mats.min(axis=1) if mats.ndim == 2 else np.linalg.eigvalsh(mats)[:, 0]
-
-
 # ---------------------------------------------------------------------------
-# weight-field helpers
+# tensors and weight fields
 # ---------------------------------------------------------------------------
+# A tensor maps an (n, d) batch to a compact form (fields.QuadraticFormField);
+# on a product measure it keeps the diagonal structure of D^2 V.
 
 
 def _identity_field(d):
     return QuadraticFormField(dim=d, batch=lambda pts: np.ones(len(pts)), name="Id")
 
 
-def _inverse_hessian_field(measure):
-    if measure.coord_d2 is not None and measure.coord_d2[0] is not None:
-        # product measure: D^2 V = diag(V_i''(x_i))
-        batch = lambda pts: 1.0 / coord_columns(measure.coord_d2, pts)
-    else:
-        batch = lambda pts: np.linalg.inv(measure.potential.hessian(pts))
-    return QuadraticFormField(dim=measure.dim, batch=batch, name="(D2V)^-1")
+def _inverse_field(tensor, d, name):
+    """The RHS weight field tensor^-1."""
+    batch = lambda pts: inverse(tensor(pts), d)
+    return QuadraticFormField(dim=d, batch=batch, name=name)
 
 
-def _coord_derivatives(measure):
-    """The V_i' and V_i'' callbacks of a product measure, or None when the
-    measure has none."""
-    d1, d2 = measure.coord_d1, measure.coord_d2
-    if d1 is None or d2 is None or d1[0] is None or d2[0] is None:
-        return None
-    return d1, d2
+def _plus_diagonal(w, diag):
+    """An (n, d) diagonal or (n, d, d) full form `w` plus diag(diag)."""
+    return w + (diag if w.ndim == 2 else diag_matrices(diag))
 
 
-def _negdim_matrix(measure, pts):
-    """D^2 V + grad V grad V^T / (2d) at an (n, d) batch."""
-    g = measure.potential.gradient(pts)
-    return measure.potential.hessian(pts) + np.einsum("ni,nj->nij", g, g) / (
-        2.0 * measure.dim
+def _negdim_tensor(mu):
+    """D^2 V + grad V grad V^T / (2d), a rank-one update of D^2 V."""
+    c, grad = 1.0 / (2.0 * mu.dim), mu.potential.gradient
+    return lambda pts: ScalarPlusRankOne(mu.hessian_form(pts), c, grad(pts))
+
+
+def _product_ricci_tensor(mu, data):
+    """The product-metric generalized Ricci tensor D^2 V + diag(V_i' u_i'/u_i
+    - u_i''/u_i), the closed form of `families.product_ricci`."""
+    return lambda pts: _plus_diagonal(
+        mu.hessian_form(pts),
+        families.product_ricci_diagonal(data, mu.potential.gradient(pts), pts),
     )
-
-
-def _negdim_weight_field(measure):
-    """(D^2 V + grad V grad V^T / 2d)^-1.  On a product measure D^2 V =
-    diag(D): at d = 1 the weight is the scalar 1/(V'' + V'^2/2), which also
-    holds where V'' = 0, and at d >= 2 Sherman-Morrison gives diag(1/D) -
-    (g/D)(g/D)^T / (2d + <g, g/D>) where D > 0.  A zero V_i'' can still leave
-    the matrix positive definite, so such a batch is inverted densely."""
-    d, derivs = measure.dim, _coord_derivatives(measure)
-
-    def batch(pts):
-        if derivs is not None:
-            g, dd = (coord_columns(c, pts) for c in derivs)
-            if d == 1:
-                return 1.0 / (dd + g * g / 2.0)[:, 0]
-            if (dd > 0.0).all():
-                gd = g / dd
-                u = gd / np.sqrt(2.0 * d + np.vecdot(g, gd))[:, None]
-                return ScalarPlusRankOne(1.0 / dd, -1.0, u)
-        return np.linalg.inv(_negdim_matrix(measure, pts))
-
-    return QuadraticFormField(dim=d, batch=batch, name="negdim^-1")
 
 
 def _check_product_ricci(measure, data, report, pts):
     """Record ric_positive, the least eigenvalue of the product-metric
-    generalized Ricci tensor over pts, and return its inverse as a field.
-    On a product measure the tensor is diag(V_i'' + V_i' u_i'/u_i -
-    u_i''/u_i), kept as its (n, d) diagonal and inverted entrywise."""
-    derivs = _coord_derivatives(measure)
-    if derivs is None:
-        ric = lambda p: families.product_ricci(data, measure.potential, p)
-        weight = lambda p: np.linalg.inv(ric(p))
-    else:
-        def ric(p):
-            g, dd = (coord_columns(c, p) for c in derivs)
-            return dd + families.product_ricci_diagonal(data, g, p)
-        weight = lambda p: 1.0 / ric(p)
-    _least(report, "ric_positive", _min_eig_batch(ric(pts)), pts, tol=-1e-12)
-    return QuadraticFormField(dim=measure.dim, batch=weight, name="Ric^-1")
+    generalized Ricci tensor over pts, and return its inverse as a field."""
+    ric = _product_ricci_tensor(measure, data)
+    _least_eig(report, "ric_positive", ric, pts, tol=-1e-12)
+    return _inverse_field(ric, measure.dim, "Ric^-1")
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +159,12 @@ def _check_product_ricci(measure, data, report, pts):
 
 def _build_classical_bl(params, report):
     mu = params["measure"]
-    pts = _hypothesis_points(mu)
-    _least(report, "hess_v_positive", _min_eig_batch(mu.potential.hessian(pts)), pts,
-           tol=-1e-12)
+    _least_eig(report, "hess_v_positive", mu.hessian_form, _hypothesis_points(mu),
+               tol=-1e-12)
     return InequalityInstance(
         lhs_kind="variance",
         measure=mu,
-        rhs_weight=_inverse_hessian_field(mu),
+        rhs_weight=_inverse_field(mu.hessian_form, mu.dim, "(D2V)^-1"),
         rhs_constant=1.0,
     )
 
@@ -239,17 +204,14 @@ def _build_refined_bl(params, report):
     mu, nu = params["measure"], params["target"]
     q_scalar, phi = _refined_q_1d(mu, nu)
     pts = _hypothesis_points(mu)
-    _least(report, "q_positive", q_scalar(pts), pts, tol=-1e-12)
+    _least_eig(report, "q_positive", q_scalar, pts, tol=-1e-12)
     tgrid = nu.coord_densities[0].ppf_many(np.linspace(1e-6, 1.0 - 1e-6, 257))
     wvals = nu.coord_d2[0](tgrid)
     _margin(report, "target_log_concave", float(np.min(wvals)), tol=1e-12)
-    weight = QuadraticFormField(
-        dim=1, batch=lambda pts: 1.0 / q_scalar(pts), name="Q^-1"
-    )
     return InequalityInstance(
         lhs_kind="variance",
         measure=mu,
-        rhs_weight=weight,
+        rhs_weight=_inverse_field(q_scalar, 1, "Q^-1"),
         rhs_constant=1.0,
         params={"target": nu.kind},
     )
@@ -258,13 +220,13 @@ def _build_refined_bl(params, report):
 def _build_negdim_bl(params, report):
     mu = params["measure"]
     pts = _hypothesis_points(mu)
-    _least(report, "log_concave", _min_eig_batch(mu.potential.hessian(pts)), pts)
-    _least(report, "weight_positive", _min_eig_batch(_negdim_matrix(mu, pts)), pts,
-           tol=-1e-12)
+    _least_eig(report, "log_concave", mu.hessian_form, pts)
+    tensor = _negdim_tensor(mu)
+    _least_eig(report, "weight_positive", tensor, pts, tol=-1e-12)
     return InequalityInstance(
         lhs_kind="variance",
         measure=mu,
-        rhs_weight=_negdim_weight_field(mu),
+        rhs_weight=_inverse_field(tensor, mu.dim, "negdim^-1"),
         rhs_constant=2.0,
     )
 
@@ -335,18 +297,13 @@ def _build_bakry_emery_lsi(params, report):
     rho = params["rho"]
     d = mu.dim
     data = families.ProductMetricData.from_family(fam, d)
-    pts = _hypothesis_points(mu)
-    gap = families.product_ricci(data, mu.potential, pts)
-    idx = np.arange(d)
-    gap[:, idx, idx] -= rho * data.metric_weights(pts)
-    _least(report, "curvature_level", _min_eig_batch(gap), pts, tol=1e-7)
-    weight = QuadraticFormField(
-        dim=d, batch=lambda p: 1.0 / data.metric_weights(p), name="g^-1"
-    )
+    ric = _product_ricci_tensor(mu, data)
+    gap = lambda pts: _plus_diagonal(ric(pts), -rho * data.metric_weights(pts))
+    _least_eig(report, "curvature_level", gap, _hypothesis_points(mu), tol=1e-7)
     return InequalityInstance(
         lhs_kind="entropy_of_square",
         measure=mu,
-        rhs_weight=weight,
+        rhs_weight=_inverse_field(data.metric_weights, d, "g^-1"),
         rhs_constant=2.0 / rho,
         params={"rho": rho, "family": fam},
     )
@@ -375,7 +332,7 @@ def _build_entropic_bl(params, report):
     return InequalityInstance(
         lhs_kind="entropy_of_square",
         measure=mu,
-        rhs_weight=_inverse_hessian_field(mu),
+        rhs_weight=_inverse_field(mu.hessian_form, mu.dim, "(D2V)^-1"),
         rhs_constant=2.0 / rho,
         params={"rho": rho},
     )
@@ -476,7 +433,7 @@ def _poly_orthant_checks(mu, report, lam=None, r_max=None):
     if not mu.orthant:
         raise HypothesisViolated("orthant_unconditional", None, -1.0)
     report["orthant_unconditional"] = 1.0
-    _least(report, "hess_v_psd", _min_eig_batch(mu.potential.hessian(pts)), pts, tol=1e-10)
+    _least_eig(report, "hess_v_psd", mu.hessian_form, pts, tol=1e-10)
     g = mu.potential.gradient(pts)
     level = 0.0 if lam is None else lam
     j = int(np.argmin(g.min(axis=1)))
@@ -563,12 +520,8 @@ def _build_exp_product(params, report):
     pts = _poly_orthant_checks(mu, report)
     g = mu.potential.gradient(pts)
     _margin(report, "v_xi_above_lambda", float((g - lams).min()), tol=1e-10)
-
-    def weights(pts):
-        g = mu.potential.gradient(pts)
-        return 1.0 / (lams * (g - lams))
-
-    weight = QuadraticFormField(dim=d, batch=weights, name="1/(lam (V_xi - lam))")
+    weight = _inverse_field(lambda pts: lams * (mu.potential.gradient(pts) - lams), d,
+                            "1/(lam (V_xi - lam))")
     return InequalityInstance(
         lhs_kind="variance", measure=mu,
         rhs_weight=weight, rhs_constant=1.0,
@@ -588,8 +541,7 @@ def _conditioned_orthant(mu):
     return measures._product_spec(
         mu.kind + "_orthant",
         densities,
-        d1=getattr(mu, "orthant_d1", None) or mu.coord_d1,
-        d2=getattr(mu, "orthant_d2", None) or mu.coord_d2,
+        d1=mu.coord_d1, d2=mu.coord_d2,
         log_concave=mu.log_concave,
         orthant=True,
     )
@@ -622,7 +574,7 @@ def _build_klartag_transfer(params, report):
     )
 
 
-def _cone_second_moment_ratio(body, report, lam, seed=11):
+def _cone_second_moment_ratio(body, seed=11):
     """E_sigma |x|^2/<x,n>^2, exact on the simplex and a ball (1), MC elsewhere."""
     if isinstance(body, Simplex):
         d = body.dim
@@ -648,7 +600,7 @@ def _build_cone_variance(params, report):
     if lam is None:
         lam = lam_emp
     _margin(report, "diagonality_level", lam_emp - lam, tol=1e-9)
-    ratio, ratio_err = _cone_second_moment_ratio(body, report, lam)
+    ratio, ratio_err = _cone_second_moment_ratio(body)
     const = 4.0 / (lam**2 * (d - 1.0) * (d - 2.0))
     return InequalityInstance(
         lhs_kind="variance",
@@ -690,7 +642,7 @@ def _build_l1_type(params, report):
     report["diagonality_sup"] = lam_sup
     lam = lam_emp if params["lam"] is None else params["lam"]
     i1 = _uniform_second_moment(body)
-    i2, _ = _cone_second_moment_ratio(body, report, lam)
+    i2, _ = _cone_second_moment_ratio(body)
     rhs_base = (i1 + i2 / lam**2) / d**2
     alt = (1.0 + (d + 2.0) * (lam_sup / lam) ** 2) / d**2 * i1
     return InequalityInstance(
@@ -1016,16 +968,6 @@ def instantiate(inequality_id, params) -> InequalityInstance:
     inst.id, inst.hypothesis_report = inequality_id, report
     inst.constant_known = entry.constant_known
     return inst
-
-
-def hypothesis_margins(instance: InequalityInstance, points=None):
-    """Hypothesis margins recorded at instantiation, optionally re-evaluated
-    pointwise margins over a user grid for weight positivity."""
-    report = dict(instance.hypothesis_report)
-    if points is not None and instance.rhs_weight is not None:
-        vals = instance.rhs_weight.values(np.atleast_2d(points))
-        report["weight_min_eig_on_grid"] = float(_min_eig_batch(vals).min())
-    return report
 
 
 def manifest():

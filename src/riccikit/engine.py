@@ -40,20 +40,6 @@ class TestFunction:
     fn: Callable  # (n, d) -> (n,)
     grad: Callable  # (n, d) -> (n, d)
     lipschitz_bound: Optional[float] = None
-    vanishes_on_boundary: bool = False
-
-    def self_test(self, points, tol=1e-6):
-        """Check grad against central differences of fn at the given points."""
-        pts = np.atleast_2d(points)
-        g = self.grad(pts)
-        h = 1e-6
-        for k in range(pts.shape[1]):
-            e = np.zeros(pts.shape[1])
-            e[k] = h
-            fd = (self.fn(pts + e) - self.fn(pts - e)) / (2.0 * h)
-            if np.max(np.abs(fd - g[:, k])) > tol * (1.0 + np.max(np.abs(g))):
-                return False
-        return True
 
 
 def default_suite(d, seed=0, n_random=5) -> List[TestFunction]:
@@ -145,7 +131,6 @@ def dirichlet_wrap(f: TestFunction, body) -> TestFunction:
         id=f.id + "*(1-p^2)",
         fn=lambda p: (1.0 - body.gauge(p) ** 2) * f.fn(p),
         grad=grad,
-        vanishes_on_boundary=True,
     )
 
 
@@ -308,14 +293,6 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
         est += best
         err = math.hypot(err, berr)
     return est, err
-
-
-def psd_verify(form_field, points):
-    """Smallest eigenvalue of a matrix field over the points, with location."""
-    vals = form_field.values(np.atleast_2d(points))
-    eigs = np.linalg.eigvalsh(vals)[:, 0]
-    i = int(np.argmin(eigs))
-    return float(eigs[i]), np.atleast_2d(points)[i]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ Conventions:
     call `fn`/`deriv` once per row with a (d,) point; `value` and
     `derivative` are batches of one;
   * quadratic-form fields take an (n, d) array of points and return their
-    weights in one of four forms: an (n,) array for s(x) * Id, (n, d) for
-    diag(w(x)), (n, d, d) for a full matrix, or a ScalarPlusRankOne for
-    s(x) * Id or diag(s(x)), plus c u(x) u(x)^T; one point is a batch of
-    one;
+    weights in one of four compact forms: an (n,) array for s(x) * Id,
+    (n, d) for diag(w(x)), (n, d, d) for a full matrix, or a
+    ScalarPlusRankOne, S(x) + c u(x) u(x)^T with S in one of the first
+    three forms; one point is a batch of one.  `inverse` and `least_eig`
+    work in these forms and expand to dense matrices only where no form
+    holds the result (see QuadraticFormField);
   * metric derivative arrays have shape (d, d, d) with axis 0 the
     differentiation direction: deriv(x)[k] = d g / d x_k;
   * third-derivative tensors of potentials are fully symmetric (d, d, d)
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .errors import MissingThirdDerivatives, StepTooLarge
+from .errors import EigensolveFailure, MissingThirdDerivatives, StepTooLarge
 
 
 def as_point(x, dim=None):
@@ -312,8 +314,8 @@ def hessian_metric(phi: PotentialField, d, domain=None):
 @dataclass(frozen=True)
 class ScalarPlusRankOne:
     """Weights S(x) + c u(x) u(x)^T at n points: S = s Id for s of shape
-    (n,), S = diag(s) for s of shape (n, d); a scalar c and u of shape
-    (n, d)."""
+    (n,), S = diag(s) for s of shape (n, d), S = s for s of shape (n, d, d);
+    a scalar c and u of shape (n, d)."""
 
     s: np.ndarray
     c: float
@@ -329,7 +331,11 @@ class QuadraticFormField:
       (n,)               s(x) * Id;
       (n, d)             diag(w(x));
       (n, d, d)          a full matrix (symmetrized on evaluation);
-      ScalarPlusRankOne  s(x) * Id or diag(s(x)), plus c u(x) u(x)^T.
+      ScalarPlusRankOne  S(x) + c u(x) u(x)^T, S in one of the forms above.
+    `inverse` keeps the scalar and diagonal forms and a rank-one update
+    with c > 0 over a positive scalar or diagonal (a scalar at d = 1), and
+    inverts the rest densely; `least_eig` reads scalars and diagonals directly and
+    takes every other form through its dense matrices.
     """
 
     dim: int
@@ -346,7 +352,7 @@ class QuadraticFormField:
                 np.asarray(out.s, dtype=float), out.c, np.asarray(out.u, dtype=float)
             )
             shape = (out.s.shape, np.shape(out.c), out.u.shape)
-            allowed = [((n,), (), (n, d)), ((n, d), (), (n, d))]
+            allowed = [(base, (), (n, d)) for base in ((n,), (n, d), (n, d, d))]
         else:
             out = np.asarray(out, dtype=float)
             shape, allowed = out.shape, [(n,), (n, d), (n, d, d)]
@@ -363,14 +369,11 @@ class QuadraticFormField:
         """(n, d, d) weight matrices at an (n, d) array of points."""
         return as_matrices(self.compact(points), self.dim)
 
-    def value(self, x):
-        return self.values(as_point(x, self.dim)[None, :])[0]
-
 
 def as_matrices(w, d):
     """(n, d, d) matrices from weights in one of the compact forms of
     QuadraticFormField: (n,) scalars, (n, d) diagonals, (n, d, d) or a
-    ScalarPlusRankOne."""
+    ScalarPlusRankOne over any of them."""
     if isinstance(w, ScalarPlusRankOne):
         return as_matrices(w.s, d) + w.c * np.einsum("ni,nj->nij", w.u, w.u)
     if w.ndim == 3:
@@ -389,3 +392,31 @@ def quad_form(w, vectors):
     if w.ndim == 2:
         return np.einsum("ni,ni,ni->n", w, vectors, vectors)
     return np.einsum("ni,ni->n", np.einsum("nij,nj->ni", w, vectors), vectors)
+
+
+def inverse(w, d):
+    """Inverses of compact weights `w`: reciprocals of scalars and diagonals;
+    for S + c u u^T the scalar 1/(S + c u^2) at d = 1 and, where c > 0 and S
+    is a positive scalar or diagonal, Sherman-Morrison's S^-1 - (S^-1 u)
+    (S^-1 u)^T / (1/c + <u, S^-1 u>); everything else densely."""
+    if not isinstance(w, ScalarPlusRankOne):
+        return 1.0 / w if w.ndim < 3 else np.linalg.inv(w)
+    if d == 1:
+        return 1.0 / (w.s.reshape(-1) + w.c * (w.u[:, 0] * w.u[:, 0]))
+    if w.c > 0.0 and w.s.ndim < 3 and (w.s > 0.0).all():
+        su = w.u / (w.s if w.s.ndim == 2 else w.s[:, None])
+        q = 1.0 / w.c + np.vecdot(w.u, su)
+        return ScalarPlusRankOne(1.0 / w.s, -1.0, su / np.sqrt(q)[:, None])
+    return np.linalg.inv(as_matrices(w, d))
+
+
+def least_eig(w, d):
+    """Least eigenvalue of each of the n compact weights `w`: the scalars,
+    the row minima of diagonals, else that of the dense matrix.  Non-finite
+    entries raise EigensolveFailure."""
+    parts = (w.s, w.c, w.u) if isinstance(w, ScalarPlusRankOne) else (w,)
+    if not all(np.isfinite(a).all() for a in parts):
+        raise EigensolveFailure("least eigenvalue of a matrix with non-finite entries")
+    if isinstance(w, np.ndarray) and w.ndim < 3:
+        return w if w.ndim == 1 else w.min(axis=1)
+    return np.linalg.eigvalsh(as_matrices(w, d))[:, 0]

@@ -69,6 +69,14 @@ class MeasureSpec:
         ]
         return np.concatenate(parts, axis=0)
 
+    def hessian_form(self, pts):
+        """D^2 V at an (n, d) batch in the compact form its structure allows:
+        the (n, d) diagonals V_i''(x_i) of a product measure, else the
+        (n, d, d) Hessians."""
+        if self.coord_d2 is not None and self.coord_d2[0] is not None:
+            return coord_columns(self.coord_d2, pts)
+        return self.potential.hessian(pts)
+
     def coordinate_moment(self, k):
         """Per-coordinate k-th moments (exact quadrature for products), one
         quadrature per distinct coordinate density."""
@@ -221,16 +229,13 @@ def uniform_box_orthant(d, r_max=1.0):
 def laplace_product(d):
     """Symmetric exponential exp(-sum |x_i|)/2^d on the whole space.
 
-    The potential has a kink at the coordinate hyperplanes; the smooth
-    derivative callbacks below are valid on the open positive orthant and are
-    what the orthant-conditioned measure uses.
+    The potential has a kink at the coordinate hyperplanes; its coordinate
+    derivatives are the a.e. ones, sign(t) and 0, so the point mass of V''
+    at the kink is not seen.
     """
     dens = Density1D(lambda t: abs(t), (-np.inf, np.inf), name="laplace")
-    spec = _product_spec("laplace_product", [dens] * d, log_concave=True,
-                         unconditional=True)
-    spec.orthant_d1 = [lambda t: 1.0] * d
-    spec.orthant_d2 = [lambda t: 0.0] * d
-    return spec
+    return _product_spec("laplace_product", [dens] * d, d1=np.sign,
+                         d2=lambda t: 0.0, log_concave=True, unconditional=True)
 
 
 def uniform_interval(a=-0.5, b=0.5):

@@ -459,7 +459,8 @@ class TestExitCodes:
               "dims": [2], "params": {"family": {"type": "product_power", "p": 0.3},
                                       "rho": 0.5}},
              "product-metric profile"),
-            # the Laplace potential has no analytic derivatives
+            # the Laplace potential's a.e. Hessian is 0: D^2 V + grad V grad V^T/4
+            # has rank one, and exp(x/2) profiles give -3/4 where x_i < 0
             ({"inequality": "negdim_bl", "measure": {"kind": "laplace_product"},
               "dims": [2]}, "weight_positive"),
             ({"inequality": "generalized_bl", "measure": {"kind": "laplace_product"},
