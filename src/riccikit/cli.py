@@ -309,6 +309,13 @@ _POTENTIALS_1D = {
 def _cmd_spectrum(args):
     spec = _json_arg(args.potential, "/potential", _POTENTIAL_1D, {})
     pot = _POTENTIALS_1D[spec["kind"]](spec)
+    for flag, value in (("--a", args.a), ("--b", args.b)):
+        if not math.isfinite(value):
+            raise SchemaViolation(flag, f"must be finite, got {value}")
+    if args.a >= args.b:
+        raise SchemaViolation("--b", f"must exceed --a = {args.a}, got {args.b}")
+    if args.n < engine.MIN_NODES:
+        raise SchemaViolation("--n", f"must be at least {engine.MIN_NODES}, got {args.n}")
     lam, cp = engine.spectral_gap_1d(pot, (args.a, args.b), n=args.n)
     json.dump({"lambda_1": lam, "poincare_constant": cp}, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -605,6 +605,12 @@ class TestSubcommands:
             (["spectrum", "--potential", '{"kind": "gaussian", "sigma": "x"}',
               "--a", "-1", "--b", "1"], "/potential/sigma"),
             (["spectrum", "--potential", "[1]", "--a", "-1", "--b", "1"], "/potential"),
+            # the spectrum flags used to reach the solver and exit 3
+            (["spectrum", "--potential", '{"kind": "uniform"}', "--a", "1", "--b", "0"], "--b"),
+            (["spectrum", "--potential", '{"kind": "uniform"}', "--a", "0", "--b", "inf"], "--b"),
+            (["spectrum", "--potential", '{"kind": "uniform"}', "--a", "nan", "--b", "1"], "--a"),
+            (["spectrum", "--potential", '{"kind": "uniform"}', "--a", "0", "--b", "1",
+              "--n", "64"], "--n"),
             (["transport", "--mu", '{"kind": "gaussian", "sigma": "x"}',
               "--nu", '{"kind": "uniform_interval"}', "--points", "0.5"], "/mu/sigma"),
         ],

@@ -222,6 +222,43 @@ class TestStandardErrorCoverage:
         assert rate <= 0.02
 
 
+# potentials and intervals of the solver agreement panel, by id
+SPECTRAL_PANEL = {
+    "uniform": (lambda t: 0.0, (0.0, 1.0)),
+    "gaussian_0.855": (lambda t: 0.5 * t * t / 0.855**2, (-8.0 * 0.855, 8.0 * 0.855)),
+    "gaussian_2": (lambda t: 0.125 * t * t, (-16.0, 16.0)),
+    "exp_40": (lambda t: t, (0.0, 40.0)),
+    "exp_200": (lambda t: t, (0.0, 200.0)),
+    "logcosh": (lambda t: np.log(np.cosh(t)), (-20.0, 20.0)),
+    "double_well": (lambda t: 4.0 * (t * t - 1.0) ** 2, (-3.0, 3.0)),
+    "quartic": (lambda t: t**4, (-4.0, 4.0)),
+    "cos3": (lambda t: 3.0 * np.cos(3.0 * t), (-math.pi, math.pi)),
+}
+
+
+def _lapack_gap(potential, interval, m):
+    """The reference: LAPACK's second eigenvalue of the same pencil after the
+    symmetric scaling M^(-1/2) K M^(-1/2), on m nodes without Richardson."""
+    from scipy.linalg import eigh_tridiagonal
+
+    x = np.linspace(interval[0], interval[1], m)
+    h = x[1] - x[0]
+    v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
+    v = v - v.min()
+    wh = np.exp(-0.5 * (v[1:] + v[:-1]))
+    diag = np.zeros(m)
+    diag[:-1] += wh
+    diag[1:] += wh
+    mass = np.full(m, h)
+    mass[0] = mass[-1] = 0.5 * h
+    scale = 1.0 / np.sqrt(mass * np.exp(-v))
+    eigs = eigh_tridiagonal(
+        diag / h * scale**2, -wh / h * scale[:-1] * scale[1:],
+        select="i", select_range=(0, 1), eigvals_only=True,
+    )
+    return eigs[1]
+
+
 class TestSpectralGap:
     def test_uniform_interval_pi_squared(self):
         lam, cp = eng.spectral_gap_1d(lambda t: 0.0, (0.0, 1.0), n=4096)
@@ -245,6 +282,60 @@ class TestSpectralGap:
     def test_grid_floor(self):
         with pytest.raises(EigensolveFailure):
             eng.spectral_gap_1d(lambda t: 0.0, (0.0, 1.0), n=64)
+
+    @pytest.mark.parametrize("case", sorted(SPECTRAL_PANEL))
+    @pytest.mark.parametrize("m", [1024, 4096])
+    def test_matches_lapack_on_the_scaled_pencil(self, case, m):
+        potential, interval = SPECTRAL_PANEL[case]
+        lam, _ = eng.spectral_gap_1d(potential, interval, n=m, richardson=False)
+        want = _lapack_gap(potential, interval, m)
+        assert lam == pytest.approx(want, rel=1e-7)
+
+    def test_cos_density_two_pi_squared(self):
+        # end masses of 3e-20 against 3e-6 inside: the M^(-1/2) scaling of
+        # a LAPACK solve read 2 pi^2 only to 1.6e-4 here
+        lam, _ = eng.spectral_gap_1d(
+            lambda t: -np.log(np.cos(np.pi * t)), (-0.5, 0.5), n=4096
+        )
+        assert lam == pytest.approx(2.0 * math.pi**2, rel=1e-8)
+
+    def test_repeat_calls_are_bit_identical(self):
+        def pot(t):
+            return np.log(np.cosh(t))
+
+        assert eng.spectral_gap_1d(pot, (-20.0, 20.0)) == eng.spectral_gap_1d(
+            pot, (-20.0, 20.0)
+        )
+
+    def test_lanczos_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eng, "LANCZOS_STEPS", 5)
+        with pytest.raises(EigensolveFailure, match="Lanczos"):
+            eng.spectral_gap_1d(lambda t: t, (0.0, 200.0), n=1024)
+
+    def test_underflowing_tails_are_trimmed(self):
+        # exp(-V) underflows to 0 near the ends of each interval
+        lam, _ = eng.spectral_gap_1d(lambda t: 0.5 * t * t, (-40.0, 40.0))
+        assert lam == pytest.approx(1.0, abs=1e-6)
+        lam, _ = eng.spectral_gap_1d(lambda t: 50.0 * t * t, (-5.0, 5.0))
+        assert lam == pytest.approx(100.0, rel=1e-6)
+        wide, _ = eng.spectral_gap_1d(lambda t: t**8, (-4.0, 4.0))
+        narrow, _ = eng.spectral_gap_1d(lambda t: t**8, (-2.2, 2.2))
+        assert wide == pytest.approx(narrow, rel=1e-8)
+
+    def test_interior_barrier_raises(self):
+        with pytest.raises(EigensolveFailure, match="underflows inside"):
+            eng.spectral_gap_1d(lambda t: np.where(abs(t) < 0.1, 800.0, 0.0), (-1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "interval", [(1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_bad_interval_raises_before_evaluating(self, interval):
+        def pot(t):
+            raise AssertionError("potential evaluated")
+
+        with pytest.raises(EigensolveFailure, match="interval"):
+            eng.spectral_gap_1d(pot, interval)
+
 
 
 class TestLeastEig:
