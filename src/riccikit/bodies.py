@@ -160,14 +160,12 @@ class Ball(ConvexBody):
             pts = np.abs(pts)
         return pts
 
-    def sample_boundary(self, n, rng, antithetic=True):
-        """Uniform points on the sphere (antithetic +/- pairs by default)."""
-        m = (n + 1) // 2 if antithetic else n
-        z = rng.standard_normal((m, self.dim))
+    def sample_boundary(self, n, rng):
+        """Uniform points on the sphere in antithetic pairs: the first
+        ceil(n/2) are drawn and the rest are their negatives."""
+        z = rng.standard_normal(((n + 1) // 2, self.dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        if antithetic:
-            z = np.concatenate([z, -z])[:n]
-        pts = self.radius * z
+        pts = self.radius * np.concatenate([z, -z])[:n]
         return np.abs(pts) if self.orthant else pts
 
     def volume(self):
@@ -269,13 +267,6 @@ class Simplex(ConvexBody):
     def volume(self):
         return self.scale**self.dim / math.factorial(self.dim)
 
-    def facet_area(self):
-        return (
-            math.sqrt(self.dim)
-            * self.scale ** (self.dim - 1)
-            / math.factorial(self.dim - 1)
-        )
-
     def radius_bound(self):
         return self.scale
 
@@ -359,7 +350,9 @@ class LpBall(ConvexBody):
         )
 
     def radius_bound(self):
-        return self.radius
+        """Circumradius: R for p <= 2, attained on the axes; R d^(1/2 - 1/p)
+        for p > 2, attained on the diagonals."""
+        return self.radius * self.dim ** max(0.0, 0.5 - 1.0 / self.p)
 
     def spec(self):
         return {"kind": "lp", "dim": self.dim, "p": self.p, "radius": self.radius}

@@ -40,11 +40,11 @@ _HYPOTHESIS_SAMPLES = 512
 @dataclass
 class BoundaryTerm:
     """Boundary part of an inequality: integral of weight(x) (f - C)^2 against
-    the Hausdorff measure normalized by Vol(body); C free when free_constant."""
+    the Hausdorff measure normalized by Vol(body), minimized over the constant
+    C.  The body is a ball: `engine.boundary_sample` refuses other kinds."""
 
     body: ConvexBody
     weight: Callable  # (n, d) boundary points -> (n,) weights
-    free_constant: bool = True
 
 
 @dataclass(kw_only=True)
@@ -61,7 +61,6 @@ class InequalityInstance:
     rhs_fixed_err: float = 0.0
     constant_known: bool = True  # the catalog entry's, set by instantiate
     lipschitz_only: bool = False
-    dirichlet: bool = False
     eval_mode: str = "standard"  # standard | fixed_rhs | poincare_ratio
     body: Optional[ConvexBody] = None
     hypothesis_report: dict = field(default_factory=dict)  # set by instantiate
@@ -542,7 +541,6 @@ def _conditioned_orthant(mu):
         mu.kind + "_orthant",
         densities,
         d1=mu.coord_d1, d2=mu.coord_d2,
-        log_concave=mu.log_concave,
         orthant=True,
     )
 
@@ -693,7 +691,6 @@ def _build_dim_bl_boundary(params, report):
     mu = measures.uniform_body(body)
     lhs_scale = n_param / (n_param - 1.0)
     boundary = None
-    dirichlet = False
     if part == 1:
 
         def bweight(pts):
@@ -708,14 +705,12 @@ def _build_dim_bl_boundary(params, report):
             (d - 1.0) / r0 + theta / r0,
             tol=1e-12,
         )
-        boundary = BoundaryTerm(body=body, weight=bweight, free_constant=True)
+        boundary = BoundaryTerm(body=body, weight=bweight)
     elif part == 2:
         # ball: II_0 = Id/R >= theta <x,n>/|x|^2 Id = (theta/R) Id iff theta <= 1
         _ball_radius(body)
         _margin(report, "locally_convex", 1.0 - theta, tol=1e-12)
-    elif part == 3:
-        dirichlet = True
-    else:
+    elif part != 3:
         raise UnknownInequalityId(f"dim_bl_boundary part {part}")
     return InequalityInstance(
         lhs_kind="l2_dirichlet" if part == 3 else "variance",
@@ -724,7 +719,6 @@ def _build_dim_bl_boundary(params, report):
         rhs_weight=weight,
         rhs_constant=1.0,
         boundary=boundary,
-        dirichlet=dirichlet,
         body=body,
         params={"N": n_param, "theta": theta, "part": part},
     )
@@ -761,7 +755,7 @@ def _build_hardy_boundary(params, report):
         lhs_scale=1.0 / (1.0 - n_param),
         rhs_weight=weight,
         rhs_constant=1.0,
-        boundary=BoundaryTerm(body=body, weight=bweight, free_constant=True),
+        boundary=BoundaryTerm(body=body, weight=bweight),
         body=body,
         params={"N": n_param},
     )
@@ -790,7 +784,6 @@ def _build_hardy_dirichlet(params, report):
         measure=mu,
         rhs_weight=weight,
         rhs_constant=1.0,
-        dirichlet=True,
         body=body,
         params={},
     )

@@ -260,26 +260,38 @@ _RICCI_FAMILY = Schema({"type": Key("string", "euclidean")}, select="type", vari
 })
 
 
+def _finite_entries(flag, values):
+    """Refuse a non-finite entry of a numeric list flag as a config error."""
+    for value in values:
+        if not math.isfinite(value):
+            raise SchemaViolation(flag, f"must be finite, got {value}")
+
+
 def _cmd_ricci(args):
+    _finite_entries("--point", args.point)
     x = np.asarray(args.point, dtype=float)
     d = x.size
     fam = _json_arg(args.family, "/family", _RICCI_FAMILY, {"/point": d})
     mspec = _json_arg(args.measure, "/measure", measures.SCHEMA, {"/point": d})
     mu = measures.from_spec(mspec, d)
     n_param = math.inf
-    if fam["type"] == "conformal_radial":
-        n_param = fam["N"]
-        data = families.ConformalMetricData.radial(fam["theta"], fam["eps"])
-        closed = families.conformal_ricci_N(data, mu.potential, n_param, x)
-        metric = fields.conformal_metric(data.phi, d)
-    elif fam["type"] == "euclidean":
-        closed = mu.potential.hessian(x)
-        metric = fields.euclidean_metric(d)
-    else:
-        data = families.ProductMetricData.from_family(fam, d)
-        closed = families.product_ricci(data, mu.potential, x)
-        metric = data.metric_field()
-    cp = tensor_core.generalized_ricci(metric, mu.potential, x, n_param=n_param)
+    # far out, the step sizes or the family overflow; the metric check then
+    # names the stencil point whose metric is not finite, so numpy's
+    # floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if fam["type"] == "conformal_radial":
+            n_param = fam["N"]
+            data = families.ConformalMetricData.radial(fam["theta"], fam["eps"])
+            closed = families.conformal_ricci_N(data, mu.potential, n_param, x)
+            metric = fields.conformal_metric(data.phi, d)
+        elif fam["type"] == "euclidean":
+            closed = mu.potential.hessian(x)
+            metric = fields.euclidean_metric(d)
+        else:
+            data = families.ProductMetricData.from_family(fam, d)
+            closed = families.product_ricci(data, mu.potential, x)
+            metric = data.metric_field()
+        cp = tensor_core.generalized_ricci(metric, mu.potential, x, n_param=n_param)
     out = {
         "point": x.tolist(),
         "closed_form": np.asarray(closed).tolist(),
@@ -309,9 +321,8 @@ _POTENTIALS_1D = {
 def _cmd_spectrum(args):
     spec = _json_arg(args.potential, "/potential", _POTENTIAL_1D, {})
     pot = _POTENTIALS_1D[spec["kind"]](spec)
-    for flag, value in (("--a", args.a), ("--b", args.b)):
-        if not math.isfinite(value):
-            raise SchemaViolation(flag, f"must be finite, got {value}")
+    _finite_entries("--a", [args.a])
+    _finite_entries("--b", [args.b])
     if args.a >= args.b:
         raise SchemaViolation("--b", f"must exceed --a = {args.a}, got {args.b}")
     if args.n < engine.MIN_NODES:
@@ -333,6 +344,7 @@ def _density_arg(text, at):
 def _cmd_transport(args):
     mu = _density_arg(args.mu, "/mu")
     nu = _density_arg(args.nu, "/nu")
+    _finite_entries("--points", args.points)
     rows = []
     phi = transport.transport_potential_1d(mu, nu)
     vpot = mu.potential_field()

@@ -3,7 +3,7 @@
 Both sides are estimated from i.i.d. samples; each standard error is the
 sample standard deviation of the statistic's influence function over the
 points already drawn, divided by sqrt(n) (the delta method).  Boundary
-terms use exact moments or antithetic Monte Carlo on the boundary.
+terms use antithetic Monte Carlo on the boundary of a ball.
 
 `spectral_gap_1d` is the exact 1-D spectral-gap oracle: a numpy Lanczos
 run on the cumulative-sum inverse of a flux discretization, with the end
@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bodies import Ball, Simplex
+from .bodies import Ball
 from .catalog import InequalityInstance
 from .errors import (
     BoundaryQuadratureFailure,
@@ -45,9 +45,9 @@ class TestFunction:
     lipschitz_bound: Optional[float] = None
 
 
-def default_suite(d, seed=0, n_random=5) -> List[TestFunction]:
+def default_suite(d, seed=0) -> List[TestFunction]:
     """Coordinates, |x|^2, the diagonal direction, a coordinate product,
-    low-frequency cosines of the diagonal, and seeded random cubics."""
+    low-frequency cosines of the diagonal, and five seeded random cubics."""
     funcs = []
     sq = math.sqrt(d)
 
@@ -103,7 +103,7 @@ def default_suite(d, seed=0, n_random=5) -> List[TestFunction]:
             )
         )
     rng = np.random.default_rng(seed)
-    for j in range(n_random):
+    for j in range(5):
         a = rng.standard_normal(d)
         b = rng.standard_normal(d)
         c = rng.standard_normal(d)
@@ -221,16 +221,12 @@ def boundary_sample(instance, n, seed):
     term = instance.boundary
     body = term.body
     rng = np.random.default_rng(_row_seed(seed, instance.id, "bnd"))
-    if isinstance(body, Ball):
-        pts = body.sample_boundary(n, rng, antithetic=True)
-        scale = body.surface_area() / body.volume()
-    elif isinstance(body, Simplex):
-        pts = body.sample_facet(n, rng)
-        scale = body.facet_area() / body.volume()
-    else:
+    if not isinstance(body, Ball):
         raise BoundaryQuadratureFailure(
             f"no boundary quadrature for body kind {body.kind!r}"
         )
+    pts = body.sample_boundary(n, rng)
+    scale = body.surface_area() / body.volume()
     return pts, np.asarray(term.weight(pts), dtype=float), scale
 
 
@@ -240,21 +236,17 @@ def boundary_quadrature(instance, f: TestFunction, n, seed, sample=None):
 
     There is one stream of boundary points per (instance, seed), shared by
     all test functions: `sample` may carry `boundary_sample(instance, n,
-    seed)`, drawn once per check, and is drawn here otherwise.  On a ball
-    the points come in antithetic pairs (z, -z); for even n the influence
-    values are averaged over each pair before the standard error is taken,
-    since the two halves of a pair are not independent."""
+    seed)`, drawn once per check, and is drawn here otherwise.  The body is
+    a ball and the points come in antithetic pairs (z, -z); for even n the
+    influence values are averaged over each pair before the standard error
+    is taken, since the two halves of a pair are not independent."""
     term = instance.boundary
     pts, w, scale = boundary_sample(instance, n, seed) if sample is None else sample
     fv = f.fn(pts)
-    if term.free_constant:
-        mw, mwf = w.mean(), (w * fv).mean()
-        est = float((w * fv**2).mean() - mwf**2 / mw) * scale
-        influence = scale * w * (fv - mwf / mw) ** 2
-    else:
-        est = float((w * fv**2).mean()) * scale
-        influence = scale * w * fv**2
-    if isinstance(term.body, Ball) and n % 2 == 0:
+    mw, mwf = w.mean(), (w * fv).mean()
+    est = float((w * fv**2).mean() - mwf**2 / mw) * scale
+    influence = scale * w * (fv - mwf / mw) ** 2
+    if n % 2 == 0:
         influence = 0.5 * (influence[: n // 2] + influence[n // 2:])
     return est, _mean_se(influence)
 
@@ -506,7 +498,8 @@ def check_inequality(
         weight_values = instance.rhs_weight.compact(samples)
     if instance.eval_mode == "standard" and instance.boundary is not None:
         boundary = boundary_sample(instance, budget, seed)
-    if instance.dirichlet:
+    dirichlet = instance.lhs_kind == "l2_dirichlet"
+    if dirichlet:
         body = instance.body
         gauge = (body.gauge(samples), body.gauge_grad(samples))
 
@@ -514,7 +507,7 @@ def check_inequality(
     lip_variances = []
     for f in functions:
         values = grads = None
-        if instance.dirichlet:
+        if dirichlet:
             values, grads = _dirichlet_values(f, samples, *gauge)
             f = dirichlet_wrap(f, instance.body)
         elif instance.lipschitz_only:

@@ -53,7 +53,7 @@ class NonCompactTarget(RicciKitError):
 
 
 class BarycenterNotZero(RicciKitError):
-    """Target barycenter must vanish and recentering was disabled."""
+    """The target's support does not surround its barycenter."""
 
 
 class NoConvergence(RicciKitError):

@@ -9,7 +9,7 @@ are provided that derive the missing member of the triple from that identity.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -344,12 +344,13 @@ def ric_1d_exact(v: PotentialField, x):
     return d2 + 0.5 * d4 / d2 - 0.75 * (d3 / d2) ** 2 - 0.5 * d1 * d3 / d2
 
 
-def _newton_invert_gradient(v: PotentialField, y, x0, tol=1e-13, max_iter=60):
-    """Solve grad V(x) = y for strongly convex V, starting from x0."""
+def _newton_invert_gradient(v: PotentialField, y, x0):
+    """Solve grad V(x) = y for strongly convex V, starting from x0: at most
+    60 Newton steps, stopping at residual 1e-13 (1 + |y|)."""
     x = np.array(x0, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(60):
         r = v.gradient(x) - y
-        if np.linalg.norm(r) < tol * (1.0 + np.linalg.norm(y)):
+        if np.linalg.norm(r) < 1e-13 * (1.0 + np.linalg.norm(y)):
             return x
         h = v.hessian(x)
         try:
@@ -395,18 +396,14 @@ def entropic_hessian_ricci(v: PotentialField, x):
 
 @dataclass
 class ConformalMetricData:
-    """Conformal factor exponent phi for g = exp(2 phi) g_0 over Euclidean g_0.
-
-    `theta`/`eps` record the radial family phi = -(theta/2) log(|x|^2 + eps)
-    when that construction was used.
-    """
+    """Conformal factor exponent phi for g = exp(2 phi) g_0 over Euclidean g_0."""
 
     phi: PotentialField
-    theta: Optional[float] = None
-    eps: Optional[float] = None
 
     @classmethod
     def radial(cls, theta, eps, d=None):
+        """The radial family phi = -(theta/2) log(|x|^2 + eps); the dimension
+        comes from the point, so `d` is not read."""
         if eps < 0.0:
             raise ValueError("eps must be non-negative")
 
@@ -421,9 +418,7 @@ class ConformalMetricData:
             d_ = x.size
             return -theta * (np.eye(d_) / s - 2.0 * np.outer(x, x) / s**2)
 
-        return cls(
-            phi=PotentialField(fn=fn, grad=grad, hess=hess), theta=theta, eps=eps
-        )
+        return cls(phi=PotentialField(fn=fn, grad=grad, hess=hess))
 
 
 def _n_coefficients(n_param, d):

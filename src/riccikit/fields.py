@@ -8,8 +8,8 @@ Conventions:
     finite-difference fallbacks loop over the rows of a batch.  `value`,
     `third_tensor` and `fourth_1d` take one point;
   * metrics take an (m, d) array of points in `values` and `derivatives` and
-    call `fn`/`deriv` once per row with a (d,) point; `value` and
-    `derivative` are batches of one;
+    call `fn`/`deriv` once per row with a (d,) point; `value` is a batch of
+    one.  Only the product metrics take a `domain` predicate;
   * quadratic-form fields take an (n, d) array of points and return their
     weights in one of four compact forms: an (n,) array for s(x) * Id,
     (n, d) for diag(w(x)), (n, d, d) for a full matrix, or a
@@ -240,9 +240,6 @@ class MetricField:
         g = self.values(numdiff.stencil(points, h))
         return numdiff.first_differences(g.reshape(h.shape + (-1,) + g.shape[1:]), h)
 
-    def derivative(self, x, h=None):
-        return self.derivatives(as_point(x, self.dim), h)[0]
-
 
 def euclidean_metric(d):
     eye = np.eye(d)
@@ -250,7 +247,7 @@ def euclidean_metric(d):
     return MetricField(dim=d, fn=lambda x: eye, deriv=lambda x: zero, name="euclidean")
 
 
-def conformal_metric(phi: PotentialField, d, domain=None):
+def conformal_metric(phi: PotentialField, d):
     """g = exp(2*phi) * g_0 with analytic first derivatives from phi.grad."""
 
     def fn(x):
@@ -261,7 +258,7 @@ def conformal_metric(phi: PotentialField, d, domain=None):
         scale = 2.0 * np.exp(2.0 * phi.value(x))
         return scale * gp[:, None, None] * np.eye(d)[None, :, :]
 
-    return MetricField(dim=d, fn=fn, deriv=deriv, domain=domain, name="conformal")
+    return MetricField(dim=d, fn=fn, deriv=deriv, name="conformal")
 
 
 def product_metric(profiles, domain=None):
@@ -286,7 +283,7 @@ def power_product_metric(p, d, domain=None):
     return product_metric([prof] * d, domain=domain)
 
 
-def exp_product_metric(lams, domain=None):
+def exp_product_metric(lams):
     """g_ii = exp(-2*lam_i*x_i)."""
     profs = [
         (
@@ -295,10 +292,10 @@ def exp_product_metric(lams, domain=None):
         )
         for l in np.atleast_1d(lams)
     ]
-    return product_metric(profs, domain=domain)
+    return product_metric(profs)
 
 
-def hessian_metric(phi: PotentialField, d, domain=None):
+def hessian_metric(phi: PotentialField, d):
     """g = D^2 Phi with derivatives from the third-derivative tensor."""
 
     def deriv(x):
@@ -306,9 +303,7 @@ def hessian_metric(phi: PotentialField, d, domain=None):
         return np.moveaxis(t, 2, 0)
 
     # values() symmetrizes the batch, so an analytic `hess` is called bare
-    return MetricField(
-        dim=d, fn=phi.hess or phi.hessian, deriv=deriv, domain=domain, name="hessian"
-    )
+    return MetricField(dim=d, fn=phi.hess or phi.hessian, deriv=deriv, name="hessian")
 
 
 @dataclass(frozen=True)

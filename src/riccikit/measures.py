@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import bodies
-from .bodies import Box, ConvexBody
+from .bodies import ConvexBody
 from .errors import NonNormalizable
 from .fields import PotentialField, coord_columns, diag_matrices
 from .schema import Key, Schema, fill, number, positive
@@ -49,11 +49,9 @@ class MeasureSpec:
     dim: int
     potential: PotentialField
     sampler: Callable
-    body: Optional[ConvexBody] = None
     coord_densities: Optional[List[Density1D]] = None
     coord_d1: Optional[List[Callable]] = None
     coord_d2: Optional[List[Callable]] = None
-    log_concave: bool = False
     unconditional: bool = False
     orthant: bool = False
     params: dict = field(default_factory=dict)
@@ -145,7 +143,6 @@ def gaussian(d, sigma=1.0):
         [dens] * d,
         d1=lambda t: t / sigma**2,
         d2=lambda t: 1.0 / sigma**2,
-        log_concave=True,
         unconditional=True,
         params={"sigma": sigma},
     )
@@ -159,7 +156,6 @@ def exp_product(d, rate=1.0):
         [dens] * d,
         d1=lambda t: rate,
         d2=lambda t: 0.0,
-        log_concave=True,
         orthant=True,
         params={"rate": rate},
     )
@@ -176,7 +172,6 @@ def power_product(d, q, c=1.0):
         d2=lambda t: np.where(
             t > 0, c * q * (q - 1.0) * np.where(t > 0, t, 1.0) ** (q - 2.0), 0.0
         ),
-        log_concave=q >= 1.0,
         orthant=True,
         params={"q": q, "c": c},
     )
@@ -192,7 +187,6 @@ def exp_quad_orthant(d, lam=1.0, beta=0.5):
         [dens] * d,
         d1=lambda t: lam + beta * t,
         d2=lambda t: beta,
-        log_concave=True,
         orthant=True,
         params={"lam": lam, "beta": beta},
     )
@@ -206,9 +200,7 @@ def trunc_gaussian_orthant(d, r_max=1.0):
         [dens] * d,
         d1=lambda t: t,
         d2=lambda t: 1.0,
-        log_concave=True,
         orthant=True,
-        body=Box(np.full(d, 0.5 * r_max)),  # informational only
         params={"R": r_max},
     )
 
@@ -220,7 +212,6 @@ def uniform_box_orthant(d, r_max=1.0):
         [dens] * d,
         d1=lambda t: 0.0,
         d2=lambda t: 0.0,
-        log_concave=True,
         orthant=True,
         params={"R": r_max},
     )
@@ -235,7 +226,7 @@ def laplace_product(d):
     """
     dens = Density1D(lambda t: abs(t), (-np.inf, np.inf), name="laplace")
     return _product_spec("laplace_product", [dens] * d, d1=np.sign,
-                         d2=lambda t: 0.0, log_concave=True, unconditional=True)
+                         d2=lambda t: 0.0, unconditional=True)
 
 
 def uniform_interval(a=-0.5, b=0.5):
@@ -244,7 +235,7 @@ def uniform_interval(a=-0.5, b=0.5):
     return _product_spec(
         "uniform_interval", [dens],
         d1=lambda t: 0.0, d2=lambda t: 0.0,
-        log_concave=True, unconditional=(a == -b),
+        unconditional=(a == -b),
         params={"a": a, "b": b},
     )
 
@@ -256,7 +247,7 @@ def cos_interval(half_width=0.5):
         "cos_interval", [cos_density(half_width)],
         d1=lambda t: w * np.tan(np.clip(w * t, -1.5707, 1.5707)),
         d2=lambda t: w * w / np.cos(np.clip(w * t, -1.5707, 1.5707)) ** 2,
-        log_concave=True, unconditional=True,
+        unconditional=True,
         params={"half_width": half_width},
     )
 
@@ -268,7 +259,6 @@ def trunc_gaussian_sym(d, half_width=1.5):
         [dens] * d,
         d1=lambda t: t,
         d2=lambda t: 1.0,
-        log_concave=True,
         unconditional=True,
         params={"half_width": half_width},
     )
@@ -311,14 +301,12 @@ def uniform_body(body: ConvexBody):
             hess=lambda x: np.zeros(x.shape + (d,)),
         ),
         sampler=lambda n, rng: body.sample_uniform(n, rng),
-        body=body,
-        log_concave=True,
         params=body.spec(),
     )
 
 
-def density_1d(dens: Density1D, d1=None, d2=None, kind="custom_1d"):
-    return _product_spec(kind, [dens], d1=d1, d2=d2, log_concave=False)
+def density_1d(dens: Density1D, d1=None, d2=None):
+    return _product_spec("custom_1d", [dens], d1=d1, d2=d2)
 
 
 def flat_power_1d(q):
@@ -331,7 +319,6 @@ def flat_power_1d(q):
         [dens],
         d1=fp.d1,
         d2=fp.d2,
-        log_concave=True,
         orthant=True,
         params={"q": q},
     )

@@ -94,14 +94,19 @@ def check_psd_metric(g, points):
     (m, d, d) values at the rows of an (m, d) array, with one eigh.
 
     Eigenvalues above -PSD_SLACK*(1+|g|_F) are attributed to roundoff and the
-    matrix is clamped to its PSD part; anything lower raises, naming the point.
+    matrix is clamped to its PSD part; anything lower, or a non-finite entry
+    (reported with a NaN eigenvalue), raises, naming the point.
     """
     g = symmetrize(np.asarray(g, dtype=float))
     stack = g.reshape((-1,) + g.shape[-2:])
+    rows = np.reshape(points, (len(stack), -1))
+    nonfinite = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if nonfinite.size:
+        raise NonPositiveDefiniteMetric(rows[nonfinite[0]], np.nan)
     w, v = np.linalg.eigh(stack)
     for k in np.flatnonzero(w[:, 0] <= 0.0):
         tol = PSD_SLACK * (1.0 + float(np.linalg.norm(stack[k])))
         if w[k, 0] < -tol:
-            raise NonPositiveDefiniteMetric(np.reshape(points, (len(w), -1))[k], w[k, 0])
+            raise NonPositiveDefiniteMetric(rows[k], w[k, 0])
         stack[k] = (v[k] * np.clip(w[k], tol, None)) @ v[k].T
     return g

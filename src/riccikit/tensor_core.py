@@ -32,15 +32,15 @@ class ChristoffelTensor:
 class CurvaturePoint:
     """Geometric and generalized Ricci tensors evaluated at one point.
 
-    `n_param` is the extended-real generalized dimension; ric_gmu_n equals
-    ric_gmu exactly when it is infinite.
+    ric_gmu_n is the N-dimensional tensor at the extended-real generalized
+    dimension N it was computed for; it equals ric_gmu exactly when N is
+    infinite.
     """
 
     x: np.ndarray
     ric_g: np.ndarray
     ric_gmu: np.ndarray
     ric_gmu_n: np.ndarray
-    n_param: float
 
 
 def _gamma(ginv, dg):
@@ -156,6 +156,4 @@ def generalized_ricci(
     ric_n = ric_gmu.copy()
     if not math.isinf(n_param):
         ric_n = numdiff.symmetrize(ric_gmu - np.outer(grad_p, grad_p) / (n_param - d))
-    return CurvaturePoint(
-        x=x, ric_g=ric_g, ric_gmu=ric_gmu, ric_gmu_n=ric_n, n_param=n_param
-    )
+    return CurvaturePoint(x=x, ric_g=ric_g, ric_gmu=ric_gmu, ric_gmu_n=ric_n)

@@ -34,6 +34,9 @@ _BASE_GRID = 4096
 _TAIL_LOG = 42.0  # truncate unbounded supports where the density has fallen
                   # below exp(-42) of its peak (past the 1e-12 quantile)
 _ANDERSON_DEPTH = 5  # difference columns of the KE fixed point's Anderson step
+_KE_GRID = 16385  # odd, so the KE integrals are composite Simpson
+_KE_DAMPING = 0.5  # weight of the new potential in the KE Picard map
+_PPF_TOL = 1e-13  # CDF residual that `Density1D.ppf` must meet
 # unit panel at 0: 5-point Gauss-Lobatto (its ends see any kink), then 3-point GL per half
 _GL, _GLW, _LOB = *np.polynomial.legendre.leggauss(3), 0.5 * math.sqrt(3 / 7)
 _GL_SPLIT = np.r_[-0.5, -_LOB, 0.0, _LOB, 0.5, (_GL - 1) / 4, (_GL + 1) / 4]
@@ -289,15 +292,16 @@ class Density1D:
             a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
         return tuple(np.concatenate(v, axis=None) for v in zip(*kept))
 
-    def ppf(self, u, tol=1e-13):
+    def ppf(self, u):
         """Quantile by bracketed Newton on the corrected CDF.
 
         Raises CDFInversionFailure in two cases where no quantile exists to
-        `tol`: when the cached CDF is flat at level `u` (the level is attained
-        on two or more grid nodes, so the density vanishes on that stretch of
-        the support and G^{-1}(u) is not defined), and when the iteration ends
-        without bringing |cdf(x) - u| below `tol` (as next to a jump of the
-        potential, where the grid CDF and the corrected CDF disagree).
+        `_PPF_TOL`: when the cached CDF is flat at level `u` (the level is
+        attained on two or more grid nodes, so the density vanishes on that
+        stretch of the support and G^{-1}(u) is not defined), and when the
+        iteration ends without bringing |cdf(x) - u| below `_PPF_TOL` (as
+        next to a jump of the potential, where the grid CDF and the corrected
+        CDF disagree).
         """
         u = float(u)
         if not 0.0 < u < 1.0:
@@ -310,7 +314,7 @@ class Density1D:
         x = float(np.interp(u, self.cdf_grid, self.grid))
         f = self.cdf(x) - u
         for _ in range(60):
-            if abs(f) < tol:
+            if abs(f) < _PPF_TOL:
                 break
             if f > 0:
                 hi = x
@@ -323,9 +327,9 @@ class Density1D:
                 x_new = 0.5 * (lo + hi)
             x = x_new
             f = self.cdf(x) - u
-        if not abs(f) < tol:
+        if not abs(f) < _PPF_TOL:
             raise CDFInversionFailure(
-                f"{self.name}: no quantile at level {u:.10g} to tol {tol:.1e}; "
+                f"{self.name}: no quantile at level {u:.10g} to tol {_PPF_TOL:.1e}; "
                 f"CDF residual {f:.3e} at x = {x:.17g}"
             )
         return x
@@ -435,11 +439,16 @@ def power_density(q, c=1.0):
 
 def monotone_map_1d(mu: Density1D, nu: Density1D, x) -> Tuple[float, float]:
     """Monotone rearrangement T = G^{-1}(F(x)) of mu onto nu and its
-    derivative T' = pdf_mu(x) / pdf_nu(T(x))."""
+    derivative T' = pdf_mu(x) / pdf_nu(T(x)).
+
+    Raises CDFInversionFailure when F(x) rounds to 0 or 1 (x outside the
+    support of mu, or so far in its tail that no quantile of nu is defined).
+    """
     x = float(np.atleast_1d(x)[0])
     u = mu.cdf(x)
     if not 0.0 < u < 1.0:
-        raise ValueError(f"point {x} outside the interior of supp(mu)")
+        raise CDFInversionFailure(
+            f"{mu.name}: F({x}) = {u} rounds to 0 or 1; no interior quantile to map")
     t = nu.ppf(u)
     dens = nu.pdf(t)
     if dens <= 1e-300:
@@ -447,7 +456,7 @@ def monotone_map_1d(mu: Density1D, nu: Density1D, x) -> Tuple[float, float]:
     return t, float(mu.pdf(x)) / float(dens)
 
 
-def transport_potential_1d(mu: Density1D, nu: Density1D, n=2049) -> PotentialField:
+def transport_potential_1d(mu: Density1D, nu: Density1D) -> PotentialField:
     """Convex potential Phi with Phi' = monotone map of mu onto nu.
 
     Built on the interior quantile range of mu; Phi'' comes from the density
@@ -459,7 +468,7 @@ def transport_potential_1d(mu: Density1D, nu: Density1D, n=2049) -> PotentialFie
     map reaches or crosses: the density of nu vanishes on a stretch inside
     its support, so T jumps there and Phi'' is not defined.
     """
-    qs = np.linspace(1e-6, 1.0 - 1e-6, n)
+    qs = np.linspace(1e-6, 1.0 - 1e-6, 2049)
     xs = mu.ppf_many(qs)
     xs = np.unique(xs)
     us = mu.cdf_many(xs)
@@ -481,22 +490,18 @@ def transport_potential_1d(mu: Density1D, nu: Density1D, n=2049) -> PotentialFie
     )
 
 
-def monge_ampere_residual(phi: PotentialField, v: PotentialField, w, x):
+def monge_ampere_residual(phi: PotentialField, v: PotentialField, w: PotentialField, x):
     """Defect of the change of variables: log det D^2 Phi + V - W(grad Phi).
 
     Vanishes exactly when det D^2 Phi = exp(-V)/exp(-W(grad Phi)) holds at x,
-    i.e. when grad Phi transports exp(-V) dx onto exp(-W) dx there.  `w` may
-    be a PotentialField or a plain callable.
+    i.e. when grad Phi transports exp(-V) dx onto exp(-W) dx there.
     """
     x = as_point(x)
     h = phi.hessian(x)
     sign, logdet = np.linalg.slogdet(h)
     if sign <= 0:
         raise DegenerateHessian(f"det D^2 Phi <= 0 at {x}")
-    y = phi.gradient(x)
-    wv = w.value(y) if hasattr(w, "value") else float(w(y))
-    vv = v.value(x) if hasattr(v, "value") else float(v(x))
-    return float(logdet + vv - wv)
+    return float(logdet + v.value(x) - w.value(phi.gradient(x)))
 
 
 # -- Legendre transform -----------------------------------------------------------
@@ -504,29 +509,26 @@ def monge_ampere_residual(phi: PotentialField, v: PotentialField, w, x):
 
 @dataclass
 class LegendreData:
-    """Dual-side grid data of a strongly convex 1-D potential.
-
-    f_vals holds F(y) = y (V*)'(y) - log (V*)''(y); the dual criterion of the
-    entropic inequality is expressed through these arrays.
-    """
+    """Dual-side grid data of a strongly convex 1-D potential: the x-grid,
+    its image y = V'(x), and V* and (V*)'' at y.  (V*)'(y) is the x-grid
+    itself."""
 
     x_grid: np.ndarray
     y_grid: np.ndarray
     vstar: np.ndarray
-    dvstar: np.ndarray
     ddvstar: np.ndarray
-    f_vals: np.ndarray
     potential: PotentialField
 
-    def conjugate_value(self, y, refine=True):
-        """V*(y) = sup_x (xy - V(x)) by grid supremum plus Newton refinement."""
+    def conjugate_value(self, y):
+        """V*(y) = sup_x (xy - V(x)) by grid supremum plus Newton refinement
+        from an interior maximizer."""
         y = float(y)
         vals = self.x_grid * y - np.array(
             [self.potential.value(t) for t in self.x_grid]
         )
         i = int(np.argmax(vals))
         x = self.x_grid[i]
-        if refine and 0 < i < len(self.x_grid) - 1:
+        if 0 < i < len(self.x_grid) - 1:
             for _ in range(40):
                 g = self.potential.gradient([x])[0] - y
                 h = self.potential.hessian([x])[0, 0]
@@ -560,15 +562,11 @@ def legendre_1d(v: PotentialField, grid) -> LegendreData:
     y = d1
     if np.any(np.diff(y) <= 0):
         raise NotStronglyConvex("V' is not strictly increasing on the grid")
-    vstar = grid * y - vv
-    f_vals = grid * y + np.log(d2)
     return LegendreData(
         x_grid=grid,
         y_grid=y,
-        vstar=vstar,
-        dvstar=grid.copy(),
+        vstar=grid * y - vv,
         ddvstar=1.0 / d2,
-        f_vals=f_vals,
         potential=v,
     )
 
@@ -594,16 +592,17 @@ class DualCriterion:
             lhs = lhs + 0.5 * self.logd_prime**2
         return lhs - 2.0 * rho * self.ddvstar
 
-    def bisect_rho(self, hi=64.0, tol=1e-10, enhanced=False):
-        """sup{rho >= 0 : the criterion margin stays non-negative}."""
+    def bisect_rho(self, enhanced=False):
+        """sup{rho >= 0 : the criterion margin stays non-negative}, to 1e-10
+        relative, from a first bracket [0, 64] doubled while it holds."""
         if self.margin(0.0, enhanced).min() < -1e-12:
             return 0.0
-        lo = 0.0
+        lo, hi = 0.0, 64.0
         while self.margin(hi, enhanced).min() >= 0.0:
             hi *= 2.0
             if hi > 1e9:
                 return hi
-        while hi - lo > tol * (1.0 + hi):
+        while hi - lo > 1e-10 * (1.0 + hi):
             mid = 0.5 * (lo + hi)
             if self.margin(mid, enhanced).min() >= 0.0:
                 lo = mid
@@ -639,14 +638,15 @@ def dual_criterion_from_potential(v: PotentialField, grid) -> DualCriterion:
     )
 
 
-def entropic_condition_check(v: PotentialField, rho, grid, enhanced=True):
-    """Pointwise verdict of the entropic sufficient condition at level rho.
+def entropic_condition_check(v: PotentialField, rho, grid):
+    """Pointwise verdict of the (enhanced) entropic sufficient condition at
+    level rho.
 
     Returns a dict with the convexity flag of F, the worst margin over the
     grid, and the grid location where it is attained.
     """
     crit = dual_criterion_from_potential(v, grid)
-    m = crit.margin(rho, enhanced=enhanced)
+    m = crit.margin(rho)
     i = int(np.argmin(m))
     return {
         "holds": bool(m[i] >= -1e-9),
@@ -732,7 +732,6 @@ class KESolution:
 
     grid: np.ndarray
     phi_vals: np.ndarray
-    nu: Density1D
     iterations: int
     residual_sup: float
 
@@ -806,21 +805,15 @@ def _simpson_weights(n, h):
     return w * (h / 3.0)
 
 
-def ke_solve_1d(
-    nu: Density1D,
-    tol=1e-8,
-    max_iter=500,
-    damping=0.5,
-    grid_size=16385,
-    recenter=True,
-    initial_shift=0.0,
-) -> KESolution:
+def ke_solve_1d(nu: Density1D, tol=1e-8, max_iter=500, initial_shift=0.0) -> KESolution:
     """Fixed point Phi of exp(-Phi) = Phi'' exp(-W(Phi')) for a compactly
     supported log-concave target exp(-W).
 
-    The Picard map transports exp(-Phi_k) onto nu by monotone
-    rearrangement, integrates the map into a new potential, damps, normalizes
-    and recenters.  An Anderson step of depth 5 (`_ANDERSON_DEPTH`) mixes it:
+    The target is first shifted to barycenter 0; BarycenterNotZero is raised
+    when the shifted support does not surround the origin.  The Picard map
+    transports exp(-Phi_k) onto nu by monotone rearrangement, integrates the
+    map into a new potential, damps it by `_KE_DAMPING`, normalizes and
+    recenters.  An Anderson step of depth 5 (`_ANDERSON_DEPTH`) mixes it:
     with the differences dX, dF of the last six pairs
     (Phi_j, F_j = map(Phi_j) - Phi_j), kept as rows of two preallocated
     arrays filled round-robin, gamma solves the normal equations
@@ -829,33 +822,29 @@ def ke_solve_1d(
     again.  The residual is measured in sup norm over the interior quantile
     range of the solution.
 
-    The grid is uniform with an odd `grid_size`, so every normalizing and
-    barycenter integral is one dot product with cached composite-Simpson
-    weights, and the normalized density exp(-Phi) of each potential is
-    computed once and passed on to the barycenter and the transport.  The
-    target quantile is evaluated only at levels strictly inside its clip
-    range; the clipped ends take its two end values, computed once.
+    The grid is uniform with an odd number `_KE_GRID` of nodes, so every
+    normalizing and barycenter integral is one dot product with cached
+    composite-Simpson weights, and the normalized density exp(-Phi) of each
+    potential is computed once and passed on to the barycenter and the
+    transport.  The target quantile is evaluated only at levels strictly
+    inside its clip range; the clipped ends take its two end values,
+    computed once.
     """
     a, b = nu.support
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonCompactTarget("the fixed-point construction needs compact support")
     bary = nu.mean()
-    if recenter:
-        if abs(bary) > 1e-12:
-            nu = nu.shifted(-bary)
-            a, b = nu.support
-    elif abs(bary) > 1e-10:
-        raise BarycenterNotZero(f"barycenter of target = {bary:.3e}")
+    if abs(bary) > 1e-12:
+        nu = nu.shifted(-bary)
+        a, b = nu.support
 
     edge = min(abs(a), abs(b))
     if edge <= 0.0:
         raise BarycenterNotZero("target support must surround the origin")
-    if grid_size % 2 == 0:
-        raise ValueError(f"grid_size must be odd for composite Simpson, got {grid_size}")
     half = _TAIL_LOG / edge
-    grid = np.linspace(-half, half, grid_size)
+    grid = np.linspace(-half, half, _KE_GRID)
     h = grid[1] - grid[0]
-    w = _simpson_weights(grid_size, h)
+    w = _simpson_weights(_KE_GRID, h)
     w_grid = w * grid
 
     # dense inverse-CDF interpolant of the target, built once; the transport
@@ -887,14 +876,13 @@ def ke_solve_1d(
 
     def settle(p):
         p, e = normalize(p)
-        if recenter:
-            m1 = w_grid @ e
-            if abs(m1) > 0.1 * h:
-                spl = PiecewiseCubic.not_a_knot(grid, p[None])[0]
-                p, e = normalize(spl(grid + m1))
-            elif abs(m1) > 1e-15:
-                # first-order argument shift: exact to O(m1^2), no resample noise
-                p, e = normalize(p + m1 * _fd5(p, h, order=1))
+        m1 = w_grid @ e
+        if abs(m1) > 0.1 * h:
+            spl = PiecewiseCubic.not_a_knot(grid, p[None])[0]
+            p, e = normalize(spl(grid + m1))
+        elif abs(m1) > 1e-15:
+            # first-order argument shift: exact to O(m1^2), no resample noise
+            p, e = normalize(p + m1 * _fd5(p, h, order=1))
         return p, e
 
     def transport(e):
@@ -927,15 +915,15 @@ def ke_solve_1d(
     def picard(p, e):
         # no normalize before damping: settle normalizes the mix anyway
         new = _primitive_smooth_symmetric(transport(e), h)
-        return settle((1.0 - damping) * p + damping * new)[0]
+        return settle((1.0 - _KE_DAMPING) * p + _KE_DAMPING * new)[0]
 
     res = math.inf
     iterations = 0
     e = np.exp(-phi)
     # rows of the last _ANDERSON_DEPTH differences, slot (k - 1) % depth
     # written at step k; only the first min(k, depth) rows are ever read
-    dxs = np.empty((_ANDERSON_DEPTH, grid_size))
-    dfs = np.empty((_ANDERSON_DEPTH, grid_size))
+    dxs = np.empty((_ANDERSON_DEPTH, _KE_GRID))
+    dfs = np.empty((_ANDERSON_DEPTH, _KE_GRID))
     prev_phi = prev_f = None
     for k in range(max_iter):
         iterations = k + 1
@@ -964,10 +952,4 @@ def ke_solve_1d(
             f"KE iteration stalled at residual {res:.3e} after {iterations} steps",
             residual=res,
         )
-    return KESolution(
-        grid=grid,
-        phi_vals=phi,
-        nu=nu,
-        iterations=iterations,
-        residual_sup=res,
-    )
+    return KESolution(grid=grid, phi_vals=phi, iterations=iterations, residual_sup=res)

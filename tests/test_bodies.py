@@ -402,6 +402,30 @@ class TestSerialization:
             bd.body_from_spec({"kind": "ball", "dim": 8, "radius": 1e-300})
 
 
+class TestUniformSampling:
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    def test_lp_radius_bound_is_the_circumradius(self, p):
+        d, radius = 3, 1.5
+        body = bd.LpBall(d, p, radius)
+        # the farthest boundary points lie on the axes for p <= 2, on the
+        # diagonals beyond
+        far = radius * (np.eye(d)[0] if p <= 2.0 else np.full(d, d ** (-1.0 / p)))
+        assert body.gauge(far)[0] == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(far) == pytest.approx(body.radius_bound(), rel=1e-14)
+        pts = body.sample_uniform(20000, np.random.default_rng(3))
+        assert np.linalg.norm(pts, axis=1).max() <= body.radius_bound()
+
+    def test_ellipse_uniform_samples(self):
+        a, b = 2.0, 0.5
+        e = bd.Curve2D.ellipse(a, b)
+        pts = e.sample_uniform(20000, np.random.default_rng(11))
+        assert (e.gauge(pts) <= 1.0).all()
+        # uniform on the ellipse: Var(x) = a^2/4 and Var(y) = b^2/4
+        sq = (pts - pts.mean(axis=0)) ** 2
+        se = sq.std(axis=0) / math.sqrt(len(pts))
+        assert (np.abs(sq.mean(axis=0) - [a * a / 4, b * b / 4]) <= 4 * se).all()
+
+
 class TestRejectionBudget:
     def test_lp_budget_exceeded(self):
         from riccikit.errors import RejectionBudgetExceeded

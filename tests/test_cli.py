@@ -593,6 +593,23 @@ class TestSubcommands:
         assert rows[0]["T"] == pytest.approx(1 - math.exp(-0.5), abs=1e-8)
         assert abs(rows[0]["monge_ampere_residual"]) < 1e-6
 
+    @pytest.mark.parametrize("argv,start", [
+        # exp(1) has no mass below 0, and F(40) = 1 to double precision
+        (["transport", "--mu", '{"kind": "exp_product"}', "--nu", '{"kind": "uniform_interval"}',
+          "--points", "-1"], "runtime error: exp: F(-1.0) = 0.0 "),
+        (["transport", "--mu", '{"kind": "exp_product"}', "--nu", '{"kind": "uniform_interval"}',
+          "--points", "40"], "runtime error: exp: F(40.0) = 1.0 "),
+        # |x|^2 overflows the step size, so the stencil metric is NaN
+        (["ricci", "--family", '{"type": "product_exp", "lam": 0.5}', "--point", "1e200", "1"],
+         "runtime error: metric not positive definite at "),
+    ])
+    def test_point_without_a_value_exits_3(self, argv, start, capsys):
+        # each of these used to end in a traceback and exit 1
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start) and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv,pointer",
         [
@@ -613,6 +630,12 @@ class TestSubcommands:
               "--n", "64"], "--n"),
             (["transport", "--mu", '{"kind": "gaussian", "sigma": "x"}',
               "--nu", '{"kind": "uniform_interval"}', "--points", "0.5"], "/mu/sigma"),
+            # the non-finite points used to reach the solvers
+            (["transport", "--mu", '{"kind": "exp_product"}',
+              "--nu", '{"kind": "uniform_interval"}', "--points", "0.5", "inf"], "--points"),
+            (["transport", "--mu", '{"kind": "exp_product"}',
+              "--nu", '{"kind": "uniform_interval"}', "--points", "nan"], "--points"),
+            (["ricci", "--family", '{"type": "euclidean"}', "--point", "inf", "1"], "--point"),
         ],
     )
     def test_bad_argument_exits_2_with_pointer(self, argv, pointer, capsys):

@@ -418,6 +418,14 @@ class TestStencilSemantics:
         assert info.value.point[0] >= 0.5
         assert info.value.min_eigenvalue == -1.0
 
+    def test_nan_metric_names_its_point(self):
+        # a NaN eigenvalue fails no sign test, so the entries are checked first
+        g = np.stack([np.eye(2), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])])
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        with pytest.raises(NonPositiveDefiniteMetric, match="nan") as info:
+            numdiff.check_psd_metric(g, pts)
+        assert info.value.point.tolist() == [2.0, 3.0]
+
     def test_psd_clamp_matches_pointwise(self):
         # rank one minus 1e-12 Id: the low eigenvalue lies in (-tol, 0]
         def fn(x):

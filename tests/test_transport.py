@@ -9,11 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import interpolate, stats
 
 from riccikit import fields, transport as tr
-from riccikit.errors import (
-    BarycenterNotZero,
-    NonCompactTarget,
-    NotStronglyConvex,
-)
+from riccikit.errors import NonCompactTarget, NotStronglyConvex
 
 
 class TestDensity1D:
@@ -288,10 +284,6 @@ class TestKESolver:
             got = tr._primitive_smooth_symmetric(v, h)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_even_grid_refused(self):
-        with pytest.raises(ValueError, match="odd"):
-            tr.ke_solve_1d(tr.uniform_density(-0.5, 0.5), grid_size=16384)
-
     def test_repeat_solve_bit_identical(self):
         # more steps than Anderson history rows, so the round-robin rows
         # are overwritten; no unwritten row may leak into the step
@@ -328,10 +320,6 @@ class TestKESolver:
     def test_noncompact_target_rejected(self):
         with pytest.raises(NonCompactTarget):
             tr.ke_solve_1d(tr.gaussian_density())
-
-    def test_barycenter_guard_without_recenter(self):
-        with pytest.raises(BarycenterNotZero):
-            tr.ke_solve_1d(tr.uniform_density(0.0, 1.0), recenter=False)
 
 
 class TestMoreGuards:
