@@ -26,6 +26,7 @@ import numpy as np
 from . import bodies, catalog, engine, families, fields, measures, tensor_core, transport
 from .errors import (
     IOFailure,
+    NonFiniteConstant,
     RicciKitError,
     SchemaViolation,
     UnknownInequalityId,
@@ -292,6 +293,8 @@ def _cmd_ricci(args):
             closed = families.product_ricci(data, mu.potential, x)
             metric = data.metric_field()
         cp = tensor_core.generalized_ricci(metric, mu.potential, x, n_param=n_param)
+    if not (np.isfinite(closed).all() and np.isfinite(cp.ric_gmu_n).all()):
+        raise NonFiniteConstant(f"Ricci tensor not finite at {x}")
     out = {
         "point": x.tolist(),
         "closed_form": np.asarray(closed).tolist(),

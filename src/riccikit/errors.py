@@ -49,15 +49,11 @@ class NotStronglyConvex(RicciKitError):
 
 
 class NonCompactTarget(RicciKitError):
-    """The fixed-point solver requires a compactly supported target measure."""
-
-
-class BarycenterNotZero(RicciKitError):
-    """The target's support does not surround its barycenter."""
+    """The Kahler-Einstein potential requires a compactly supported target measure."""
 
 
 class NoConvergence(RicciKitError):
-    """An iterative solver stalled above its tolerance."""
+    """A solver's residual stayed at or above its tolerance."""
 
     def __init__(self, message, residual=None):
         self.residual = residual
@@ -113,7 +109,7 @@ class EigensolveFailure(RicciKitError):
 
 
 class NonFiniteConstant(RicciKitError):
-    """A constant or margin of an instance overflowed or divided by zero."""
+    """A constant or margin of an instance, or a tensor, overflowed or divided by zero."""
 
 
 class SchemaViolation(RicciKitError):

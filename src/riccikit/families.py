@@ -414,7 +414,7 @@ class ConformalMetricData:
             return -theta * x / (float(x @ x) + eps)
 
         def hess(x):
-            s = float(x @ x) + eps
+            s = x @ x + eps  # a numpy scalar: far out, s**2 is inf, not an OverflowError
             d_ = x.size
             return -theta * (np.eye(d_) / s - 2.0 * np.outer(x, x) / s**2)
 

@@ -602,6 +602,9 @@ class TestSubcommands:
         # |x|^2 overflows the step size, so the stencil metric is NaN
         (["ricci", "--family", '{"type": "product_exp", "lam": 0.5}', "--point", "1e200", "1"],
          "runtime error: metric not positive definite at "),
+        # x x^T overflows, so the conformal closed form is NaN
+        (["ricci", "--family", '{"type": "conformal_radial", "theta": 0.8}', "--point", "1e154",
+          "1"], "runtime error: Ricci tensor not finite at "),
     ])
     def test_point_without_a_value_exits_3(self, argv, start, capsys):
         # each of these used to end in a traceback and exit 1
@@ -609,6 +612,16 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(start) and captured.err.count("\n") == 1
+
+    def test_conformal_radial_far_out(self, capsys):
+        # |x|^4 = 1e480 is beyond float range but |x|^2 is not: the Hessian of
+        # the conformal exponent used to raise OverflowError squaring a Python float
+        argv = ["ricci", "--family", '{"type": "conformal_radial", "theta": 0.8}',
+                "--point", "1e120", "1"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["closed_form"][0][0] == pytest.approx(1.8, rel=1e-12)
+        assert out["max_abs_disagreement"] < 1e-10
 
     @pytest.mark.parametrize(
         "argv,pointer",
@@ -650,6 +663,19 @@ class TestSubcommands:
 
 
 class TestDeterminismContract:
+    def test_report_bytes_independent_of_blas_threads(self):
+        # compact_bl's KE attachments used to follow the BLAS thread count
+        src = str(Path(catalog.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "riccikit", "check", "--config",
+                                   "paper-smoke", "--seed", "1", "--format", "json"],
+                                  env=env, capture_output=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+
     def test_repeated_check_bit_identical(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**MINIMAL, "samples": 20000}))
