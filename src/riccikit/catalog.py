@@ -21,12 +21,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import bodies, families, measures, transport
-from .bodies import Ball, Box, ConeMeasureSampler, ConvexBody, LpBall, Simplex
+from .bodies import Ball, Box, ConvexBody, LpBall, Simplex
 from .errors import HypothesisViolated, NonFiniteConstant, UnknownInequalityId
 from .fields import (
     QuadraticFormField,
     ScalarPlusRankOne,
-    coord_columns,
     diag_matrices,
     inverse,
     least_eig,
@@ -35,6 +34,7 @@ from .schema import Key, Schema, describe, fill, number, options, positive
 
 _HYPOTHESIS_SEED = 2025
 _HYPOTHESIS_SAMPLES = 512
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -57,18 +57,17 @@ class InequalityInstance:
     rhs_constant: float = 1.0
     boundary: Optional[BoundaryTerm] = None
     gradient_surcharge: float = 0.0  # adds c * int |grad f|^2 dmu to the RHS
-    rhs_fixed: Optional[float] = None  # f-independent RHS (plus stderr)
-    rhs_fixed_err: float = 0.0
+    rhs_fixed: Optional[float] = None  # f-independent RHS, exact
     constant_known: bool = True  # the catalog entry's, set by instantiate
     lipschitz_only: bool = False
-    eval_mode: str = "standard"  # standard | fixed_rhs | poincare_ratio
-    body: Optional[ConvexBody] = None
+    eval_mode: str = "standard"  # standard | poincare_ratio
+    body: Optional[ConvexBody] = None  # the body of an l2_dirichlet check
     hypothesis_report: dict = field(default_factory=dict)  # set by instantiate
     params: dict = field(default_factory=dict)
 
     @property
     def dim(self):
-        return self.measure.dim if self.measure is not None else self.body.dim
+        return self.measure.dim
 
 
 @dataclass
@@ -251,9 +250,8 @@ def _build_compact_bl(params, report):
     _margin(report, "barycenter", -abs(dens.mean()), tol=1e-6)
     r = params["R"] or _compact_support_radius(nu)
     _margin(report, "support_radius", r - _compact_support_radius(nu), tol=1e-12)
-    grid = np.linspace(*dens.support, 257)[1:-1]
-    w2 = nu.coord_d2[0](grid) if nu.coord_d1[0] else np.zeros_like(grid)
-    _margin(report, "log_concave", float(np.min(w2)), tol=1e-12)
+    grid = np.linspace(*dens.support, 257)[1:-1, None]
+    _margin(report, "log_concave", float(np.min(nu.hessian_form(grid))), tol=1e-12)
     sol = transport.ke_solve_1d(dens, tol=params["ke_tol"])
     _margin(report, "ke_residual", params["ke_tol"] - sol.residual_sup)
     mask = sol.interior_mask(1e-4, 1.0 - 1e-4)
@@ -264,7 +262,7 @@ def _build_compact_bl(params, report):
     )
     weight = QuadraticFormField(
         dim=1,
-        batch=lambda pts: 1.0 / (1.0 / (2.0 * r * r) + coord_columns(nu.coord_d2, pts)),
+        batch=lambda pts: 1.0 / (1.0 / (2.0 * r * r) + nu.hessian_form(pts)),
         name="(Id/2R^2 + D2W)^-1",
     )
     return InequalityInstance(
@@ -385,14 +383,17 @@ def _build_qgt2_lsi(params, report):
     report["q_gt_2"] = q - 2.0
     weight = QuadraticFormField(
         dim=1,
-        batch=lambda pts: np.minimum(1.0, pts ** (2.0 - q)),
+        # min(1, x^(2-q)), without the overflow of x^(2-q) near 0
+        batch=lambda pts: np.maximum(pts, 1.0) ** (2.0 - q),
         name="min(1,x^(2-q))",
     )
     if mode == "modified":
         mu = measures.flat_power_1d(q)
-        fp = mu.flat_power
-        # the binding region of the criterion sits just above the knee |y| = 1
-        ymax = 50.0 ** (1.0 / (fp.p - 1.0)) + 10.0
+        fp = transport.FlattenedPowerPotential(q)
+        p = fp.p
+        # the binding region of the criterion sits just above the knee |y| = 1;
+        # capping the exponent keeps ymax^2 finite for large q
+        ymax = 50.0 ** min(1.0 / (p - 1.0), 64.0) + 10.0
         ygrid = np.concatenate(
             [np.linspace(0.0, 1.0, 513), 1.0 + np.geomspace(1e-9, ymax - 1.0, 8193)]
         )
@@ -401,13 +402,15 @@ def _build_qgt2_lsi(params, report):
         _margin(report, "rho_q_positive", rho_max, tol=0.0)
         _margin(report, "f_convex", float(crit.f_second.min()), tol=1e-8)
         # the derived weight is (V'')^{-1}; fold its comparison against the
-        # stated weight min(1, x^(2-q)) into the effective level:
-        # K_q = sup (V'')^{-1} / min(1, x^(2-q)), rho_q = rho_max / max(K_q, 1)
-        xg = np.concatenate([np.linspace(1e-3, 10.0, 2001), np.geomspace(10.0, 1e5, 501)])
-        ratio = (1.0 / fp.d2(xg)) / np.minimum(1.0, xg ** (2.0 - q))
-        k_tail = (1.0 / fp.p) * (fp.p * (fp.p - 1.0)) ** ((fp.p - 2.0) / (fp.p - 1.0))
-        k_q = max(float(ratio.max()), k_tail)
-        _margin(report, "weight_comparison_finite", 1e6 - k_q)
+        # stated weight into the effective level rho_q = rho_max / max(K_q, 1),
+        # K_q = sup (V'')^{-1} / min(1, x^(2-q)).  With s = p(p-1) x + 2 - p
+        # the ratio is (max(1, x) / max(1, s))^(q-2) / p, which rises to the
+        # tail value (p(p-1))^(2-q) / p.  K_q leaves the float range near
+        # q = 150: the margin is the log headroom of the constant 2 K_q / rho_max
+        log_k = max(0.0, (2.0 - q) * math.log(p * (p - 1.0))) - math.log(p)
+        _margin(report, "K_q_finite",
+                _LOG_FLOAT_MAX - math.log(2.0 / rho_max) - max(log_k, 0.0))
+        k_q = math.exp(log_k)
         rho_q = rho_max / max(k_q, 1.0)
         return InequalityInstance(
             lhs_kind="entropy_of_square",
@@ -572,42 +575,49 @@ def _build_klartag_transfer(params, report):
     )
 
 
-def _cone_second_moment_ratio(body, seed=11):
-    """E_sigma |x|^2/<x,n>^2, exact on the simplex and a ball (1), MC elsewhere."""
+def _cone_second_moment_ratio(body):
+    """E_sigma |x|^2/<x,n>^2 under the cone measure sigma, in closed form:
+
+    - simplex: 2d/(d+1), the Dirichlet(1, ..., 1) law on the facet;
+    - ball: 1, as x and n are parallel;
+    - box: facet x_j = +-a_j has mass 1/(2d) and is uniform, which gives
+      (1/d) sum_j (1 + sum_{i != j} a_i^2/(3 a_j^2));
+    - l_p ball: x = y/|y|_p with |y_i|^p ~ Gamma(1/p) i.i.d. is sigma-distributed
+      and independent of |y|_p (Schechtman and Zinn, Proc. AMS 110 (1990)); the
+      ratio is |x|^2 sum_i |x_i|^(2p-2), of degree 2p, so its mean is
+      [d m(2p) + d(d-1) m(2) m(2p-2)] / [(d/p)(d/p+1)], m(k) = E|y_i|^k =
+      Gamma((k+1)/p)/Gamma(1/p)."""
+    d = body.dim
     if isinstance(body, Simplex):
-        d = body.dim
-        val = 2.0 * d / (d + 1.0)
-        return val, 0.0
+        return 2.0 * d / (d + 1.0)
     if isinstance(body, Ball):
-        return 1.0, 0.0
-    sampler = ConeMeasureSampler(body, seed=seed)
-    pts = sampler.sample(20000)
-    vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal(pts)) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+        return 1.0
+    if isinstance(body, Box):
+        a2 = body.a**2
+        return float(np.mean(1.0 + (a2.sum() - a2) / (3.0 * a2)))
+    if isinstance(body, LpBall):
+        p = body.p
+        m = lambda k: math.exp(math.lgamma((k + 1.0) / p) - math.lgamma(1.0 / p))
+        num = d * m(2.0 * p) + d * (d - 1.0) * m(2.0) * m(2.0 * p - 2.0)
+        return num / ((d / p) * (d / p + 1.0))
+    raise ValueError(f"no closed-form cone ratio for body kind {body.kind!r}")
 
 
 def _build_cone_variance(params, report):
     body = params["body"]
-    lam = params["lam"]
     d = body.dim
     _margin(report, "dimension_rule", d - 3.0, tol=1e-12)
-    sampler = ConeMeasureSampler(body, seed=5)
-    probe = sampler.sample(2000)
-    lam_emp, lam_sup = bodies.diagonality_bounds(body, probe[:500])
+    cone = measures.cone_measure(body)
+    lam_emp, _ = bodies.diagonality_bounds(body, _hypothesis_points(cone))
     report["diagonality_inf"] = lam_emp
-    if lam is None:
-        lam = lam_emp
+    lam = lam_emp if params["lam"] is None else params["lam"]
     _margin(report, "diagonality_level", lam_emp - lam, tol=1e-9)
-    ratio, ratio_err = _cone_second_moment_ratio(body)
     const = 4.0 / (lam**2 * (d - 1.0) * (d - 2.0))
     return InequalityInstance(
         lhs_kind="variance",
-        measure=None,
-        rhs_fixed=const * ratio,
-        rhs_fixed_err=const * ratio_err,
+        measure=cone,
+        rhs_fixed=const * _cone_second_moment_ratio(body),
         lipschitz_only=True,
-        eval_mode="fixed_rhs",
-        body=body,
         params={"lam": lam},
     )
 
@@ -634,13 +644,13 @@ def _build_l1_type(params, report):
     body = params["body"]
     d = body.dim
     _margin(report, "dimension_rule", d - 3.0, tol=1e-12)
-    sampler = ConeMeasureSampler(body, seed=7)
-    lam_emp, lam_sup = bodies.diagonality_bounds(body, sampler.sample(500))
+    probe = _hypothesis_points(measures.cone_measure(body))
+    lam_emp, lam_sup = bodies.diagonality_bounds(body, probe)
     report["diagonality_inf"] = lam_emp
     report["diagonality_sup"] = lam_sup
     lam = lam_emp if params["lam"] is None else params["lam"]
     i1 = _uniform_second_moment(body)
-    i2, _ = _cone_second_moment_ratio(body)
+    i2 = _cone_second_moment_ratio(body)
     rhs_base = (i1 + i2 / lam**2) / d**2
     alt = (1.0 + (d + 2.0) * (lam_sup / lam) ** 2) / d**2 * i1
     return InequalityInstance(
@@ -648,7 +658,6 @@ def _build_l1_type(params, report):
         measure=measures.uniform_body(body),
         rhs_fixed=rhs_base,
         eval_mode="poincare_ratio",
-        body=body,
         params={"lam": lam, "Lam": lam_sup, "rhs_diagonal_form": alt},
     )
 
@@ -756,7 +765,6 @@ def _build_hardy_boundary(params, report):
         rhs_weight=weight,
         rhs_constant=1.0,
         boundary=BoundaryTerm(body=body, weight=bweight),
-        body=body,
         params={"N": n_param},
     )
 
@@ -819,7 +827,6 @@ def _build_strong_boundary(params, report):
         measure=mu,
         rhs_weight=weight,
         rhs_constant=const,
-        body=body,
         params={"theta": theta, "mode": mode},
     )
 
@@ -833,7 +840,6 @@ def _build_one_lip_reduction(params, report):
         rhs_fixed=None,
         lipschitz_only=True,
         eval_mode="poincare_ratio",
-        body=body,
         params={"mode": "one_lip"},
     )
 

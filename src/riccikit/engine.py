@@ -173,14 +173,15 @@ def sample_measure(spec, n, seed):
     return spec.sample(n, seed)
 
 
-def _row_seed(seed, *labels):
-    h = zlib.crc32("|".join(str(x) for x in labels).encode())
-    return np.random.SeedSequence([seed, h])
-
-
 def _mean_se(influence):
-    """Standard error of a mean from per-sample influence values."""
-    return float(influence.std(ddof=1) / math.sqrt(len(influence)))
+    """Standard error of a mean from per-sample influence values, scaled by
+    an exact power of two where their squares overflow."""
+    with np.errstate(over="ignore"):
+        sd = influence.std(ddof=1)
+    if not math.isfinite(sd):
+        scale = 2.0 ** math.frexp(float(np.abs(influence).max()))[1]
+        sd = (influence / scale).std(ddof=1) * scale
+    return float(sd / math.sqrt(len(influence)))
 
 
 def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=None):
@@ -220,7 +221,8 @@ def boundary_sample(instance, n, seed):
     all."""
     term = instance.boundary
     body = term.body
-    rng = np.random.default_rng(_row_seed(seed, instance.id, "bnd"))
+    label = zlib.crc32(f"{instance.id}|bnd".encode())
+    rng = np.random.default_rng(np.random.SeedSequence([seed, label]))
     if not isinstance(body, Ball):
         raise BoundaryQuadratureFailure(
             f"no boundary quadrature for body kind {body.kind!r}"
@@ -258,11 +260,12 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     The caller may pass work it has already done: `boundary`, the
     `boundary_sample` at (len(samples), seed); `weight_values`, the weights
     at the samples from `rhs_weight.compact`; `grads`, the gradients of f
-    at the samples.  Raises HypothesisViolated naming the sample point where
-    the weighted energy is not finite or the weight fails PSD.
+    at the samples.  An instance with an f-independent RHS returns it, with
+    error 0.  Raises HypothesisViolated naming the sample point where the
+    weighted energy is not finite or the weight fails PSD.
     """
-    if instance.eval_mode == "fixed_rhs":
-        return instance.rhs_fixed, instance.rhs_fixed_err
+    if instance.rhs_fixed is not None:
+        return instance.rhs_fixed, 0.0
     if grads is None:
         grads = f.grad(samples)
     if weight_values is None:
@@ -274,12 +277,15 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     if np.any(vals < -1e-10):
         i = int(np.argmin(vals))
         raise HypothesisViolated("rhs_weight_psd", samples[i], float(vals[i]))
-    per_sample = instance.rhs_constant * vals
-    if instance.gradient_surcharge:
-        per_sample = per_sample + instance.gradient_surcharge * np.sum(
-            grads**2, axis=1
-        )
-    est = float(per_sample.mean())
+    with np.errstate(over="ignore"):  # a huge constant can overflow the sum
+        per_sample = instance.rhs_constant * vals
+        if instance.gradient_surcharge:
+            per_sample = per_sample + instance.gradient_surcharge * np.sum(
+                grads**2, axis=1
+            )
+        est = float(per_sample.mean())
+    if not math.isfinite(est):
+        raise HypothesisViolated("rhs_energy_finite", None, est)
     err = _mean_se(per_sample)
     if instance.boundary is not None:
         best, berr = boundary_quadrature(
@@ -480,23 +486,15 @@ def check_inequality(
         instance.hypothesis_report
     )
 
-    if instance.eval_mode == "fixed_rhs":
-        from .bodies import ConeMeasureSampler
-
-        sampler = ConeMeasureSampler(
-            instance.body, seed=_row_seed(seed, instance.id, "cone")
-        )
-        samples = sampler.sample(budget)
-    else:
-        samples = sample_measure(instance.measure, budget, seed)
+    samples = sample_measure(instance.measure, budget, seed)
 
     if functions is None:
         functions = default_suite(d, seed=seed)
 
     weight_values = boundary = gauge = None
-    if instance.eval_mode == "standard" and instance.rhs_weight is not None:
+    if instance.rhs_weight is not None:
         weight_values = instance.rhs_weight.compact(samples)
-    if instance.eval_mode == "standard" and instance.boundary is not None:
+    if instance.boundary is not None:
         boundary = boundary_sample(instance, budget, seed)
     dirichlet = instance.lhs_kind == "l2_dirichlet"
     if dirichlet:

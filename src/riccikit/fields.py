@@ -283,18 +283,6 @@ def power_product_metric(p, d, domain=None):
     return product_metric([prof] * d, domain=domain)
 
 
-def exp_product_metric(lams):
-    """g_ii = exp(-2*lam_i*x_i)."""
-    profs = [
-        (
-            lambda t, l=l: np.exp(-2.0 * l * t),
-            lambda t, l=l: -2.0 * l * np.exp(-2.0 * l * t),
-        )
-        for l in np.atleast_1d(lams)
-    ]
-    return product_metric(profs)
-
-
 def hessian_metric(phi: PotentialField, d):
     """g = D^2 Phi with derivatives from the third-derivative tensor."""
 

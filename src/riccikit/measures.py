@@ -3,7 +3,8 @@
 Product measures are built from per-coordinate `Density1D` objects; sampling
 goes through the coordinate quantile functions, so a sample set is a
 deterministic function of (spec, n, seed).  Uniform measures on bodies defer
-to the body's own sampler.
+to the body's own sampler, and cone measures project its draws to the
+boundary.
 
 `SCHEMA`, beside `CONSTRUCTORS`, gives each measure kind's keys with their
 types, ranges and defaults; `from_spec` fills the defaults.
@@ -36,7 +37,8 @@ N_SHARDS = 8  # logical sampling shards; the layout fixes the random streams
 @dataclass
 class MeasureSpec:
     """A sampleable probability measure with derivative access to its
-    potential.
+    potential; a measure with no density on the space, such as the cone
+    measure, has none (`potential` is None).
 
     `potential.gradient` and `potential.hessian` take a (d,) point or an
     (n, d) batch and return results of the matching shape.  A product measure
@@ -47,7 +49,7 @@ class MeasureSpec:
 
     kind: str
     dim: int
-    potential: PotentialField
+    potential: Optional[PotentialField]
     sampler: Callable
     coord_densities: Optional[List[Density1D]] = None
     coord_d1: Optional[List[Callable]] = None
@@ -305,6 +307,14 @@ def uniform_body(body: ConvexBody):
     )
 
 
+def cone_measure(body: ConvexBody):
+    """The cone measure of a body: each shard pushes its uniform draws to the
+    boundary along rays through `bodies.ConeMeasureSampler`."""
+    sampler = lambda n, rng: bodies.ConeMeasureSampler(body, rng).sample(n)
+    return MeasureSpec(kind="cone_measure", dim=body.dim, potential=None,
+                       sampler=sampler, params=body.spec())
+
+
 def density_1d(dens: Density1D, d1=None, d2=None):
     return _product_spec("custom_1d", [dens], d1=d1, d2=d2)
 
@@ -313,17 +323,14 @@ def flat_power_1d(q):
     """The flattened |x|^q-type potential (quadratic near 0) on the
     positive half-line."""
     fp = FlattenedPowerPotential(q)
-    dens = fp.density()
-    spec = _product_spec(
+    return _product_spec(
         "flat_power_1d",
-        [dens],
+        [fp.density()],
         d1=fp.d1,
         d2=fp.d2,
         orthant=True,
         params={"q": q},
     )
-    spec.flat_power = fp
-    return spec
 
 
 SCHEMA = Schema({"kind": Key("string")}, select="kind", variants={

@@ -91,7 +91,7 @@ def test_criterion_02_product_metric_flatness():
     worst = 0.0
     for metric in (
         fields.power_product_metric(0.5, 3),
-        fields.exp_product_metric([1.0, 0.7, 1.3]),
+        fam.ProductMetricData.exponential([1.0, 0.7, 1.3]).metric_field(),
     ):
         for _ in range(100):
             x = rng.uniform(0.4, 1.8, 3)

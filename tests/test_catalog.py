@@ -6,7 +6,7 @@ import pytest
 
 from riccikit import catalog as cat, engine as eng, families as fam, measures as ms
 from riccikit import tensor_core as tc
-from riccikit.bodies import Ball, Box, ConeMeasureSampler, LpBall, Simplex
+from riccikit.bodies import Ball, Box, ConeMeasureSampler, Curve2D, LpBall, Simplex
 from riccikit.errors import EigensolveFailure, HypothesisViolated, UnknownInequalityId
 from riccikit.fields import (
     PotentialField,
@@ -178,20 +178,11 @@ class TestStructuralRelations:
         assert got.shape == (1000,)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
-    def test_cone_second_moment_ratio_matches_pointwise(self):
-        body = LpBall(3, 3.0)
-        ratio, err = cat._cone_second_moment_ratio(body, seed=11)
-        pts = ConeMeasureSampler(body, seed=11).sample(20000)
-        vals = np.array([float(p @ p) / float(p @ body.normal(p)[0]) ** 2 for p in pts])
-        assert abs(ratio - vals.mean()) <= 1e-14 * vals.mean()
-        want_err = vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(err - want_err) <= 1e-12 * want_err
-
     @pytest.mark.parametrize("body", [Ball(3), Ball(5, 2.0), Ball(4, 1.5, orthant=True)],
                              ids=lambda b: f"{b.kind}{b.dim}{'+' * b.orthant}")
     def test_cone_second_moment_ratio_on_a_ball_is_one(self, body):
         # |x|^2 / <x, n>^2 = 1 on the sphere: the closed form, and a draw
-        assert cat._cone_second_moment_ratio(body) == (1.0, 0.0)
+        assert cat._cone_second_moment_ratio(body) == 1.0
         pts = ConeMeasureSampler(body, seed=11).sample(20000)
         vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal(pts)) ** 2
         assert np.abs(vals - 1.0).max() <= 1e-12
@@ -201,6 +192,40 @@ class TestStructuralRelations:
         assert inst.params["rho_q"] == pytest.approx(0.375, abs=1e-6)
         assert inst.params["K_q"] <= 1.0
         assert inst.rhs_constant == pytest.approx(2.0 / 0.375, rel=1e-6)
+
+    @pytest.mark.parametrize("q", [2.3, 3.0, 5.0])
+    def test_qgt2_k_q_is_the_sup_of_the_weight_ratio(self, q):
+        # the closed form against the ratio on a grid, which approaches its
+        # tail value to about 1e-4 by x = 1e5
+        from riccikit.transport import FlattenedPowerPotential
+
+        fp = FlattenedPowerPotential(q)
+        x = np.concatenate([np.linspace(1e-3, 10.0, 2001), np.geomspace(10.0, 1e5, 501)])
+        ratio = (1.0 / fp.d2(x)) / np.minimum(1.0, x ** (2.0 - q))
+        k_q = cat.instantiate("qgt2_lsi", {"q": q}).params["K_q"]
+        assert k_q * (1.0 - 1e-3) <= ratio.max() <= k_q * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("q", [5.0, 10.0, 20.0, 100.0])
+    def test_qgt2_grades_every_q_the_floats_hold(self, q):
+        inst = cat.instantiate("qgt2_lsi", {"q": q})
+        rho_q = inst.params["rho_q"]
+        assert np.isfinite(rho_q) and rho_q > 0.0
+        rows = eng.check_inequality(inst, budget=5000, seed=1).rows
+        assert {r.status for r in rows} == {"report-only"}
+        assert all(np.isfinite([r.lhs, r.lhs_err, r.rhs, r.rhs_err]).all() for r in rows)
+
+    def test_qgt2_rhs_sum_out_of_the_float_range_is_an_error_row(self):
+        # at q = 143 the constant is finite but the RHS sums of some rows are not
+        report = eng.check_inequality(cat.instantiate("qgt2_lsi", {"q": 143.0}),
+                                      budget=5000, seed=1)
+        assert {r.status for r in report.rows} == {"error", "report-only"}
+        errors = [v for k, v in report.attachments.items() if k.endswith(":error")]
+        assert errors and all("rhs_energy_finite" in e for e in errors)
+
+    def test_qgt2_k_q_out_of_the_float_range_is_a_violation(self):
+        with pytest.raises(HypothesisViolated) as err:
+            cat.instantiate("qgt2_lsi", {"q": 200.0})
+        assert err.value.hypothesis == "K_q_finite"
 
     def test_bakry_t_reduces_to_exponential_at_q1(self):
         inst = cat.instantiate("bakry_t_lsi", {"q": 1.0, "dim": 2})
@@ -263,6 +288,26 @@ class TestGuards:
                 {"measure": mu, "family": {"type": "product_power", "p": 0.5}},
             )
         assert err.value.hypothesis == "ric_positive"
+
+    @pytest.mark.parametrize("derivatives", [{}, {"d1": lambda t: 0.0}],
+                             ids=["none", "d1_only"])
+    def test_compact_bl_reads_d2w_without_coordinate_d2(self, derivatives):
+        # D^2 W comes from the potential when the measure has no V_i''
+        from riccikit.transport import uniform_density
+
+        nu = ms.density_1d(uniform_density(-0.5, 0.5), **derivatives)
+        inst = cat.instantiate("compact_bl", {"measure": nu})
+        assert inst.hypothesis_report["log_concave"] == 0.0
+        rows = eng.check_inequality(inst, budget=2000, seed=1).rows
+        assert all(r.status == "pass" for r in rows)
+
+    def test_compact_bl_log_concavity_is_checked_without_coordinate_d2(self):
+        from riccikit.transport import Density1D
+
+        nu = ms.density_1d(Density1D(lambda t: -t * t, (-0.5, 0.5), name="bump"))
+        with pytest.raises(HypothesisViolated) as err:
+            cat.instantiate("compact_bl", {"measure": nu})
+        assert err.value.hypothesis == "log_concave"
 
     def test_exp_product_unknown_mode(self):
         # any mode but "corollary" used to run as "weighted"
@@ -576,12 +621,28 @@ class TestUniformSecondMoment:
         se = r2.std(ddof=1) / np.sqrt(len(r2))
         assert abs(cat._uniform_second_moment(body) - r2.mean()) <= 4.0 * se
 
+    @pytest.mark.parametrize(
+        "body",
+        [Box([0.5, 1.0, 2.0]), LpBall(3, 3.0), LpBall(5, 1.5, 2.0), Simplex(4, 2.0),
+         Ball(4, 1.5, orthant=True)],
+        ids=lambda b: f"{b.kind}{b.dim}",
+    )
+    def test_cone_ratio_matches_monte_carlo(self, body):
+        pts = ConeMeasureSampler(body, seed=21).sample(200000)
+        vals = np.vecdot(pts, pts) / np.vecdot(pts, body.normal(pts)) ** 2
+        se = max(vals.std(ddof=1) / np.sqrt(len(vals)), 1e-12)
+        assert abs(cat._cone_second_moment_ratio(body) - vals.mean()) <= 4.0 * se
+
+    def test_cone_ratio_has_no_form_off_the_closed_kinds(self):
+        with pytest.raises(ValueError, match="ellipse"):
+            cat._cone_second_moment_ratio(Curve2D.ellipse(2.0, 1.0))
+
     def test_l1_type_is_deterministic_off_the_simplex(self):
         body = LpBall(3, 3.0)
         a = cat.instantiate("l1_type", {"body": body})
         b = cat.instantiate("l1_type", {"body": LpBall(3, 3.0)})
         assert a.rhs_fixed == b.rhs_fixed
         lam = a.params["lam"]
-        i2, _ = cat._cone_second_moment_ratio(body)
+        i2 = cat._cone_second_moment_ratio(body)
         want = (cat._uniform_second_moment(body) + i2 / lam**2) / 9.0
         assert a.rhs_fixed == pytest.approx(want, rel=1e-14)

@@ -431,7 +431,13 @@ class TestWeightContraction:
     @pytest.mark.parametrize("entry", _NO_STANDARD_WEIGHT)
     def test_entries_without_a_weight(self, entry):
         e = cat.CATALOG[entry]
-        assert _smoke_instance(entry, max(e.min_dim, 4)).eval_mode != "standard"
+        assert _smoke_instance(entry, max(e.min_dim, 4)).rhs_weight is None
+
+    @pytest.mark.parametrize("entry", sorted(cat.CATALOG))
+    def test_every_smoke_instance_has_a_measure(self, entry):
+        e = cat.CATALOG[entry]
+        d = max(e.min_dim, min(4, e.max_dim or 4))
+        assert isinstance(_smoke_instance(entry, d).measure, ms.MeasureSpec)
 
     def test_rank_one_matches_its_dense_expansion(self):
         # the radial weight |x|^2 ((Id - x^ x^T)/tc + x^ x^T/rc), built dense
@@ -611,6 +617,17 @@ class TestDeterminism:
             for s in (1, 2)
         )
         assert all(x.lhs != y.lhs for x, y in zip(a.rows, b.rows))
+
+    def test_cone_variance_draws_the_cone_measure(self):
+        # x1 is 1-Lipschitz, so the check's row is the variance of the first
+        # coordinate of exactly these points
+        body = Simplex(4)
+        inst = cat.instantiate("cone_variance", {"body": body})
+        (x1,) = [f for f in eng.default_suite(4) if f.id == "x1"]
+        (row,) = eng.check_inequality(inst, functions=[x1], budget=3000, seed=6).rows
+        pts = ms.cone_measure(body).sample(3000, 6)
+        assert (row.lhs, row.lhs_err) == eng.estimate_lhs(inst, x1, pts)
+        assert (row.rhs, row.rhs_err) == (inst.rhs_fixed, 0.0)
 
     def test_seed_changes_digits_not_statuses(self):
         inst = cat.instantiate("classical_bl", {"measure": ms.gaussian(2)})

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from riccikit import engine as eng, fields, measures as ms
+from riccikit.bodies import LpBall
 
 from conftest import logcosh_phi
 
@@ -17,6 +18,13 @@ class TestSampling:
         mu = ms.uniform_box_orthant(2, 1.0)
         pts = eng.sample_measure(mu, 100000, 3)
         assert np.abs(pts.mean(axis=0) - 0.5).max() < 3.0 / math.sqrt(100000)
+
+    def test_cone_measure_projects_uniform_shards_to_the_boundary(self):
+        body = LpBall(3, 3.0, 2.0)
+        pts = ms.cone_measure(body).sample(1000, 4)
+        uniform = ms.uniform_body(body).sample(1000, 4)
+        assert np.array_equal(pts, uniform / body.gauge(uniform)[:, None])
+        assert np.abs(body.gauge(pts) - 1.0).max() < 1e-12
 
     def test_exponential_marginal_means(self):
         mu = ms.exp_product(3)

@@ -138,7 +138,7 @@ class TestGeometricRicci:
         m = (
             fields.power_product_metric(0.5, d)
             if metric == "power"
-            else fields.exp_product_metric([1.0, 0.7, 1.3])
+            else families.ProductMetricData.exponential([1.0, 0.7, 1.3]).metric_field()
         )
         for _ in range(25):
             x = rng.uniform(0.4, 1.6, d)
