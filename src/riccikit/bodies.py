@@ -29,6 +29,7 @@ from .errors import (
     RejectionBudgetExceeded,
     UndefinedAtOrigin,
 )
+from .fields import row_dots
 from .schema import Key, Schema, fill, number, positive
 
 _CORNER_MARGIN = 1e-8
@@ -67,9 +68,9 @@ class ConvexBody:
         boundary."""
         pts = _rows(pts)
         g = self.gauge_grad(pts)
-        norm = np.sqrt(np.vecdot(g, g))
+        norm = np.sqrt(row_dots(g, g))
         _reject(norm <= 0.0, pts, UndefinedAtOrigin, "gauge gradient vanishes")
-        return g / norm[:, None]
+        return (g.T / norm).T
 
     def boundary_curvature(self, pts):
         raise NotImplementedError
@@ -123,7 +124,7 @@ class ConeMeasureSampler:
 
     def sample(self, count):
         pts = self.body.sample_uniform(count, self._rng)
-        return pts / self.body.gauge(pts)[:, None]
+        return (pts.T / self.body.gauge(pts)).T
 
 
 # ---------------------------------------------------------------------------
@@ -137,36 +138,36 @@ class Ball(ConvexBody):
         self.kind = "ball"
 
     def gauge(self, pts):
-        return np.linalg.norm(_rows(pts), axis=1) / self.radius
+        pts = _rows(pts)
+        return np.sqrt(row_dots(pts, pts)) / self.radius
 
     def gauge_grad(self, pts):
         pts = _rows(pts)
-        # row dot products, not norm(axis=1): the Dirichlet rows' bytes
-        # depend on this rounding
-        r = np.sqrt(np.vecdot(pts, pts))
+        r = np.sqrt(row_dots(pts, pts))
         _reject(r == 0.0, pts, UndefinedAtOrigin, "ball gauge gradient at the origin")
-        return pts / (r[:, None] * self.radius)
+        return (pts.T / (r * self.radius)).T
 
     def boundary_curvature(self, pts):
         n = self.normal(pts)
         return _projector(n) / self.radius, np.full(len(n), (self.dim - 1) / self.radius)
 
+    def _directions(self, m, rng):
+        """m uniform unit vectors as the columns of a (d, m) array; the
+        stream is that of an (m, d) row-major normal draw."""
+        z = np.ascontiguousarray(rng.standard_normal((m, self.dim)).T)
+        return z / np.sqrt(np.einsum("in,in->n", z, z))
+
     def sample_uniform(self, n, rng):
-        z = rng.standard_normal((n, self.dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        r = self.radius * rng.uniform(size=n) ** (1.0 / self.dim)
-        pts = z * r[:, None]
-        if self.orthant:
-            pts = np.abs(pts)
-        return pts
+        z = self._directions(n, rng)
+        z *= self.radius * rng.uniform(size=n) ** (1.0 / self.dim)
+        return (np.abs(z) if self.orthant else z).T
 
     def sample_boundary(self, n, rng):
         """Uniform points on the sphere in antithetic pairs: the first
         ceil(n/2) are drawn and the rest are their negatives."""
-        z = rng.standard_normal(((n + 1) // 2, self.dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        pts = self.radius * np.concatenate([z, -z])[:n]
-        return np.abs(pts) if self.orthant else pts
+        z = self._directions((n + 1) // 2, rng)
+        pts = self.radius * np.concatenate([z, -z], axis=1)[:, :n]
+        return (np.abs(pts) if self.orthant else pts).T
 
     def volume(self):
         full = math.pi ** (self.dim / 2.0) / math.gamma(self.dim / 2.0 + 1.0)
@@ -256,8 +257,9 @@ class Simplex(ConvexBody):
         return np.zeros((len(pts), self.dim, self.dim)), np.zeros(len(pts))
 
     def sample_uniform(self, n, rng):
-        e = rng.standard_exponential(size=(n, self.dim + 1))
-        return self.scale * e[:, : self.dim] / e.sum(axis=1, keepdims=True)
+        # columns of a (d + 1, n) block, drawn as the rows of an (n, d + 1) one
+        e = np.ascontiguousarray(rng.standard_exponential(size=(n, self.dim + 1)).T)
+        return (self.scale * e[: self.dim] / e.sum(axis=0)).T
 
     def sample_facet(self, n, rng):
         """Direct Dirichlet(1,...,1) draws on the diagonal facet."""

@@ -29,6 +29,7 @@ from .fields import (
     diag_matrices,
     inverse,
     least_eig,
+    row_dots,
 )
 from .schema import Key, Schema, describe, fill, number, options, positive
 
@@ -400,7 +401,10 @@ def _build_qgt2_lsi(params, report):
         crit = fp.dual_criterion(ygrid)
         rho_max = crit.bisect_rho(enhanced=False)
         _margin(report, "rho_q_positive", rho_max, tol=0.0)
-        _margin(report, "f_convex", float(crit.f_second.min()), tol=1e-8)
+        # F'' decays like |y|^(p-2) past the knee, so its minimum is at the grid's
+        # arbitrary end; F'' max(1, |y|)^2 is least at the knee, p - 1
+        _margin(report, "f_convex",
+                float((crit.f_second * np.maximum(crit.y_grid, 1.0) ** 2).min()), tol=1e-8)
         # the derived weight is (V'')^{-1}; fold its comparison against the
         # stated weight into the effective level rho_q = rho_max / max(K_q, 1),
         # K_q = sup (V'')^{-1} / min(1, x^(2-q)).  With s = p(p-1) x + 2 - p
@@ -669,15 +673,14 @@ def _radial_weight_field(d, theta, n_param):
 
     def batch(pts):
         # |x|^2 ((Id - x^ x^T)/tc + x^ x^T/rc) with x^ = x/|x|
-        return ScalarPlusRankOne(np.sum(pts**2, axis=1) / tc, rank_one, pts)
+        return ScalarPlusRankOne(row_dots(pts, pts) / tc, rank_one, pts)
 
     return QuadraticFormField(dim=d, batch=batch, name="Ric_N^-1(radial)"), tc, rc
 
 
 def _ball_boundary_geometry(body, pts):
-    r2 = np.sum(pts**2, axis=1)
-    nrm = pts / np.sqrt(r2)[:, None]
-    xn = np.einsum("ni,ni->n", pts, nrm)
+    r2 = row_dots(pts, pts)
+    xn = row_dots(pts, (pts.T / np.sqrt(r2)).T)
     h0 = np.full(len(pts), (body.dim - 1) / body.radius)
     return r2, xn, h0
 
@@ -744,7 +747,7 @@ def _build_hardy_boundary(params, report):
     mu = measures.uniform_body(body)
     const = 4.0 / (d * (d - n_param))
     weight = QuadraticFormField(
-        dim=d, batch=lambda pts: const * np.sum(pts**2, axis=1), name="4|x|^2/(d(d-N))"
+        dim=d, batch=lambda pts: const * row_dots(pts, pts), name="4|x|^2/(d(d-N))"
     )
 
     def bweight(pts):
@@ -784,7 +787,7 @@ def _build_hardy_dirichlet(params, report):
     mu = measures.uniform_body(body)
     weight = QuadraticFormField(
         dim=d,
-        batch=lambda pts: (4.0 / d**2) * np.sum(pts**2, axis=1),
+        batch=lambda pts: (4.0 / d**2) * row_dots(pts, pts),
         name="4|x|^2/d^2",
     )
     return InequalityInstance(
@@ -810,14 +813,14 @@ def _build_strong_boundary(params, report):
     mu = measures.uniform_body(body)
     if mode == "variance":
         weight = QuadraticFormField(
-            dim=d, batch=lambda pts: np.sum(pts**2, axis=1), name="|x|^2"
+            dim=d, batch=lambda pts: row_dots(pts, pts), name="|x|^2"
         )
         const = 2.0 / (d * theta)
         lhs_kind = "variance"
     else:
         weight = QuadraticFormField(
             dim=d,
-            batch=lambda pts: np.sum(pts**2, axis=1) ** theta,
+            batch=lambda pts: row_dots(pts, pts) ** theta,
             name="|x|^(2theta)",
         )
         const = 4.0 * body.radius_bound() ** (2.0 * (1.0 - theta)) / (d * theta)

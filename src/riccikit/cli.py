@@ -293,8 +293,9 @@ def _cmd_ricci(args):
             closed = families.product_ricci(data, mu.potential, x)
             metric = data.metric_field()
         cp = tensor_core.generalized_ricci(metric, mu.potential, x, n_param=n_param)
-    if not (np.isfinite(closed).all() and np.isfinite(cp.ric_gmu_n).all()):
-        raise NonFiniteConstant(f"Ricci tensor not finite at {x}")
+        if not (np.isfinite(closed).all() and np.isfinite(cp.ric_gmu_n).all()):
+            raise NonFiniteConstant(f"Ricci tensor not finite at {x}")
+        tensor_core.check_metric_underflow(metric, x)
     out = {
         "point": x.tolist(),
         "closed_form": np.asarray(closed).tolist(),

@@ -29,7 +29,7 @@ from .errors import (
     EigensolveFailure,
     HypothesisViolated,
 )
-from .fields import quad_form
+from .fields import quad_form, row_dots
 
 REL_TOL = 0.02  # relative slack allowance in the pass/fail rule
 SIGMA_FACTOR = 3.0
@@ -47,9 +47,11 @@ class TestFunction:
 
 def default_suite(d, seed=0) -> List[TestFunction]:
     """Coordinates, |x|^2, the diagonal direction, a coordinate product,
-    low-frequency cosines of the diagonal, and five seeded random cubics."""
+    low-frequency cosines of the diagonal, and five seeded random cubics;
+    constant and cosine gradients are read-only broadcast views."""
     funcs = []
     sq = math.sqrt(d)
+    ones = np.ones(d)
 
     def coord(i):
         e = np.zeros(d)
@@ -57,7 +59,7 @@ def default_suite(d, seed=0) -> List[TestFunction]:
         return TestFunction(
             id=f"x{i + 1}",
             fn=lambda p: p[:, i],
-            grad=lambda p, e=e: np.broadcast_to(e, p.shape).copy(),
+            grad=lambda p, e=e: np.broadcast_to(e, p.shape),
             lipschitz_bound=1.0,
         )
 
@@ -67,7 +69,7 @@ def default_suite(d, seed=0) -> List[TestFunction]:
     funcs.append(
         TestFunction(
             id="|x|^2",
-            fn=lambda p: np.sum(p**2, axis=1),
+            fn=lambda p: row_dots(p, p),
             grad=lambda p: 2.0 * p,
         )
     )
@@ -77,7 +79,7 @@ def default_suite(d, seed=0) -> List[TestFunction]:
             TestFunction(
                 id="sum_x",
                 fn=lambda p: p @ diag,
-                grad=lambda p: np.broadcast_to(diag, p.shape).copy(),
+                grad=lambda p: np.broadcast_to(diag, p.shape),
                 lipschitz_bound=1.0,
             )
         )
@@ -85,9 +87,9 @@ def default_suite(d, seed=0) -> List[TestFunction]:
             TestFunction(
                 id="x1*x2",
                 fn=lambda p: p[:, 0] * p[:, 1],
-                grad=lambda p: np.column_stack(
+                grad=lambda p: np.stack(
                     [p[:, 1], p[:, 0]] + [np.zeros(len(p))] * (d - 2)
-                ),
+                ).T,
             )
         )
     for k in (1, 2):
@@ -95,10 +97,10 @@ def default_suite(d, seed=0) -> List[TestFunction]:
         funcs.append(
             TestFunction(
                 id=f"cos{k}",
-                fn=lambda p, w=w: np.cos(w * p.sum(axis=1)),
-                grad=lambda p, w=w: np.repeat(
-                    -w * np.sin(w * p.sum(axis=1))[:, None], d, axis=1
-                ),
+                fn=lambda p, w=w: np.cos(w * (p @ ones)),
+                grad=lambda p, w=w: np.broadcast_to(
+                    -w * np.sin(w * (p @ ones)), (d, len(p))
+                ).T,
                 lipschitz_bound=k * math.pi,
             )
         )
@@ -114,11 +116,11 @@ def default_suite(d, seed=0) -> List[TestFunction]:
             return p @ a + al * (p @ b) ** 2 + be * (u * u * u)
 
         def grad(p, abc=np.stack([a, b, c]), al=al, be=be):
-            # a + (2 al p.b) b + (3 be (p.c)^2) c as one (n, 3) @ (3, d)
+            # a + (2 al p.b) b + (3 be (p.c)^2) c as one (d, 3) @ (3, n)
             # product: broadcast row-by-vector products are several times slower
             pb, pc = p @ abc[1], p @ abc[2]
-            ones = np.ones(len(p))
-            return np.column_stack([ones, 2.0 * al * pb, 3.0 * be * (pc * pc)]) @ abc
+            coef = np.stack([np.ones(len(p)), 2.0 * al * pb, 3.0 * be * (pc * pc)])
+            return (abc.T @ coef).T
 
         funcs.append(TestFunction(id=f"poly3_{j}", fn=fn, grad=grad))
     return funcs
@@ -142,7 +144,7 @@ def _dirichlet_values(f: TestFunction, points, gauge, gauge_grad):
     gauge and its gradient there."""
     fv = f.fn(points)
     cut = 1.0 - gauge**2
-    grad = cut[:, None] * f.grad(points) - 2.0 * (gauge * fv)[:, None] * gauge_grad
+    grad = (f.grad(points).T * cut - gauge_grad.T * (2.0 * (gauge * fv))).T
     return cut * fv, grad
 
 
@@ -151,7 +153,8 @@ def lipschitz_normalize(f: TestFunction, points) -> TestFunction:
     if f.lipschitz_bound is not None:
         scale = f.lipschitz_bound
     else:
-        scale = float(np.linalg.norm(f.grad(np.atleast_2d(points)), axis=1).max())
+        g = f.grad(np.atleast_2d(points))
+        scale = math.sqrt(float(row_dots(g, g).max()))
     scale = max(scale, 1e-12)
     return TestFunction(
         id=f.id + "/L",
@@ -280,8 +283,8 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     with np.errstate(over="ignore"):  # a huge constant can overflow the sum
         per_sample = instance.rhs_constant * vals
         if instance.gradient_surcharge:
-            per_sample = per_sample + instance.gradient_surcharge * np.sum(
-                grads**2, axis=1
+            per_sample = per_sample + instance.gradient_surcharge * row_dots(
+                grads, grads
             )
         est = float(per_sample.mean())
     if not math.isfinite(est):
@@ -514,7 +517,7 @@ def check_inequality(
             lhs, lhs_err = estimate_lhs(instance, f, samples, values=values)
             if instance.eval_mode == "poincare_ratio":
                 grads = f.grad(samples)
-                energy = float(np.sum(grads**2, axis=1).mean())
+                energy = float(row_dots(grads, grads).mean())
                 quotient = lhs / max(energy, 1e-300)
                 ratios.append(quotient)
                 if instance.lipschitz_only:

@@ -109,7 +109,7 @@ class EigensolveFailure(RicciKitError):
 
 
 class NonFiniteConstant(RicciKitError):
-    """A constant or margin of an instance, or a tensor, overflowed or divided by zero."""
+    """A constant, margin or tensor overflowed, underflowed or divided by zero."""
 
 
 class SchemaViolation(RicciKitError):

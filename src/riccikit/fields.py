@@ -20,7 +20,11 @@ Conventions:
   * metric derivative arrays have shape (d, d, d) with axis 0 the
     differentiation direction: deriv(x)[k] = d g / d x_k;
   * third-derivative tensors of potentials are fully symmetric (d, d, d)
-    arrays T[i, j, k] = d^3 f / dx_i dx_j dx_k.
+    arrays T[i, j, k] = d^3 f / dx_i dx_j dx_k;
+  * batches are column-major: `MeasureSpec.sample` and a ball's boundary
+    points are F-contiguous (n, d).  Per-point reductions are contractions
+    (`row_dots`, `p @ v`), per-point scales are `(m.T * s).T`, repeated
+    values are read-only `broadcast_to` views: no short-axis broadcasts.
 """
 
 from dataclasses import dataclass
@@ -111,12 +115,17 @@ def _per_row(f, x):
     return f(x) if x.ndim == 1 else np.array([f(p) for p in x])
 
 
+def row_dots(a, b):
+    """<a_k, b_k> for each row k of two (n, d) arrays, as one contraction."""
+    return np.einsum("ni,ni->n", a, b)
+
+
 def coord_columns(fns, x):
     """Array of the shape of x, a (d,) point or an (n, d) batch, whose
     column i is fns[i] called once on column i of x; a scalar a callback
     returns is broadcast."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
+    out = np.empty_like(x)  # column-major for a column-major batch
     for i, f in enumerate(fns):
         out[..., i] = f(x[..., i])
     return out
@@ -368,13 +377,13 @@ def quad_form(w, vectors):
     """<W(x) v, v> row-wise for compact weights `w` (the forms of
     QuadraticFormField.compact) and an (n, d) array of vectors."""
     if isinstance(w, ScalarPlusRankOne):
-        uv = np.einsum("ni,ni->n", w.u, vectors)
+        uv = row_dots(w.u, vectors)
         return quad_form(w.s, vectors) + w.c * (uv * uv)
     if w.ndim == 1:
-        return w * np.einsum("ni,ni->n", vectors, vectors)
+        return w * row_dots(vectors, vectors)
     if w.ndim == 2:
         return np.einsum("ni,ni,ni->n", w, vectors, vectors)
-    return np.einsum("ni,ni->n", np.einsum("nij,nj->ni", w, vectors), vectors)
+    return row_dots(np.einsum("nij,nj->ni", w, vectors), vectors)
 
 
 def inverse(w, d):

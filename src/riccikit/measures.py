@@ -59,15 +59,17 @@ class MeasureSpec:
     params: dict = field(default_factory=dict)
 
     def sample(self, n, seed):
-        """n i.i.d. points: shard i draws its share from the i-th stream
-        spawned from the root seed, and the shards are concatenated in order."""
+        """n i.i.d. points as a column-major (n, d) array: shard i draws its
+        share from the i-th stream spawned from the root seed, and the shards
+        fill the columns of a (d, n) block in order."""
         seqs = np.random.SeedSequence(seed).spawn(N_SHARDS)
         counts = [n // N_SHARDS] * N_SHARDS
         counts[-1] += n - sum(counts)
-        parts = [
-            self.sampler(c, np.random.default_rng(s)) for c, s in zip(counts, seqs)
-        ]
-        return np.concatenate(parts, axis=0)
+        out, start = np.empty((self.dim, n)), 0
+        for c, s in zip(counts, seqs):
+            out[:, start:start + c] = self.sampler(c, np.random.default_rng(s)).T
+            start += c
+        return out.T
 
     def hessian_form(self, pts):
         """D^2 V at an (n, d) batch in the compact form its structure allows:

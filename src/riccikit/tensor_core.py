@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .errors import InvalidDimensionParameter
+from .errors import InvalidDimensionParameter, NonFiniteConstant
 from .fields import MetricField, PotentialField, as_point
 
 
@@ -99,6 +99,22 @@ def lebesgue_to_volume_potential(metric: MetricField, v: PotentialField, x):
     """P(x) with exp(-P) vol_g = exp(-V) dx, i.e. P = V + 1/2 log det g."""
     x = as_point(x, metric.dim)
     return v.value(x) + 0.5 * np.linalg.slogdet(metric.value(x))[1]
+
+
+def check_metric_underflow(metric: MetricField, x):
+    """Raise NonFiniteConstant where the metric's derivative along e_a is 0 at
+    x, but the metric differs at x +- h e_a (h the outer step of
+    `generalized_ricci`) by less than 2h times the smallest normal float: the
+    derivatives underflowed, and the finite-difference tensor reads flat."""
+    x = as_point(x, metric.dim)
+    h = numdiff.step_second(x)
+    g = metric.values(numdiff.stencil(x, h, second=True)[: 2 * metric.dim])
+    jump = np.abs(g[0::2] - g[1::2]).max(axis=(1, 2))
+    flat = ~metric.derivatives(x)[0].any(axis=(1, 2))
+    lost = flat & (jump > 0.0) & (jump < 2.0 * h * np.finfo(float).tiny)
+    if lost.any():
+        axis = int(np.argmax(lost)) + 1
+        raise NonFiniteConstant(f"metric derivatives underflow at {x} along e_{axis}")
 
 
 def check_dimension_param(n_param, d, exclude_d=False):

@@ -34,6 +34,7 @@ _TAIL_LOG = 42.0  # truncate unbounded supports where the density has fallen
                   # below exp(-42) of its peak (past the 1e-12 quantile)
 _KE_GRID = 16385  # KE quadrature nodes, uniform in s, and nodes of the uniform x grid
 _KE_S = 14.0  # s range of those nodes: logit levels up to 28
+_KE_ROUNDOFF_LOG = 52.0 * math.log(2.0)  # exp(-Phi) below 2^-52 of its peak is roundoff
 _PPF_TOL = 1e-13  # CDF residual that `Density1D.ppf` must meet
 # unit panel at 0: 5-point Gauss-Lobatto (its ends see any kink), then 3-point GL per half
 _GL, _GLW, _LOB = *np.polynomial.legendre.leggauss(3), 0.5 * math.sqrt(3 / 7)
@@ -808,8 +809,10 @@ def ke_solve_1d(nu: Density1D, tol=1e-8) -> KESolution:
     G is summed from the nearer end, so it keeps its relative accuracy in the
     tails; m comes from the same sums, so both ends give one G.  Phi = -log G
     is the quintic Hermite in x with slopes y and second derivatives G/nu,
-    sampled on the uniform grid [-42/e, 42/e] of `_KE_GRID` nodes (e the
-    distance from m to the nearer support end); past the outer nodes it is
+    sampled on a uniform grid of `_KE_GRID` nodes: [-42/e, 42/e] (e the
+    distance from m to the nearer support end), or wider to keep the nodes
+    where exp(-Phi) is above 2^-52 of its peak, for a target much narrower
+    than its support such as a wide truncated Gaussian; past the outer nodes it is
     the linear asymptote whose slope is the support end.  No iteration and no
     BLAS reduction, so the result does not depend on the BLAS thread count.
 
@@ -841,9 +844,10 @@ def ke_solve_1d(nu: Density1D, tol=1e-8) -> KESolution:
     x = x - np.add(*_running_integrals(x * f, hs, tails=True))[0] / mass
 
     lo, hi = a - c - m, b - c - m
-    half = _TAIL_LOG / min(-lo, hi)
-    grid, h = np.linspace(-half, half, _KE_GRID, retstep=True)
     phi = -np.log(g)
+    kept = x[phi - phi.min() <= _KE_ROUNDOFF_LOG]
+    half = max(_TAIL_LOG / min(-lo, hi), -kept[0], kept[-1])
+    grid, h = np.linspace(-half, half, _KE_GRID, retstep=True)
     out = _quintic_hermite(x, phi, y, g / f * dyds, grid)
     out = np.where(grid < x[0], phi[0] + lo * (grid - x[0]), out)
     out = np.where(grid > x[-1], phi[-1] + hi * (grid - x[-1]), out)

@@ -222,6 +222,22 @@ class TestStructuralRelations:
         errors = [v for k, v in report.attachments.items() if k.endswith(":error")]
         assert errors and all("rhs_energy_finite" in e for e in errors)
 
+    @pytest.mark.parametrize("q", [3.0, 10.0])
+    def test_qgt2_convexity_margin_does_not_depend_on_the_grid_end(self, q, monkeypatch):
+        # F'' max(1, |y|)^2 is smallest at the knee, p - 1; F'' alone was
+        # smallest at the grid's last node, 50^-(q-2)
+        from riccikit.transport import FlattenedPowerPotential
+
+        build = FlattenedPowerPotential.dual_criterion
+        margins = []
+        for ymax in (None, 60.0):
+            if ymax is not None:
+                monkeypatch.setattr(FlattenedPowerPotential, "dual_criterion",
+                                    lambda fp, y: build(fp, y[y <= ymax]))
+            margins.append(cat.instantiate("qgt2_lsi", {"q": q}).hypothesis_report["f_convex"])
+        p = q / (q - 1.0)
+        assert margins[0] == margins[1] == pytest.approx(p - 1.0, abs=1e-8)
+
     def test_qgt2_k_q_out_of_the_float_range_is_a_violation(self):
         with pytest.raises(HypothesisViolated) as err:
             cat.instantiate("qgt2_lsi", {"q": 200.0})

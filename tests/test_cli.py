@@ -614,6 +614,17 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err.startswith(start) and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("point", ["1e130", "1e140"])
+    def test_conformal_radial_underflow_refused(self, point, capsys):
+        # |x|^-1.6 is about 1e-224 at 1e140: the metric's derivatives underflow
+        # to 0, and the finite-difference tensor used to print Hess V
+        argv = ["ricci", "--family", '{"type": "conformal_radial", "theta": 0.8}',
+                "--point", point, "1"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("runtime error: metric derivatives underflow at ")
+
     def test_conformal_radial_far_out(self, capsys):
         # |x|^4 = 1e480 is beyond float range but |x|^2 is not: the Hessian of
         # the conformal exponent used to raise OverflowError squaring a Python float

@@ -269,7 +269,7 @@ class TestSampleStream:
             if k != kind:
                 continue
             pts = _spec_for(kind, d).sample(n, 7)
-            assert pts.shape == (n, d) and pts.flags["C_CONTIGUOUS"]
+            assert pts.shape == (n, d) and pts.flags["F_CONTIGUOUS"]
             assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == digest, (d, n)
 
     def test_distinct_densities_draw_in_coordinate_order(self):

@@ -321,6 +321,20 @@ class TestKESolver:
         with pytest.raises(NonCompactTarget):
             tr.ke_solve_1d(tr.gaussian_density())
 
+    def test_target_much_narrower_than_its_support(self):
+        # exp(-Phi) is about exp(-x^2/2), far wider than [-42/e, 42/e] = [-1.05, 1.05]:
+        # the grid must reach where exp(-Phi) falls to roundoff
+        from riccikit import measures as ms
+
+        sol = tr.ke_solve_1d(ms.trunc_gaussian_sym(1, 40.0).coord_densities[0])
+        assert sol.residual_sup < 1e-8
+        assert sol.grid[-1] > 8.0
+        w = np.full(sol.grid.size, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        mass = (np.exp(-sol.phi_vals) * w).sum() * (sol.grid[1] - sol.grid[0]) / 3.0
+        assert mass == pytest.approx(1.0, abs=1e-8)  # reads 1 + 2.7e-9
+
 
 class TestMoreGuards:
     def test_cdf_inversion_failure_on_vanishing_density(self):
