@@ -101,16 +101,14 @@ def lebesgue_to_volume_potential(metric: MetricField, v: PotentialField, x):
     return v.value(x) + 0.5 * np.linalg.slogdet(metric.value(x))[1]
 
 
-def check_metric_underflow(metric: MetricField, x):
+def check_metric_underflow(g, dg, h, x):
     """Raise NonFiniteConstant where the metric's derivative along e_a is 0 at
-    x, but the metric differs at x +- h e_a (h the outer step of
-    `generalized_ricci`) by less than 2h times the smallest normal float: the
-    derivatives underflowed, and the finite-difference tensor reads flat."""
-    x = as_point(x, metric.dim)
-    h = numdiff.step_second(x)
-    g = metric.values(numdiff.stencil(x, h, second=True)[: 2 * metric.dim])
-    jump = np.abs(g[0::2] - g[1::2]).max(axis=(1, 2))
-    flat = ~metric.derivatives(x)[0].any(axis=(1, 2))
+    x (dg[a] = d g / d x_a there), but the metric values g at x + h e_a and
+    x - h e_a (the first 2d stencil rows) differ by less than 2h times the
+    smallest normal float: the derivatives underflowed, and the
+    finite-difference tensor reads flat."""
+    jump = np.abs(g[0:2 * len(dg):2] - g[1:2 * len(dg):2]).max(axis=(1, 2))
+    flat = ~dg.any(axis=(1, 2))
     lost = flat & (jump > 0.0) & (jump < 2.0 * h * np.finfo(float).tiny)
     if lost.any():
         axis = int(np.argmax(lost)) + 1
@@ -137,7 +135,8 @@ def generalized_ricci(
     V is the potential with respect to Lebesgue measure and is converted
     internally to the volume-measure potential P = V + 1/2 log det g; the
     N-variant subtracts (dP tensor dP)/(N - d).  grad P uses tr(g^{-1} dg)
-    when the metric has analytic derivatives.
+    when the metric has analytic derivatives.  Metric derivatives underflowed
+    to 0 at x raise NonFiniteConstant (`check_metric_underflow`).
     """
     x = as_point(x, metric.dim)
     d = metric.dim
@@ -155,6 +154,7 @@ def generalized_ricci(
     else:
         g = metric.values(pts)
         dg = metric.derivatives(centres)
+    check_metric_underflow(g, dg[-1], h, x)
     ginv = np.linalg.inv(g[: 2 * d + 1])
     gam = _gamma(ginv, dg)
     ric_g = _ricci(gam, h)

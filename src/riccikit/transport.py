@@ -3,10 +3,11 @@ entropic curvature criterion, and the 1-D Kahler-Einstein potential.
 
 The monotone rearrangement T = G^{-1} o F between two densities is the 1-D
 optimal-transport map; its potential Phi (T = Phi') provides the Hessian
-metric used by the refined inequalities.  All CDF work is grid-based with
-local quadrature corrections, so map values are good to ~1e-10 well inside
-the support of a density whose potential is smooth there.  The cubics and
-quadrature rules are this module's own, so no scipy subpackage is loaded.
+metric used by the refined inequalities.  A density is integrated on its
+graded nodes by one rule (`_running_integrals`), its CDF from the left end
+and its survival function from the right, so each keeps its relative
+accuracy into its own tail, from which the map takes each level.  The
+cubics and quadrature rules are this module's own: no scipy is loaded.
 
 A raw 1-D potential is batch-first: it is called with a 1-D float array of
 abscissae and returns an array of the same shape, or a scalar, which is
@@ -29,17 +30,19 @@ from .errors import (
 )
 from .fields import PotentialField, as_point
 
-_BASE_GRID = 4096
-_TAIL_LOG = 42.0  # truncate unbounded supports where the density has fallen
+_NODES = 8193  # graded nodes of a density, uniform in s
+_S = 14.0  # s range of the nodes: logit levels up to 28
+_COVER = 24.0  # the working interval reaches at most this many logistic scales
+               # from the centre, leaving 4 logit units of crowding at each end
+_TAIL_LOG = 42.0  # cut the working interval where the density has fallen
                   # below exp(-42) of its peak (past the 1e-12 quantile)
-_KE_GRID = 16385  # KE quadrature nodes, uniform in s, and nodes of the uniform x grid
-_KE_S = 14.0  # s range of those nodes: logit levels up to 28
+_KE_GRID = 16385  # nodes of the uniform x grid of the KE potential
 _KE_ROUNDOFF_LOG = 52.0 * math.log(2.0)  # exp(-Phi) below 2^-52 of its peak is roundoff
-_PPF_TOL = 1e-13  # CDF residual that `Density1D.ppf` must meet
-# unit panel at 0: 5-point Gauss-Lobatto (its ends see any kink), then 3-point GL per half
-_GL, _GLW, _LOB = *np.polynomial.legendre.leggauss(3), 0.5 * math.sqrt(3 / 7)
-_GL_SPLIT = np.r_[-0.5, -_LOB, 0.0, _LOB, 0.5, (_GL - 1) / 4, (_GL + 1) / 4]
-_GL_SPLIT_WEIGHTS = np.r_[1 / 20, 49 / 180, 16 / 45, 49 / 180, 1 / 20, _GLW / 4, _GLW / 4]
+# the Euler-Maclaurin correction h^2/12 f' - h^4/720 f''' at the first two
+# nodes of a grid, in units of h/2880, from the six-point one-sided stencils
+# of f' and f''' (exact for quintics); at a cut these set the error
+_EM_ENDS = np.array([[-531.0, 1129.0, -1082.0, 702.0, -259.0, 41.0],
+                     [-41.0, -285.0, 514.0, -262.0, 87.0, -13.0]])
 
 
 # -- piecewise cubics and quadrature rules ---------------------------------------
@@ -49,10 +52,10 @@ class PiecewiseCubic:
     """The C^1 cubic with values y and slopes d at knots x, as scipy's
     `CubicHermiteSpline`: c0 s^3 + c1 s^2 + c2 s + c3, s = t - x_j, on piece j.
     `pchip` takes the slopes of scipy 1.17.1's `PchipInterpolator` (Fritsch &
-    Carlson 1980) bit for bit, `not_a_knot` those of its `CubicSpline`.  A
-    call finds each piece by a guide table (Chen & Asau 1974): a bucket per
-    piece width names a piece at or left of the abscissa's, two forward steps
-    follow, and abscissae still unresolved (crowded tails) binary-search."""
+    Carlson 1980) bit for bit.  A call finds each piece by a guide table
+    (Chen & Asau 1974): a bucket per piece width names a piece at or left of
+    the abscissa's, two forward steps follow, and abscissae still unresolved
+    (crowded tails) binary-search."""
 
     def __init__(self, x, y, d):
         h, k = np.diff(x), x.size - 1
@@ -85,20 +88,6 @@ class PiecewiseCubic:
             raise ValueError("PCHIP slopes beyond float range")
         return cls(x, y, d)
 
-    @classmethod
-    def not_a_knot(cls, x, ys):
-        """A not-a-knot spline per row of ys (four or more knots), one solve."""
-        h = np.diff(x)
-        m = np.diff(ys, axis=1) / h
-        e0, e1 = x[2] - x[0], x[-1] - x[-3]
-        rhs = np.column_stack([((h[0] + 2 * e0) * h[1] * m[:, 0] + h[0] ** 2 * m[:, 1]) / e0,
-                               3 * (h[1:] * m[:, :-1] + h[:-1] * m[:, 1:]),
-                               (h[-1] ** 2 * m[:, -2] + (2 * e1 + h[-1]) * h[-2] * m[:, -1]) / e1])
-        d = _solve_tridiagonal(np.concatenate([[0.0], h[1:], [e1]]),
-                               np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]]),
-                               np.concatenate([[e0], h[:-1], [0.0]]), rhs.T)
-        return [cls(x, y, dy) for y, dy in zip(ys, d.T)]
-
     def __call__(self, t, nu=0):
         """Value (nu = 0) or first derivative (nu = 1) in scipy's order; the end
         pieces extrapolate, and NaN (fmin sends it to the last bucket) stays NaN."""
@@ -118,67 +107,82 @@ class PiecewiseCubic:
         return ((c[2][j] + c[1][j] * s * 2.0) + c[0][j] * ss * 3.0).reshape(shape)
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
-    """x with lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i] (rhs
-    (n, m), lower[0] = upper[-1] = 0) by cyclic reduction: the odd rows absorb
-    their even neighbours, are solved alike, and the even unknowns follow."""
-    zero = np.zeros((1,) + rhs.shape[1:])
-    if diag.size % 2 == 0:  # a decoupled unit row keeps the count odd
-        return _solve_tridiagonal(np.append(lower, 0.0), np.append(diag, 1.0),
-                                  np.append(upper, 0.0), np.concatenate([rhs, zero]))[:-1]
-    if diag.size == 1:
-        return rhs / diag[:, None]
-    a, g = -lower[1::2] / diag[:-1:2], -upper[1::2] / diag[2::2]
-    odd = _solve_tridiagonal(
-        a * lower[:-1:2], diag[1::2] + a * upper[:-1:2] + g * lower[2::2], g * upper[2::2],
-        rhs[1::2] + a[:, None] * rhs[:-1:2] + g[:, None] * rhs[2::2])
-    out = np.empty_like(rhs)
-    out[1::2] = odd
-    out[::2] = (rhs[::2] - lower[::2, None] * np.concatenate([zero, odd])
-                - upper[::2, None] * np.concatenate([odd, zero])) / diag[::2, None]
-    return out
+def _running_integrals(f, h, cut=None):
+    """(int_{s_0}^{s_i} f, int_{s_i}^{s_n} f) at the nodes s_i of a uniform grid
+    of step h: trapezoid sums with the Euler-Maclaurin corrections h^2/12 f'
+    - h^4/720 f''' (five-point differences, six-point one-sided ones at the
+    two end nodes), so the O(h^6) error varies smoothly from node to node.
+    With a `cut` node no sum straddles it: each side takes its own end
+    corrections there, as across a kink of f."""
+    if cut is not None:
+        (l1, r1), (l2, r2) = _running_integrals(f[:cut + 1], h), _running_integrals(f[cut:], h)
+        return np.concatenate([l1, l1[-1] + l2[1:]]), np.concatenate([r1[:-1] + r2[0], r2])
+    panels = 0.5 * h * (f[1:] + f[:-1])
+    c = np.empty(f.size)
+    c[2:-2] = h / 1440.0 * (11.0 * (f[:-4] - f[4:]) + 82.0 * (f[3:-1] - f[1:-3]))
+    c[:2] = h / 2880.0 * (_EM_ENDS @ f[:6])
+    c[:-3:-1] = -h / 2880.0 * (_EM_ENDS @ f[:-7:-1])
+    left = np.concatenate([[0.0], np.cumsum(panels)]) - (c - c[0])
+    right = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]]) - (c[-1] - c)
+    return left, right
 
 
-def _cumulative_simpson(y, x=None, dx=None):
-    """scipy's `cumulative_simpson(y, x=x or dx=dx, initial=0.0)` of three or
-    more points, bit for bit: Cartwright's (2017) rule takes an even panel's
-    node right of it, an odd panel's and the last one's node left of it."""
-    h = np.diff(x) if x is not None else np.full(y.size - 1, float(dx))
+def _graded_nodes(lo, hi, c, sc, s):
+    """Nodes x(s) and dx/ds: the quantiles of the logistic law (c, sc) cut to
+    [lo, hi], at the logistic CDF of 2s rescaled to map the ends of the
+    symmetric s onto lo and hi: 2 sc apart per unit of s where that law keeps
+    its mass, crowding geometrically toward lo and hi."""
+    ea, eb = math.exp((lo - c) / sc), math.exp((c - hi) / sc)
+    pa, qb = ea / (1.0 + ea), eb / (1.0 + eb)  # the law's mass below lo and above hi
+    e = np.exp(-2.0 * s)
+    lam, lam_c = 1.0 / (1.0 + e), e / (1.0 + e)
+    w = (1.0 - pa - qb) / (lam[-1] - lam[0])
+    p, q = pa + w * (lam - lam[0]), qb + w * (lam_c - lam_c[-1])
+    x = c + sc * np.log(p / q)
+    x[0], x[-1] = lo, hi
+    return x, 2.0 * sc * w * lam * lam_c / (p * q)
 
-    def panels(f, h):  # [t_i, t_{i+1}] with the node t_{i+2}
-        if x is None:
-            return h[:-1] / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-        r31 = h[:-1] / (h[:-1] + h[1:])
-        r = r31 * (h[:-1] / h[1:])
-        return h[:-1] / 6 * ((3 - r31) * f[:-2] + (3 + r + r31) * f[1:-1] + (-r) * f[2:])
 
-    fwd, bwd = panels(y, h), panels(y[::-1], h[::-1])[::-1]
-    out = np.empty(y.size - 1)
-    out[:-1:2], out[1::2], out[-1] = fwd[::2], bwd[::2], bwd[-1]
-    return np.concatenate([[0.0], np.cumsum(out) + 0.0])
+def _node_at(lo, hi, c, sc, x0, s):
+    """The node j of `_graded_nodes` next to x0 (None within 8 of an end) and
+    the centre near c that puts it on x0."""
+    law = lambda z: 1.0 / (1.0 + math.exp(-z / sc))  # the logistic CDF at c + z
+    lam0 = 1.0 / (1.0 + math.exp(-2.0 * s[0]))
+    for step in range(5):
+        pa, qb = law(lo - c), law(c - hi)
+        w = (1.0 - pa - qb) / (1.0 - 2.0 * lam0)
+        if not step:  # the node next to x0, from x0's level under the law
+            p0 = lam0 + (law(x0 - c) - pa) / w
+            j = int(round((0.5 * math.log(p0 / (1.0 - p0)) - s[0]) / (s[1] - s[0])))
+            if not 8 <= j < s.size - 8:
+                return None, c
+            e = math.exp(-2.0 * s[j])
+            u, uc = 1.0 / (1.0 + e) - lam0, e / (1.0 + e) - lam0
+        p, q = pa + w * u, qb + w * uc
+        dp = -(pa * (1.0 - pa) * uc + qb * (1.0 - qb) * u) / (sc * (u + uc))
+        c -= (c + sc * math.log(p / q) - x0) / (1.0 + sc * dp / (p * q))
+    return j, c
 
 
 class Density1D:
-    """A probability density exp(-V)/Z on an interval, with cached CDF.
+    """A probability density exp(-V)/Z on an interval, with its CDF and
+    survival function on `_NODES` graded nodes (`grid`, `_graded_nodes`).
 
-    The working grid has ~4096 base points and is refined where the mass
-    concentrates (equal-mass re-gridding); its CDF is cumulative Simpson and
-    Z its last node.  `cdf`/`ppf` use the cached grid plus a local
-    Gauss-Legendre/Newton correction; the vectorized `cdf_many` / `ppf_many`
-    paths interpolate and are meant for sampling.  `ppf_many` evaluates the
-    monotone cubic (PCHIP) through the CDF nodes, bit for bit as scipy's
-    `PchipInterpolator` does.
+    The probe of `_effective_bounds` places the nodes; its minimizer x0 of
+    the potential is a node that no running sum straddles, so a kink there
+    (|t|) costs nothing.  The node CDF (`cdf_grid`) is `_running_integrals`
+    summed from the left end, the survival function (`sf_grid`) from the
+    right end, and `moment` sums on the same nodes.  Between the nodes `cdf`
+    and `sf` are cubic Hermites of log F and log(1 - F) with the exact slopes
+    pdf / F, which `ppf` inverts from the nearer tail; `ppf_many`, the
+    sampling kernel, is the PCHIP through the CDF nodes, bit for bit scipy's.
+    The raw potential V takes a 1-D float array and returns one, or a scalar.
 
-    `potential` is the raw (unnormalized) potential V.  It is always called
-    with a 1-D float array and returns an array of the same shape, or a
-    scalar, which is broadcast; a build evaluates it on whole grids.
-
-    Z, the CDF and the moments are good to ~1e-10 for potentials smooth on
-    the support (log Z: gaussian -1.2e-11, exponential -1.0e-10); a kink
-    between grid nodes costs more (|t|: log Z 1.5e-7 off, `moment(0)` =
-    0.99999985).  Across a jump the grid CDF is off by about 1e-4 (potential
-    0 on [0, 1] and [2, 3], 700 between: F(1) = 0.49989, not 0.5); `cdf` is
-    not corrected for that, and `ppf` refuses the levels it cannot meet.
+    For potentials smooth on the support, or kinked only at x0, log Z and the
+    moments are good to ~1e-14 (|t|: log Z 1e-15, E t^2 4e-14 off), the CDF
+    and survival function to ~1e-12 relative out to F(-8) and 1 - F(8) on
+    the Gaussian.  Across a jump of the potential the node CDF is off by
+    about 1e-4; `ppf` refuses the levels in or next to a flat stretch of it.
     """
 
     def __init__(self, potential, support, name="density"):
@@ -190,30 +194,30 @@ class Density1D:
     # -- construction ---------------------------------------------------------
 
     def _build(self):
-        lo, hi = self._effective_bounds()
+        lo, hi, x0, c, sc = self._effective_bounds()
         if not (lo < hi and math.isfinite(hi - lo)):
             raise NonNormalizable(f"{self.name}: working interval [{lo}, {hi}] is empty "
                                   "or wider than float range")
-        grid = np.linspace(lo, hi, _BASE_GRID)
-        vals = self._raw(grid)
-        self._vmin = float(vals.min())
-        pdf = np.exp(-(vals - self._vmin))
-        cdf = np.maximum.accumulate(_cumulative_simpson(pdf, x=grid))
-        total = cdf[-1]
-        # refine: place half the nodes at equal-mass levels
-        levels = np.linspace(0.0, total, _BASE_GRID // 2 + 1)[1:-1]
-        extra = np.interp(levels, cdf, grid)
-        grid = np.unique(np.concatenate([grid, extra]))
-        pdf = np.exp(-(self._raw(grid) - self._vmin))
-        cdf = np.maximum.accumulate(_cumulative_simpson(pdf, x=grid))
-        self._z = cdf[-1]
-        self.grid = grid
-        self._pdf_grid = pdf / self._z
-        self.cdf_grid = cdf / self._z
-        self.log_z = math.log(self._z) - self._vmin
-        self._ppf_interp = self._moment_nodes = None
-        if not (self._z > 0.0 and np.isfinite(self._z)):
+        s, self._hs = np.linspace(-_S, _S, _NODES, retstep=True)
+        self._cut, c = _node_at(lo, hi, c, sc, x0, s)  # move the law to put a node on x0
+        self.grid, self._dxds = _graded_nodes(lo, hi, c, sc, s)
+        if self._cut is not None:
+            self.grid[self._cut] = x0
+        vals = self._raw(self.grid)
+        pdf = np.exp(vals.min() - vals)
+        left, right = self._integrate(pdf)
+        z = left[-1]
+        if not (z > 0.0 and np.isfinite(z)):
             raise NoConvergence(f"{self.name}: normalization failed")
+        self._pdf_grid = pdf / z
+        self.cdf_grid = np.maximum.accumulate(left) / z
+        self.sf_grid = np.minimum.accumulate(right) / z
+        self.log_z = math.log(z) - float(vals.min())
+        self._ppf_interp, self._logs = None, [None, None]
+
+    def _integrate(self, vals):
+        """Running integrals from both ends of values at the nodes."""
+        return _running_integrals(vals * self._dxds, self._hs, self._cut)
 
     def _raw(self, x):
         """Raw potential at a point or an array of points; the potential is
@@ -226,16 +230,22 @@ class Density1D:
         return out.reshape(x.shape) if x.ndim else out[0]
 
     def _effective_bounds(self):
+        """[lo, hi], where the potential is within `_TAIL_LOG` of its minimum
+        at x0, x0 and the nodes' logistic law (centre, scale): a compact
+        support is probed at 201 points, whose quartiles give the law, an
+        unbounded end is stepped out from x0, and the law, centred on the
+        interval, reaches both ends within `_COVER` scales."""
         a, b = self.support
         if np.isfinite(a) and np.isfinite(b):
-            return a, b
-        # probe for the mode, then expand until the potential has climbed
-        # TAIL_LOG above its minimum
-        seed = 0.0
-        if np.isfinite(a):
-            seed = a + 1.0
-        elif np.isfinite(b):
-            seed = b - 1.0
+            probe, h = np.linspace(a, b, 201, retstep=True)
+            vp = self._raw(probe)
+            live = np.flatnonzero(vp - vp.min() <= _TAIL_LOG)
+            lo, hi = probe[max(live[0] - 1, 0)], probe[min(live[-1] + 1, 200)]
+            mass = np.maximum.accumulate(_running_integrals(np.exp(vp.min() - vp), h)[0])
+            q1, c, q3 = np.interp([0.25, 0.5, 0.75], mass / mass[-1], probe)
+            sc = max((q3 - q1) / (2.0 * math.log(3.0)), (c - lo) / _COVER, (hi - c) / _COVER)
+            return lo, hi, float(probe[np.argmin(vp)]), c, sc
+        seed = a + 1.0 if np.isfinite(a) else (b - 1.0 if np.isfinite(b) else 0.0)
         probe = seed + np.linspace(-10.0, 10.0, 201)
         probe = probe[(probe > a) & (probe < b)]
         vp = self._raw(probe)
@@ -254,7 +264,7 @@ class Density1D:
 
         lo = a if np.isfinite(a) else expand(-1.0, a)
         hi = b if np.isfinite(b) else expand(+1.0, b)
-        return lo, hi
+        return lo, hi, x0, 0.5 * (lo + hi), 0.5 * (hi - lo) / _COVER
 
     # -- pointwise queries ----------------------------------------------------
 
@@ -265,92 +275,86 @@ class Density1D:
     def pdf(self, x):
         return np.exp(-self.potential(x))
 
-    def cdf(self, x):
-        """CDF at the grid node left of x plus the pdf's integral up to x."""
-        x = float(x)
-        if x <= self.grid[0]:
-            return 0.0
-        if x >= self.grid[-1]:
-            return 1.0
-        i = np.searchsorted(self.grid, x) - 1
-        corr = self._gauss_legendre(self.grid[i : i + 1], np.array([x]))[1].sum()
-        return min(max(self.cdf_grid[i] + corr, 0.0), 1.0)
+    def _log_hermite(self, j, x, upper):
+        """log F (log(1 - F) with `upper`) and its slope at x in the node
+        panel j: the cubic Hermite of the node values with slopes pdf / F,
+        which keeps their relative accuracy into the tail."""
+        if self._logs[upper] is None:
+            f = np.maximum(self.sf_grid if upper else self.cdf_grid, np.finfo(float).tiny)
+            self._logs[upper] = np.log(f), (-1.0 if upper else 1.0) * self._pdf_grid / f
+        y, d = self._logs[upper]
+        end = self.grid.size - 2 if upper else 0  # F (1 - F) is 0 at its end node
+        j = np.where(j == end, end + (-1 if upper else 1), j)  # a finite stand-in there
+        h = self.grid[j + 1] - self.grid[j]
+        u, m0, m1, dy = (x - self.grid[j]) / h, h * d[j], h * d[j + 1], y[j + 1] - y[j]
+        a, b = 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy
+        return y[j] + u * (m0 + u * (a + u * b)), (m0 + u * (2.0 * a + 3.0 * u * b)) / h
 
-    def _gauss_legendre(self, a, b):
-        """Nodes and weighted pdf of the 3-point Gauss-Legendre rule on the
-        halves of each panel [a_i, b_i], the pdf evaluated once per round.  A
-        panel where that sum and its 5-point Gauss-Lobatto rule differ by over
-        1e-16 (a kink or jump inside) is replaced by its halves, tested alike."""
-        kept = []
-        while a.size:
-            mid, w = 0.5 * (a + b), (b - a)[:, None]
-            t = mid[:, None] + w * _GL_SPLIT
-            f = self.pdf(t) * (w * _GL_SPLIT_WEIGHTS)
-            split = np.abs(f[:, :5].sum(1) - f[:, 5:].sum(1)) > 1e-16
-            kept.append((t[~split, 5:], f[~split, 5:]))
-            a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
-        return tuple(np.concatenate(v, axis=None) for v in zip(*kept))
+    def _hermite(self, x, upper):
+        """exp(`_log_hermite`) at a batch of points, linear on the end panel
+        where F (1 - F) is 0, and 0 or 1 outside the nodes."""
+        x, g = np.asarray(x, dtype=float), self.grid
+        j = np.clip(np.searchsorted(g, x, "right") - 1, 0, g.size - 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.minimum(np.exp(self._log_hermite(j, x, upper)[0]), 1.0)
+        f, i, o = (self.sf_grid, -2, -1) if upper else (self.cdf_grid, 1, 0)  # 0 at node o
+        out = np.where((x > g[i]) if upper else (x < g[i]), f[i] * (x - g[o]) / (g[i] - g[o]), out)
+        return np.where(x < g[0], float(upper), np.where(x > g[-1], float(not upper), out))
+
+    def cdf(self, x):
+        """F at a batch of points, a point being a batch of one."""
+        return self._hermite(x, False)
+
+    def sf(self, x):
+        """1 - F at a batch of points."""
+        return self._hermite(x, True)
+
+    def _invert(self, level, upper=False):
+        """The points where `cdf` (`sf` with `upper`) takes the positive
+        levels, by Newton on `_log_hermite` in each level's node panel; raises
+        CDFInversionFailure where the node values are flat at or next to a
+        level (a dead zone or a jump) and where Newton does not settle."""
+        sign = -1.0 if upper else 1.0
+        vals = sign * (self.sf_grid if upper else self.cdf_grid)  # increasing
+        level, n = np.asarray(level, dtype=float), vals.size
+        k = np.clip(np.searchsorted(vals, sign * level), 1, n - 1)
+        near = ((vals[k] == vals[k - 1]) | ((k > 1) & (vals[k - 1] == vals[k - 2]))
+                | ((k < n - 1) & (vals[np.minimum(k + 1, n - 1)] == vals[k])))
+        if near.any():
+            i, g = int(np.argmax(near)), self.grid
+            raise CDFInversionFailure(
+                f"{self.name}: CDF flat at or next to level {level[i]:.10g} on "
+                f"[{g[k[i]]:.6g}, {g[min(k[i] + 1, n - 1)]:.6g}]; density vanishes inside support")
+        lo, hi = self.grid[k - 1], self.grid[k]
+        frac = (sign * level - vals[k - 1]) / (vals[k] - vals[k - 1])
+        t = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
+        # Newton where t is not met yet; on the linear end panel it is exact
+        target, act = np.log(level), np.flatnonzero(k != (n - 1 if upper else 1))
+        for _ in range(60):
+            y, slope = self._log_hermite(k[act] - 1, t[act], upper)
+            r, ta = y - target[act], t[act]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = r / slope
+            # met, or t at float resolution (F may move by more than 1e-15 per ulp)
+            go = (np.abs(r) > 1e-15) & ~(np.abs(step) <= 2.0 * np.spacing(np.abs(ta)))
+            act, ta, r, step = act[go], ta[go], r[go], step[go]
+            if not act.size:
+                return t
+            lo[act] = np.where(sign * r < 0.0, ta, lo[act])
+            hi[act] = np.where(sign * r > 0.0, ta, hi[act])
+            new = ta - step
+            t[act] = np.where((new > lo[act]) & (new < hi[act]), new, 0.5 * (lo[act] + hi[act]))
+        raise CDFInversionFailure(f"{self.name}: no quantile at level {level[act[0]]:.10g}: "
+                                  f"Newton does not settle at x = {t[act[0]]:.17g}")
 
     def ppf(self, u):
-        """Quantile by bracketed Newton on the corrected CDF.
-
-        Raises CDFInversionFailure in two cases where no quantile exists to
-        `_PPF_TOL`: when the cached CDF is flat at level `u` (the level is
-        attained on two or more grid nodes, so the density vanishes on that
-        stretch of the support and G^{-1}(u) is not defined), and when the
-        iteration ends without bringing |cdf(x) - u| below `_PPF_TOL` (as
-        next to a jump of the potential, where the grid CDF and the corrected
-        CDF disagree).
-        """
+        """Quantile at level u, from the nearer tail (`_invert`)."""
         u = float(u)
         if not 0.0 < u < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
-        left = self._refuse_flat(u)
-        # 0 < u < 1 = cdf_grid[-1] and cdf_grid[0] = 0, so 1 <= left <= n - 1
-        # and the bracket [grid[i], grid[i + 2]] straddles u
-        i = left - 1
-        lo, hi = self.grid[i], self.grid[min(i + 2, len(self.grid) - 1)]
-        x = float(np.interp(u, self.cdf_grid, self.grid))
-        f = self.cdf(x) - u
-        for _ in range(60):
-            if abs(f) < _PPF_TOL:
-                break
-            if f > 0:
-                hi = x
-            else:
-                lo = x
-            p = self.pdf(x)
-            step = f / p if p > 1e-300 else 0.0
-            x_new = x - step
-            if not lo < x_new < hi or step == 0.0:
-                x_new = 0.5 * (lo + hi)
-            x = x_new
-            f = self.cdf(x) - u
-        if not abs(f) < _PPF_TOL:
-            raise CDFInversionFailure(
-                f"{self.name}: no quantile at level {u:.10g} to tol {_PPF_TOL:.1e}; "
-                f"CDF residual {f:.3e} at x = {x:.17g}"
-            )
-        return x
+        return float(self._invert(np.array([min(u, 1.0 - u)]), u > 0.5)[0])
 
-    def _refuse_flat(self, u):
-        """Raise CDFInversionFailure if the cached CDF is flat at level u (the
-        level is attained on two or more grid nodes); else return the index
-        of the first node at or above u."""
-        left = int(np.searchsorted(self.cdf_grid, u, side="left"))
-        right = int(np.searchsorted(self.cdf_grid, u, side="right"))
-        if right - left >= 2:
-            raise CDFInversionFailure(
-                f"{self.name}: CDF flat at level {u:.10g} on "
-                f"[{self.grid[left]:.6g}, {self.grid[right - 1]:.6g}]; "
-                "density vanishes inside support"
-            )
-        return left
-
-    # -- vectorized paths (sampling accuracy) ---------------------------------
-
-    def cdf_many(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.grid, self.cdf_grid)
+    # -- sampling -------------------------------------------------------------
 
     def ppf_many(self, u):
         """Quantiles by the PCHIP through the CDF nodes, built once; bit for bit
@@ -371,13 +375,8 @@ class Density1D:
     # -- moments and transforms ------------------------------------------------
 
     def moment(self, k=1):
-        """k-th moment by Gauss-Legendre on panels of four grid steps, nodes and
-        weighted pdf kept."""
-        if self._moment_nodes is None:
-            e = np.append(self.grid[:-1:4], self.grid[-1])
-            self._moment_nodes = self._gauss_legendre(e[:-1], e[1:])
-        t, wpdf = self._moment_nodes
-        return float(wpdf @ t**k)
+        """k-th moment, summed on the nodes."""
+        return float(self._integrate(self._pdf_grid * self.grid**k)[0][-1])
 
     def mean(self):
         return self.moment(1)
@@ -422,55 +421,77 @@ def power_density(q, c=1.0):
 # -- optimal transport ----------------------------------------------------------
 
 
+def _rearrange(mu: Density1D, nu: Density1D, x, levels, upper):
+    """T = G^{-1}(F(x)) and T' = pdf_mu(x) / pdf_nu(T) at points x of mu from
+    their levels F(x), or 1 - F(x) where `upper` (nu's survival function)."""
+    t = np.empty_like(x)
+    for side in (~upper, upper):
+        if side.any():
+            t[side] = nu._invert(levels[side], upper=side is upper)
+    with np.errstate(divide="ignore"):
+        return t, mu.pdf(x) / nu.pdf(t)
+
+
 def monotone_map_1d(mu: Density1D, nu: Density1D, x) -> Tuple[float, float]:
     """Monotone rearrangement T = G^{-1}(F(x)) of mu onto nu and its
-    derivative T' = pdf_mu(x) / pdf_nu(T(x)).
-
-    Raises CDFInversionFailure when F(x) rounds to 0 or 1 (x outside the
-    support of mu, or so far in its tail that no quantile of nu is defined).
-    """
-    x = float(np.atleast_1d(x)[0])
-    u = mu.cdf(x)
-    if not 0.0 < u < 1.0:
+    derivative T' = pdf_mu(x) / pdf_nu(T(x)), by F(x) left of mu's median
+    node and 1 - F(x) right of it.  Raises CDFInversionFailure when that
+    level is 0 (x outside mu's nodes), where nu's CDF is flat at or next to
+    it, and where the density of nu vanishes at T(x)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))[:1]
+    upper = x > mu.grid[np.searchsorted(mu.cdf_grid, 0.5)]
+    level = mu.sf(x) if upper[0] else mu.cdf(x)
+    if not level[0] > 0.0:
         raise CDFInversionFailure(
-            f"{mu.name}: F({x}) = {u} rounds to 0 or 1; no interior quantile to map")
-    t = nu.ppf(u)
-    dens = nu.pdf(t)
-    if dens <= 1e-300:
-        raise CDFInversionFailure(f"{nu.name}: density vanishes at T({x}) = {t}")
-    return t, float(mu.pdf(x)) / float(dens)
+            f"{mu.name}: {'1 - ' if upper[0] else ''}F({x[0]}) = {level[0]} outside the "
+            f"nodes [{mu.grid[0]:.6g}, {mu.grid[-1]:.6g}]; no interior quantile to map")
+    t, tp = _rearrange(mu, nu, x, level, upper)
+    if not np.isfinite(tp[0]):
+        raise CDFInversionFailure(f"{nu.name}: density vanishes at T({x[0]}) = {t[0]}")
+    return float(t[0]), float(tp[0])
 
 
 def transport_potential_1d(mu: Density1D, nu: Density1D) -> PotentialField:
     """Convex potential Phi with Phi' = monotone map of mu onto nu.
 
-    Built on the interior quantile range of mu; Phi'' comes from the density
-    ratio, Phi''' from differencing it.  The callbacks take one point of
-    shape (1,) or a column of n points of shape (n, 1), and return the value,
-    gradient, Hessian and third derivative with that leading shape.
-
-    Raises CDFInversionFailure when the CDF of nu is flat at a level that the
-    map reaches or crosses: the density of nu vanishes on a stretch inside
-    its support, so T jumps there and Phi'' is not defined.
+    Parametrized by level, at the nodes x of mu: T and T' come from
+    `_rearrange`, each level from the nearer tail.  Between the nodes T is
+    the cubic Hermite with the slopes T', Phi'' = pdf_mu(x) / pdf_nu(T(x)),
+    Phi is the cubic Hermite of T's running integral, and Phi''' is the
+    finite-difference fallback.  The callbacks take a point of shape (1,) or
+    a column of shape (n, 1), and return values with that leading shape.
+    CDFInversionFailure is raised outside the nodes of mu whose level and
+    image density are positive (nothing is extrapolated), and where nu's CDF
+    is flat at a level the map reaches or crosses (T jumps there).
     """
-    qs = np.linspace(1e-6, 1.0 - 1e-6, 2049)
-    xs = mu.ppf_many(qs)
-    xs = np.unique(xs)
-    us = mu.cdf_many(xs)
-    flat = nu.cdf_grid[np.flatnonzero(np.diff(nu.cdf_grid) == 0.0)]
-    crossed = flat[(flat >= us[0]) & (flat <= us[-1])]
-    if crossed.size:
-        nu._refuse_flat(crossed[0])
-    ts = nu.ppf_many(us)
-    tp = mu.pdf(xs) / np.maximum(nu.pdf(ts), 1e-300)
-    rows = np.stack([_cumulative_simpson(ts, x=xs), ts, tp])  # Phi, T = Phi' and T'
-    spl, t_spl, tp_spl = PiecewiseCubic.not_a_knot(xs, rows)
+    upper = mu.cdf_grid > mu.sf_grid
+    levels = np.where(upper, mu.sf_grid, mu.cdf_grid)
+    pos = np.flatnonzero(levels > 0.0)
+    live = slice(pos[0], pos[-1] + 1)
+    for tail in (False, True):  # a dead zone of nu is flat in its CDF or survival function
+        vals, ours = (nu.sf_grid, mu.sf_grid[live]) if tail else (nu.cdf_grid, mu.cdf_grid[live])
+        flat = vals[np.flatnonzero(np.diff(vals) == 0.0)]
+        crossed = flat[(flat > 0.0) & (flat <= 0.5) & (flat >= ours.min()) & (flat <= ours.max())]
+        if crossed.size:
+            nu._invert(crossed, tail)  # refuses them
+    xs, dxds = mu.grid[live], mu._dxds[live]
+    ts, tps = _rearrange(mu, nu, xs, levels[live], upper[live])
+    ok = np.flatnonzero(np.isfinite(tps))
+    xs, ts, tps, dxds = (v[ok[0]:ok[-1] + 1] for v in (xs, ts, tps, dxds))
+    t_fit = PiecewiseCubic(xs, ts, tps)
+    phi_fit = PiecewiseCubic(xs, _running_integrals(ts * dxds, mu._hs)[0], ts)
+
+    def inside(x):
+        x = np.asarray(x, dtype=float)
+        if not ((x >= xs[0]) & (x <= xs[-1])).all():
+            raise CDFInversionFailure(f"{mu.name} onto {nu.name}: the map is built on "
+                                      f"[{xs[0]:.17g}, {xs[-1]:.17g}] only")
+        return x
 
     return PotentialField(
-        fn=lambda x: spl(x)[..., 0],
-        grad=t_spl,
-        hess=lambda x: tp_spl(x)[..., None],
-        third=lambda x: tp_spl(x, 1)[..., None, None],
+        fn=lambda x: phi_fit(inside(x))[..., 0],
+        grad=lambda x: t_fit(inside(x)),
+        hess=lambda x: (mu.pdf(inside(x)) / nu.pdf(t_fit(x)))[..., None],
         convex=True,
     )
 
@@ -719,61 +740,39 @@ class KESolution:
     - Phi'' = G(y) / nu(y);
     - x(y) = int nu / G dy, its constant fixed by E_nu[x(y)] = 0.
 
-    Only the node values are kept, no interpolant.  `iterations` is always 1."""
+    Only node values of Phi and Phi'' are kept.  `iterations` is always 1."""
 
     grid: np.ndarray
     phi_vals: np.ndarray
     iterations: int
     residual_sup: float
+    d2_vals: np.ndarray
 
     def interior_mask(self, q_lo=0.005, q_hi=0.995):
-        """Nodes between two quantiles of exp(-Phi), by its composite-Simpson CDF."""
-        h = self.grid[1] - self.grid[0]
-        cdf = np.maximum.accumulate(_cumulative_simpson(np.exp(-self.phi_vals), dx=h))
+        """Nodes between two quantiles of exp(-Phi), by its running integrals."""
+        cdf = np.maximum.accumulate(
+            _running_integrals(np.exp(-self.phi_vals), self.grid[1] - self.grid[0])[0])
         return (cdf / cdf[-1] >= q_lo) & (cdf / cdf[-1] <= q_hi)
 
     def second_derivative(self):
-        return _fd5(self.phi_vals, self.grid[1] - self.grid[0], order=2)
+        return self.d2_vals
 
 
-def _fd5(vals, h, order):
-    """Five-point first or second derivative on a uniform grid; one-sided
-    copies at the two boundary nodes on each end."""
-    n = len(vals)
-    out = np.empty(n)
+def _fd5(vals, h):
+    """Five-point first derivative on a uniform grid; one-sided copies at the
+    two boundary nodes on each end."""
     v = vals
-    if order == 1:
-        out[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
-    else:
-        out[2:-2] = (-v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3] - v[:-4]) / (
-            12 * h * h
-        )
+    out = np.empty(len(v))
+    out[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
     out[:2] = out[2]
     out[-2:] = out[-3]
     return out
 
 
-def _running_integrals(f, h, tails=False):
-    """(int_{s_0}^{s_i} f, int_{s_i}^{s_n} f) at the nodes s_i of a uniform grid
-    of step h: trapezoid sums with the Euler-Maclaurin correction h^2/12 f'
-    (five-point f'), so the O(h^4) error varies smoothly from node to node.
-    With `tails`, each also takes the geometric tail past its end node,
-    f_end / lambda with lambda the decay rate over the last two nodes."""
-    panels = 0.5 * h * (f[1:] + f[:-1])
-    c = h * h / 12.0 * _fd5(f, h, order=1)
-    left = np.concatenate([[0.0], np.cumsum(panels)]) - (c - c[0])
-    right = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]]) - (c[-1] - c)
-    if tails:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.log(f[[1, -2]] / f[[0, -1]]) / h
-            tail = np.where(rate > 0.0, f[[0, -1]] / rate, 0.0)
-        left, right = left + tail[0], right + tail[1]
-    return left, right
-
-
 def _quintic_hermite(x, p, d1, d2, t):
     """At the points t, the C^2 piecewise quintic with values p, slopes d1 and
-    second derivatives d2 at the increasing knots x."""
+    second derivatives d2 at the increasing knots x, and its second
+    derivative."""
     j = np.clip(np.searchsorted(x, t) - 1, 0, x.size - 2)
     h = x[j + 1] - x[j]
     u = (t - x[j]) / h
@@ -782,9 +781,15 @@ def _quintic_hermite(x, p, d1, d2, t):
     w10 = u - u3 * (6.0 - 8.0 * u + 3.0 * u * u)
     w11 = -u3 * (4.0 - 7.0 * u + 3.0 * u * u)
     w20, w21 = 0.5 * u * u * (1.0 - u) ** 3, 0.5 * u3 * (1.0 - u) ** 2
+    dp, e0, e1 = p[j + 1] - p[j], h * d1[j], h * d1[j + 1]
     # p[j] is added last, so the result is rounded once at its magnitude
-    return p[j] + (w01 * (p[j + 1] - p[j]) + h * (w10 * d1[j] + w11 * d1[j + 1])
-                   + h * h * (w20 * d2[j] + w21 * d2[j + 1]))
+    value = p[j] + (w01 * dp + w10 * e0 + w11 * e1 + h * h * (w20 * d2[j] + w21 * d2[j + 1]))
+    second = (u * (60.0 - 180.0 * u + 120.0 * u * u) * dp
+              - u * (36.0 - 96.0 * u + 60.0 * u * u) * e0
+              - u * (24.0 - 84.0 * u + 60.0 * u * u) * e1) / (h * h)
+    second += ((1.0 - u * (9.0 - 18.0 * u + 10.0 * u * u)) * d2[j]
+               + u * (3.0 - 12.0 * u + 10.0 * u * u) * d2[j + 1])
+    return value, second
 
 
 def ke_solve_1d(nu: Density1D, tol=1e-8) -> KESolution:
@@ -800,62 +805,52 @@ def ke_solve_1d(nu: Density1D, tol=1e-8) -> KESolution:
     - x(y) = int nu / G dy, its constant fixed by E_nu[x(y)] = 0, the
       barycenter of exp(-Phi).
 
-    The integrals are running sums (`_running_integrals`) over s, on
-    `_KE_GRID` uniform nodes in [-_KE_S, _KE_S]: y + m is the quantile at
-    level 1/(1 + exp(-2s)) of the logistic law with nu's quartiles truncated
-    to [a, b], m the barycenter.  Like nu's own quantiles at levels uniform in
-    logit, these nodes crowd toward the support ends, where nu / G has its
+    The integrals are running sums (`_running_integrals`) over s on nu's own
+    nodes, which crowd toward the support ends, where nu / G has its
     1/(b - y) singularity, follow the bulk of nu and are near-uniform in x.
     G is summed from the nearer end, so it keeps its relative accuracy in the
-    tails; m comes from the same sums, so both ends give one G.  Phi = -log G
-    is the quintic Hermite in x with slopes y and second derivatives G/nu,
-    sampled on a uniform grid of `_KE_GRID` nodes: [-42/e, 42/e] (e the
-    distance from m to the nearer support end), or wider to keep the nodes
-    where exp(-Phi) is above 2^-52 of its peak, for a target much narrower
-    than its support such as a wide truncated Gaussian; past the outer nodes it is
-    the linear asymptote whose slope is the support end.  No iteration and no
-    BLAS reduction, so the result does not depend on the BLAS thread count.
+    tails; the barycenter m comes from the same sums, so both ends give one
+    G.  Phi = -log G is the quintic Hermite in x with slopes y and second
+    derivatives G/nu, sampled with its second derivative on a uniform grid
+    of `_KE_GRID` nodes: [-42/e, 42/e] (e the distance from m to the nearer
+    support end), or wider to keep the nodes where exp(-Phi) is above 2^-52
+    of its peak, for a target much narrower than its support such as a wide
+    truncated Gaussian; past the outer nodes it is the linear asymptote whose
+    slope is the support end.  No iteration and no BLAS reduction, so the
+    result does not depend on the BLAS thread count.
 
-    `residual_sup` is sup |Phi'' nu(Phi') - exp(-Phi)|, with five-point
-    differences for Phi' and Phi'', over the 0.005-0.995 quantile range of
-    exp(-Phi); NoConvergence is raised when it is not below `tol`.
+    `residual_sup` is sup |Phi'' nu(Phi') - exp(-Phi)|, with the quintic's
+    Phi'' and five-point differences for Phi', over the 0.005-0.995 quantile
+    range of exp(-Phi); NoConvergence is raised when it is not below `tol`.
     """
     a, b = nu.support
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonCompactTarget("the Kahler-Einstein potential needs compact support")
-    q1, c, q3 = np.interp([0.25, 0.5, 0.75], nu.cdf_grid, nu.grid)
-    sc = (q3 - q1) / (2.0 * math.log(3.0))  # the logistic law with nu's quartiles
-    ea, eb = math.exp((a - c) / sc), math.exp((c - b) / sc)
-    pa, qb = ea / (1.0 + ea), eb / (1.0 + eb)  # its mass below a and above b
-    span = 1.0 - pa - qb
-    s, hs = np.linspace(-_KE_S, _KE_S, _KE_GRID, retstep=True)
-    u, u_c = 1.0 / (1.0 + np.exp(-2.0 * s)), 1.0 / (1.0 + np.exp(2.0 * s))
-    p, q = pa + span * u, qb + span * u_c
-    t, dyds = sc * np.log(p / q), 2.0 * sc * span * u * u_c / (p * q)
-    f = nu.pdf(c + t) * dyds  # the density of s
-    (f_l, f_r), (tf_l, tf_r) = (_running_integrals(k, hs, tails=True) for k in (f, t * f))
-    mass = f_l[0] + f_r[0]
-    m = (tf_l[0] + tf_r[0]) / mass  # the barycenter, from c
+    c, hs, dyds = 0.5 * (a + b), nu._hs, nu._dxds
+    t, f = nu.grid - c, nu._pdf_grid * dyds  # f: the density of s
+    (f_l, f_r), (tf_l, tf_r) = nu._integrate(nu._pdf_grid), nu._integrate(t * nu._pdf_grid)
+    mass, m = f_l[-1], tf_l[-1] / f_l[-1]  # m: the barycenter, from c
     y = t - m
     g = np.where(y < 0.0, m * f_l - tf_l, tf_r - m * f_r)
     live = np.flatnonzero((f > 0.0) & (g > 0.0))
     y, f, g, dyds = (k[live[0]:live[-1] + 1] for k in (y, f, g, dyds))
     x = _running_integrals(f / g, hs)[0]
-    x = x - np.add(*_running_integrals(x * f, hs, tails=True))[0] / mass
+    x = x - _running_integrals(x * f, hs)[0][-1] / mass
 
     lo, hi = a - c - m, b - c - m
     phi = -np.log(g)
     kept = x[phi - phi.min() <= _KE_ROUNDOFF_LOG]
     half = max(_TAIL_LOG / min(-lo, hi), -kept[0], kept[-1])
     grid, h = np.linspace(-half, half, _KE_GRID, retstep=True)
-    out = _quintic_hermite(x, phi, y, g / f * dyds, grid)
+    out, d2 = _quintic_hermite(x, phi, y, g / f * dyds, grid)
     out = np.where(grid < x[0], phi[0] + lo * (grid - x[0]), out)
     out = np.where(grid > x[-1], phi[-1] + hi * (grid - x[-1]), out)
 
-    sol = KESolution(grid=grid, phi_vals=out, iterations=1, residual_sup=math.inf)
+    sol = KESolution(grid=grid, phi_vals=out, iterations=1, residual_sup=math.inf,
+                     d2_vals=np.where((grid < x[0]) | (grid > x[-1]), 0.0, d2))
     mask = sol.interior_mask()
     d2 = sol.second_derivative()[mask]
-    d1 = np.clip(_fd5(out, h, order=1)[mask] + c + m, a + 1e-13, b - 1e-13)
+    d1 = np.clip(_fd5(out, h)[mask] + c + m, a + 1e-13, b - 1e-13)
     if d2.min() > 0.0:
         sol.residual_sup = float(np.abs(d2 * nu.pdf(d1) - np.exp(-out[mask])).max())
     if not sol.residual_sup < tol:

@@ -158,6 +158,15 @@ class TestStructuralRelations:
         wc = classical.rhs_weight.values(pts)[:, 0, 0]
         assert np.all(wr <= 2.0 * wc + 1e-8)
 
+    def test_refined_q_is_one_between_gaussians(self):
+        # T(x) = 1.2 x onto N(0, 1.44): Phi'' = 1.2 and Q = 1 exactly; the
+        # Hermite map on the level nodes keeps that out to |x| = 8
+        mu, nu = ms.gaussian(1), ms.gaussian(1, sigma=1.2)
+        q, phi = cat._refined_q_1d(mu, nu)
+        pts = np.linspace(-8.0, 8.0, 3203)[:, None]
+        assert np.abs(q(pts) - 1.0).max() < 1e-9
+        assert np.abs(phi.hess(pts)[:, 0, 0] - 1.2).max() < 1e-9
+
     def test_refined_q_batch_matches_pointwise(self):
         # one spline call on the sample column against the pointwise
         # potential-field path, on a target with curvature in W''

@@ -595,11 +595,12 @@ class TestSubcommands:
         assert abs(rows[0]["monge_ampere_residual"]) < 1e-6
 
     @pytest.mark.parametrize("argv,start", [
-        # exp(1) has no mass below 0, and F(40) = 1 to double precision
+        # exp(1) has no mass below 0, and its nodes end at 49.36, where
+        # 1 - F = exp(-49.36) is the last level they resolve
         (["transport", "--mu", '{"kind": "exp_product"}', "--nu", '{"kind": "uniform_interval"}',
           "--points", "-1"], "runtime error: exp: F(-1.0) = 0.0 "),
         (["transport", "--mu", '{"kind": "exp_product"}', "--nu", '{"kind": "uniform_interval"}',
-          "--points", "40"], "runtime error: exp: F(40.0) = 1.0 "),
+          "--points", "60"], "runtime error: exp: 1 - F(60.0) = 0.0 "),
         # |x|^2 overflows the step size, so the stencil metric is NaN
         (["ricci", "--family", '{"type": "product_exp", "lam": 0.5}', "--point", "1e200", "1"],
          "runtime error: metric not positive definite at "),

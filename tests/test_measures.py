@@ -185,68 +185,68 @@ class TestPotentialBatches:
             np.testing.assert_allclose(batch, stacked, rtol=1e-14, atol=1e-14)
 
 
-# sha256 prefixes of `sample(n, 7)` for every product kind, pinned from the
-# column-by-column sampler with scipy's PCHIP evaluation (numpy 2.4.6, scipy
-# 1.17.1, x86-64); the block sampler and the guided quantile keep them
+# sha256 prefixes of `sample(n, 7)` for every product kind, pinned on the
+# graded density nodes (numpy 2.4.6, x86-64); the guided quantile is bit for
+# bit scipy's PCHIP on those nodes (TestGuidedQuantile)
 _SAMPLE_DIGESTS = {
-    ("gaussian", 1, 100): "221c6618f8eb85bd",
-    ("gaussian", 1, 4001): "842ce632653647f7",
-    ("gaussian", 3, 100): "ab0c6a677ac93896",
-    ("gaussian", 3, 4001): "659b53fd2ce56a12",
-    ("gaussian", 12, 100): "a1b99b4466466bdf",
-    ("gaussian", 12, 4001): "8605fb0caf4a3102",
-    ("exp_product", 1, 100): "c518eb309ef2482b",
-    ("exp_product", 1, 4001): "0fa029ed3a87f48b",
-    ("exp_product", 3, 100): "df8f6bb0908596b4",
-    ("exp_product", 3, 4001): "606c4ceff32b194c",
-    ("exp_product", 12, 100): "50ccf7d774476c9f",
-    ("exp_product", 12, 4001): "229a13bbd18cb7f1",
-    ("power_product", 1, 100): "ff99652d6157b725",
-    ("power_product", 1, 4001): "ace250180b014723",
-    ("power_product", 3, 100): "2db5e85a5f4b0f09",
-    ("power_product", 3, 4001): "f7c2166785dc7e49",
-    ("power_product", 12, 100): "848ccf523bad8f22",
-    ("power_product", 12, 4001): "21f792b02322cdbd",
-    ("exp_quad_orthant", 1, 100): "cfb9183fdd1ac9e6",
-    ("exp_quad_orthant", 1, 4001): "8f8305f286e8c549",
-    ("exp_quad_orthant", 3, 100): "cabcf2015c662126",
-    ("exp_quad_orthant", 3, 4001): "ed92612580901593",
-    ("exp_quad_orthant", 12, 100): "1e2d7236e421edc3",
-    ("exp_quad_orthant", 12, 4001): "b4b639ed96c9b6a2",
-    ("trunc_gaussian_orthant", 1, 100): "868dc2815f388724",
-    ("trunc_gaussian_orthant", 1, 4001): "fefcb07ef402b139",
-    ("trunc_gaussian_orthant", 3, 100): "13175ca94bb0cab2",
-    ("trunc_gaussian_orthant", 3, 4001): "5f177ba14267e050",
-    ("trunc_gaussian_orthant", 12, 100): "12dbb45642aaf7dc",
-    ("trunc_gaussian_orthant", 12, 4001): "b5dc2e199900d968",
-    ("uniform_box_orthant", 1, 100): "c8860e2bd0e7b6f3",
-    ("uniform_box_orthant", 1, 4001): "ad57eae2e6167dc3",
-    ("uniform_box_orthant", 3, 100): "a3d48c75ec33308b",
-    ("uniform_box_orthant", 3, 4001): "86e8f8290b6adef2",
-    ("uniform_box_orthant", 12, 100): "84ea85a1b231f761",
-    ("uniform_box_orthant", 12, 4001): "f3b16ba6d75d8711",
-    ("laplace_product", 1, 100): "bd5db0878a3789b3",
-    ("laplace_product", 1, 4001): "0a6e8c4e40566915",
-    ("laplace_product", 3, 100): "705820c7ab0fe919",
-    ("laplace_product", 3, 4001): "c28c8ec989db034b",
-    ("laplace_product", 12, 100): "ad979e1ba536b872",
-    ("laplace_product", 12, 4001): "d66c697bf576a1ba",
-    ("trunc_gaussian_sym", 1, 100): "55ab355ec37e3989",
-    ("trunc_gaussian_sym", 1, 4001): "6925438ca16f2a13",
-    ("trunc_gaussian_sym", 3, 100): "d388ce9af59f2c8b",
-    ("trunc_gaussian_sym", 3, 4001): "26db0cd9aab42a5d",
-    ("trunc_gaussian_sym", 12, 100): "6ff3ada36d1f97ff",
-    ("trunc_gaussian_sym", 12, 4001): "8a14b9d74d961dbe",
-    ("uniform_interval", 1, 100): "5413f91b878ade05",
-    ("uniform_interval", 1, 4001): "63b71db0e6246fac",
-    ("cos_interval", 1, 100): "61e8614571413031",
-    ("cos_interval", 1, 4001): "18f13a10e6ea1757",
-    ("flat_power_1d", 1, 100): "767b40b78e4dec16",
-    ("flat_power_1d", 1, 4001): "9e80fb3444c689a0",
-    ("gaussian+orthant", 4, 4001): "aaf5fa402da53ae9",
-    ("laplace_product+orthant", 4, 4001): "12afef9f1477d285",
-    ("trunc_gaussian_sym+orthant", 4, 4001): "1df419123b1a6761",
-    ("gamma_power_product", 3, 4001): "7cb274616a5af880",
+    ("gaussian", 1, 100): "03e2e4c042d5d265",
+    ("gaussian", 1, 4001): "11ffbf02cecc0ced",
+    ("gaussian", 3, 100): "ee4d4f206d054341",
+    ("gaussian", 3, 4001): "840e516869b0a619",
+    ("gaussian", 12, 100): "782050f204358c7f",
+    ("gaussian", 12, 4001): "ddd6265cd864d667",
+    ("exp_product", 1, 100): "a48fb5d6bb00b32c",
+    ("exp_product", 1, 4001): "16f93a0188a7706e",
+    ("exp_product", 3, 100): "541c78cacfb6ef57",
+    ("exp_product", 3, 4001): "7d5dbac4d6445400",
+    ("exp_product", 12, 100): "387c160ed8746eda",
+    ("exp_product", 12, 4001): "d5e3fc77747d7e15",
+    ("power_product", 1, 100): "8cc1060b52438de8",
+    ("power_product", 1, 4001): "40c0fb121db6713c",
+    ("power_product", 3, 100): "4e1525cd5cd81491",
+    ("power_product", 3, 4001): "05b41c3262990cd7",
+    ("power_product", 12, 100): "0732582f01d4226a",
+    ("power_product", 12, 4001): "caf09a904ce09bb6",
+    ("exp_quad_orthant", 1, 100): "8a4b13aa3b778c42",
+    ("exp_quad_orthant", 1, 4001): "3527999645d58fe4",
+    ("exp_quad_orthant", 3, 100): "e27b6950492dd3d1",
+    ("exp_quad_orthant", 3, 4001): "232d7490d7f932ca",
+    ("exp_quad_orthant", 12, 100): "ebfc5555804aa74f",
+    ("exp_quad_orthant", 12, 4001): "49107c3deadc270f",
+    ("trunc_gaussian_orthant", 1, 100): "84697b8ac5d4a0ff",
+    ("trunc_gaussian_orthant", 1, 4001): "f014836df978ecfe",
+    ("trunc_gaussian_orthant", 3, 100): "6dd5231343df5127",
+    ("trunc_gaussian_orthant", 3, 4001): "b3d4c79d75b39f2a",
+    ("trunc_gaussian_orthant", 12, 100): "28157f327dad70c7",
+    ("trunc_gaussian_orthant", 12, 4001): "353b687e4ca7ddb5",
+    ("uniform_box_orthant", 1, 100): "f84774927cb4cf4e",
+    ("uniform_box_orthant", 1, 4001): "888e32005ad642cf",
+    ("uniform_box_orthant", 3, 100): "c92413d5767ea3e7",
+    ("uniform_box_orthant", 3, 4001): "a130b61a5db46689",
+    ("uniform_box_orthant", 12, 100): "3f5d4f9056092c39",
+    ("uniform_box_orthant", 12, 4001): "0e1bc838e740947b",
+    ("laplace_product", 1, 100): "0b712d68c9b79c7e",
+    ("laplace_product", 1, 4001): "0eabfe8882f26c93",
+    ("laplace_product", 3, 100): "e6076bb4b0d6a1cb",
+    ("laplace_product", 3, 4001): "5f41ecb0437ba02c",
+    ("laplace_product", 12, 100): "b4621418ddf994f7",
+    ("laplace_product", 12, 4001): "28e4cc0f2d7a35d1",
+    ("trunc_gaussian_sym", 1, 100): "6d5910ea6ffdf8e3",
+    ("trunc_gaussian_sym", 1, 4001): "7eb46bf49a1c316b",
+    ("trunc_gaussian_sym", 3, 100): "cfdc95e5af0ffae9",
+    ("trunc_gaussian_sym", 3, 4001): "812f806f2b14d7df",
+    ("trunc_gaussian_sym", 12, 100): "d3b561b9bc82f357",
+    ("trunc_gaussian_sym", 12, 4001): "0899452747e3dcf3",
+    ("uniform_interval", 1, 100): "f6031d6f32eba076",
+    ("uniform_interval", 1, 4001): "6341d96a077dd0fe",
+    ("cos_interval", 1, 100): "5f52bd344d3646a7",
+    ("cos_interval", 1, 4001): "e1c930c50ff9bd97",
+    ("flat_power_1d", 1, 100): "5970a74ff08c6a44",
+    ("flat_power_1d", 1, 4001): "0f3608f6fe86d5c0",
+    ("gaussian+orthant", 4, 4001): "3a127d2232879d56",
+    ("laplace_product+orthant", 4, 4001): "496a36f92c7f7bd3",
+    ("trunc_gaussian_sym+orthant", 4, 4001): "dffd51a18aee0aaa",
+    ("gamma_power_product", 3, 4001): "fca85670b664ca99",
 }
 
 _SPEC_PARAMS = {"power_product": {"q": 1.5}, "flat_power_1d": {"q": 3.0}}

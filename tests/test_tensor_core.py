@@ -10,6 +10,7 @@ import pytest
 from riccikit import families, fields, numdiff, tensor_core as tc
 from riccikit.errors import (
     InvalidDimensionParameter,
+    NonFiniteConstant,
     NonPositiveDefiniteMetric,
     StepTooLarge,
 )
@@ -224,6 +225,14 @@ class TestGeneralizedRicci:
             a = families.hessian_ricci(data, x)
             cp = tc.generalized_ricci(m, v, x)
             assert np.abs(a - cp.ric_gmu).max() < 1e-5
+
+    def test_underflowed_metric_refused(self):
+        # |x|^-1.6 is about 1e-224 at 1e140: the metric's derivatives underflow
+        # to 0, and the tensor would read Hess V = Id
+        data = families.ConformalMetricData.radial(0.8, 1e-6)
+        m = fields.conformal_metric(data.phi, 2)
+        with pytest.raises(NonFiniteConstant, match="underflow at .* along e_1"):
+            tc.generalized_ricci(m, fields.gaussian_potential(2), [1e140, 1.0])
 
     def test_symmetry_of_outputs(self, rng):
         phi = logcosh_phi(3)
