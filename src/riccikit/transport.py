@@ -275,20 +275,25 @@ class Density1D:
     def pdf(self, x):
         return np.exp(-self.potential(x))
 
-    def _log_hermite(self, j, x, upper):
-        """log F (log(1 - F) with `upper`) and its slope at x in the node
-        panel j: the cubic Hermite of the node values with slopes pdf / F,
-        which keeps their relative accuracy into the tail."""
+    def _log_hermite(self, j, upper):
+        """On the node panels j, the function of x that gives log F (log(1 - F)
+        with `upper`) and its slope: the cubic Hermite of the node values with
+        slopes pdf / F, which keeps their relative accuracy into the tail."""
         if self._logs[upper] is None:
             f = np.maximum(self.sf_grid if upper else self.cdf_grid, np.finfo(float).tiny)
             self._logs[upper] = np.log(f), (-1.0 if upper else 1.0) * self._pdf_grid / f
         y, d = self._logs[upper]
         end = self.grid.size - 2 if upper else 0  # F (1 - F) is 0 at its end node
         j = np.where(j == end, end + (-1 if upper else 1), j)  # a finite stand-in there
-        h = self.grid[j + 1] - self.grid[j]
-        u, m0, m1, dy = (x - self.grid[j]) / h, h * d[j], h * d[j + 1], y[j + 1] - y[j]
+        x0, h, y0 = self.grid[j], self.grid[j + 1] - self.grid[j], y[j]
+        m0, m1, dy = h * d[j], h * d[j + 1], y[j + 1] - y0
         a, b = 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy
-        return y[j] + u * (m0 + u * (a + u * b)), (m0 + u * (2.0 * a + 3.0 * u * b)) / h
+
+        def at(x):
+            u = (x - x0) / h
+            return y0 + u * (m0 + u * (a + u * b)), (m0 + u * (2.0 * a + 3.0 * u * b)) / h
+
+        return at
 
     def _hermite(self, x, upper):
         """exp(`_log_hermite`) at a batch of points, linear on the end panel
@@ -296,7 +301,7 @@ class Density1D:
         x, g = np.asarray(x, dtype=float), self.grid
         j = np.clip(np.searchsorted(g, x, "right") - 1, 0, g.size - 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.minimum(np.exp(self._log_hermite(j, x, upper)[0]), 1.0)
+            out = np.minimum(np.exp(self._log_hermite(j, upper)(x)[0]), 1.0)
         f, i, o = (self.sf_grid, -2, -1) if upper else (self.cdf_grid, 1, 0)  # 0 at node o
         out = np.where((x > g[i]) if upper else (x < g[i]), f[i] * (x - g[o]) / (g[i] - g[o]), out)
         return np.where(x < g[0], float(upper), np.where(x > g[-1], float(not upper), out))
@@ -327,25 +332,20 @@ class Density1D:
                 f"[{g[k[i]]:.6g}, {g[min(k[i] + 1, n - 1)]:.6g}]; density vanishes inside support")
         lo, hi = self.grid[k - 1], self.grid[k]
         frac = (sign * level - vals[k - 1]) / (vals[k] - vals[k - 1])
-        t = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
-        # Newton where t is not met yet; on the linear end panel it is exact
-        target, act = np.log(level), np.flatnonzero(k != (n - 1 if upper else 1))
-        for _ in range(60):
-            y, slope = self._log_hermite(k[act] - 1, t[act], upper)
-            r, ta = y - target[act], t[act]
+        t = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)  # exact on the linear end panel
+        inner = np.flatnonzero(k != (n - 1 if upper else 1))
+        at, target = self._log_hermite(k[inner] - 1, upper), np.log(level[inner])
+        ti, lo, hi = t[inner], lo[inner], hi[inner]
+        for _ in range(60):  # Newton in the panel, until a step is 1e-10 of it or an ulp
+            y, slope = at(ti)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = r / slope
-            # met, or t at float resolution (F may move by more than 1e-15 per ulp)
-            go = (np.abs(r) > 1e-15) & ~(np.abs(step) <= 2.0 * np.spacing(np.abs(ta)))
-            act, ta, r, step = act[go], ta[go], r[go], step[go]
-            if not act.size:
+                step = (y - target) / slope
+            ti = np.clip(ti - step, lo, hi)
+            if (np.abs(step) <= np.maximum(1e-10 * (hi - lo), 2.0 * np.spacing(np.abs(ti)))).all():
+                t[inner] = ti
                 return t
-            lo[act] = np.where(sign * r < 0.0, ta, lo[act])
-            hi[act] = np.where(sign * r > 0.0, ta, hi[act])
-            new = ta - step
-            t[act] = np.where((new > lo[act]) & (new < hi[act]), new, 0.5 * (lo[act] + hi[act]))
-        raise CDFInversionFailure(f"{self.name}: no quantile at level {level[act[0]]:.10g}: "
-                                  f"Newton does not settle at x = {t[act[0]]:.17g}")
+        raise CDFInversionFailure(f"{self.name}: no quantile at some of the levels "
+                                  f"{level[inner][:3]}: Newton does not settle")
 
     def ppf(self, u):
         """Quantile at level u, from the nearer tail (`_invert`)."""
