@@ -540,18 +540,24 @@ class TestScipyFreeRoutines:
         assert np.isnan(got(np.nan))
         assert got(t[:600].reshape(3, 200)).shape == (3, 200)
 
+    # the kinks of the product kinds' potentials, which quad is told of
+    _KINKS = {"laplace_product": [0.0], "flat_power_1d": [2.0 / 3.0]}
+
     @staticmethod
-    def _quad(dens, weight, points):
+    def _quad(dens, weight, points, a=None, b=None):
+        """int_a^b weight * pdf, over the nodes' range by default."""
         # at this tolerance quad reports the roundoff it meets on the way
         import warnings
 
         from scipy import integrate
 
+        a = dens.grid[0] if a is None else a
+        b = dens.grid[-1] if b is None else b
+        points = [p for p in points or () if a < p < b] or None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(lambda t: weight(t) * float(dens.pdf(t)), dens.grid[0],
-                                    dens.grid[-1], epsabs=0.0, epsrel=1e-13, limit=1000,
-                                    points=points)
+            val, _ = integrate.quad(lambda t: weight(t) * float(dens.pdf(t)), a, b,
+                                    epsabs=0.0, epsrel=1e-13, limit=1000, points=points)
         return val
 
     @pytest.mark.parametrize("doc", _PRODUCT_KINDS, ids=lambda doc: doc["kind"])
@@ -562,8 +568,105 @@ class TestScipyFreeRoutines:
         from riccikit import measures
 
         dens = measures.from_spec(doc, 1).coord_densities[0]
-        kinks = {"laplace_product": [0.0], "flat_power_1d": [2.0 / 3.0]}.get(doc["kind"])
+        kinks = self._KINKS.get(doc["kind"])
         for k in (0, 1, 2):
             want = self._quad(dens, lambda t: t**k, kinks)
             scale = self._quad(dens, abs, kinks) if k == 1 else want
             assert abs(dens.moment(k) - want) <= 1e-13 * scale, k
+
+    @pytest.mark.parametrize("doc", _PRODUCT_KINDS, ids=lambda doc: doc["kind"])
+    def test_node_cdf_and_sf_match_quad(self, doc):
+        # the running sums from the left and from the right end at 41 nodes,
+        # end nodes included, and their sum 1
+        from riccikit import measures
+
+        dens = measures.from_spec(doc, 1).coord_densities[0]
+        g, kinks, one = dens.grid, self._KINKS.get(doc["kind"]), lambda t: 1.0
+        assert dens.cdf_grid[0] == 0.0 and dens.sf_grid[-1] == 0.0
+        for i in np.linspace(0, g.size - 1, 41).astype(int):
+            lower = self._quad(dens, one, kinks, b=g[i]) if i else 0.0
+            upper = self._quad(dens, one, kinks, a=g[i]) if i < g.size - 1 else 0.0
+            assert abs(dens.cdf_grid[i] - lower) <= 2e-13, i
+            assert abs(dens.sf_grid[i] - upper) <= 2e-13, i
+            assert abs(dens.cdf_grid[i] + dens.sf_grid[i] - 1.0) <= 1e-13, i
+
+    @pytest.mark.parametrize("doc", _PRODUCT_KINDS, ids=lambda doc: doc["kind"])
+    def test_cdf_and_sf_between_nodes_match_quad_in_the_nearer_tail(self, doc):
+        # cdf below the median and sf above it keep 1e-9 relative accuracy
+        # at any point of the nodes' range, however far out in a tail
+        from riccikit import measures
+
+        dens = measures.from_spec(doc, 1).coord_densities[0]
+        g, kinks, one = dens.grid, self._KINKS.get(doc["kind"]), lambda t: 1.0
+        for x in np.random.default_rng(5).uniform(g[0], g[-1], 100):
+            if dens.cdf(x) <= 0.5:
+                got, want = dens.cdf(x), self._quad(dens, one, kinks, b=x)
+            else:
+                got, want = dens.sf(x), self._quad(dens, one, kinks, a=x)
+            assert abs(got / want - 1.0) <= 1e-9, x
+
+
+class TestDensityNodes:
+    """The graded nodes, the node on the minimizer and the running sums that
+    every Density1D is built on."""
+
+    @staticmethod
+    def _s():
+        return np.linspace(-tr._S, tr._S, tr._NODES, retstep=True)
+
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 4])
+    def test_running_integrals_exact_on_quartics(self, deg):
+        # trapezoid sums with both Euler-Maclaurin corrections integrate a
+        # quartic exactly, from either end, with or without a cut node
+        x, h = np.linspace(-1.0, 2.0, 61, retstep=True)
+        lower = (x ** (deg + 1) - x[0] ** (deg + 1)) / (deg + 1)
+        for cut in (None, 7, 30):
+            left, right = tr._running_integrals(x**deg, h, cut)
+            assert left[0] == 0.0 and right[-1] == 0.0
+            assert np.abs(left - lower).max() < 1e-13, cut
+            assert np.abs(right - (lower[-1] - lower)).max() < 1e-13, cut
+
+    def test_running_integrals_sixth_order(self):
+        # the error is O(h^6): halving the step divides it by about 64
+        errs = []
+        for n in (41, 81, 161):
+            x, h = np.linspace(0.0, 2.0, n, retstep=True)
+            left, right = tr._running_integrals(np.exp(x), h)
+            errs.append(max(np.abs(left - np.expm1(x)).max(),
+                            np.abs(right - (math.exp(2.0) - np.exp(x))).max()))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 50.0 < coarse / fine < 80.0, errs
+
+    def test_running_integrals_cut_at_a_kink(self):
+        # |x| is exact with its kink as the cut node, and not across it
+        x, h = np.linspace(-1.0, 2.0, 61, retstep=True)
+        k = int(np.argmin(np.abs(x)))
+        assert x[k] == 0.0
+        lower = np.where(x < 0.0, 0.5 * (1.0 - x * x), 0.5 * (1.0 + x * x))
+        left, right = tr._running_integrals(np.abs(x), h, k)
+        assert np.abs(left - lower).max() < 1e-14
+        assert np.abs(right - (2.5 - lower)).max() < 1e-14
+        assert np.abs(tr._running_integrals(np.abs(x), h)[0] - lower).max() > 1e-5
+
+    @pytest.mark.parametrize("lo,hi,c,sc", [(-13.0, 13.0, 0.0, 13.0 / 24.0),
+                                            (0.0, 49.0, 24.5, 49.0 / 48.0),
+                                            (0.0, 1.0, 0.3, 0.1)])
+    def test_graded_nodes(self, lo, hi, c, sc):
+        # the nodes run from lo to hi, increasing, and dx/ds is their slope:
+        # its running sums give back x - lo and hi - x
+        s, hs = self._s()
+        x, dxds = tr._graded_nodes(lo, hi, c, sc, s)
+        assert x[0] == lo and x[-1] == hi and np.all(np.diff(x) > 0.0)
+        left, right = tr._running_integrals(dxds, hs)
+        assert np.abs(left - (x - lo)).max() < 1e-12 * (hi - lo)
+        assert np.abs(right - (hi - x)).max() < 1e-12 * (hi - lo)
+
+    def test_node_at_puts_a_node_on_the_point(self):
+        s, _ = self._s()
+        lo, hi, sc = 0.0, 1.0, 0.1
+        for x0 in (1e-9, 0.1, 0.3, 0.77):
+            j, c = tr._node_at(lo, hi, 0.3, sc, x0, s)
+            x, _ = tr._graded_nodes(lo, hi, c, sc, s)
+            assert 8 <= j < s.size - 8 and abs(x[j] - x0) <= 4.0 * np.spacing(1.0), x0
+        # within 8 nodes of an end the law is left where it is
+        assert tr._node_at(0.0, 49.0, 24.5, 49.0 / 48.0, 4.9e-8, s) == (None, 24.5)
