@@ -14,6 +14,7 @@ abscissae and returns an array of the same shape, or a scalar, which is
 broadcast.  A single point is a batch of one.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -37,6 +38,7 @@ _COVER = 24.0  # the working interval reaches at most this many logistic scales
 _TAIL_LOG = 42.0  # cut the working interval where the density has fallen
                   # below exp(-42) of its peak (past the 1e-12 quantile)
 _KE_GRID = 16385  # nodes of the uniform x grid of the KE potential
+_TINY = np.finfo(float).tiny
 _KE_ROUNDOFF_LOG = 52.0 * math.log(2.0)  # exp(-Phi) below 2^-52 of its peak is roundoff
 # the Euler-Maclaurin correction h^2/12 f' - h^4/720 f''' at the first two
 # nodes of a grid, in units of h/2880, from the six-point one-sided stencils
@@ -52,22 +54,19 @@ class PiecewiseCubic:
     """The C^1 cubic with values y and slopes d at knots x, as scipy's
     `CubicHermiteSpline`: c0 s^3 + c1 s^2 + c2 s + c3, s = t - x_j, on piece j.
     `pchip` takes the slopes of scipy 1.17.1's `PchipInterpolator` (Fritsch &
-    Carlson 1980) bit for bit.  A call finds each piece by a guide table
-    (Chen & Asau 1974): a bucket per piece width names a piece at or left of
-    the abscissa's, two forward steps follow, and abscissae still unresolved
-    (crowded tails) binary-search."""
+    Carlson 1980) bit for bit.  A call not given its pieces finds them by a
+    guide table (Chen & Asau 1974), built on the first such call: a bucket
+    per piece width names a piece at or left of the abscissa's, two forward
+    steps follow, and abscissae still unresolved (crowded tails)
+    binary-search."""
 
     def __init__(self, x, y, d):
-        h, k = np.diff(x), x.size - 1
+        h = np.diff(x)
         slope = np.diff(y) / h
         t = (d[:-1] + d[1:] - 2 * slope) / h
         # 0.0 + as scipy's evaluation starts from 0.0, which turns -0.0 into 0.0
         self.c = (t / h, (slope - d[:-1]) / h - t, 0.0 + d[:-1], 0.0 + y[:-1])
-        self.x, self.scale = x, k / (x[-1] - x[0])
-        # guide[b]: the last piece whose left knot lies in a bucket before b
-        buckets = np.fmin((x[:-1] - x[0]) * self.scale, k - 1).astype(np.intp)
-        self.guide = np.maximum(np.r_[0, np.cumsum(np.bincount(buckets, minlength=k))[:-1]] - 1, 0)
-        self.right = np.append(x[1:-1], np.nan)  # the last piece is closed
+        self.x, self.guide = x, None
 
     @classmethod
     def pchip(cls, x, y):
@@ -88,17 +87,26 @@ class PiecewiseCubic:
             raise ValueError("PCHIP slopes beyond float range")
         return cls(x, y, d)
 
-    def __call__(self, t, nu=0):
-        """Value (nu = 0) or first derivative (nu = 1) in scipy's order; the end
-        pieces extrapolate, and NaN (fmin sends it to the last bucket) stays NaN."""
-        x, right, guide = self.x, self.right, self.guide
+    def __call__(self, t, nu=0, j=None):
+        """Value (nu = 0) or first derivative (nu = 1) in scipy's order, on the
+        pieces j if given; the end pieces extrapolate, and NaN (fmin sends it
+        to the last bucket) stays NaN."""
+        x, k = self.x, self.x.size - 1
         shape, t = np.shape(t), np.asarray(t, dtype=float).reshape(-1)
-        j = guide[np.fmax(np.fmin((t - x[0]) * self.scale, guide.size - 1), 0).astype(np.intp)]
-        j += right[j] <= t
-        j += right[j] <= t
-        late = right[j] <= t
-        if late.any():
-            j[late] = np.clip(np.searchsorted(x, t[late], "right") - 1, 0, guide.size - 1)
+        if j is None:
+            if self.guide is None:
+                # guide[b]: the last piece whose left knot lies in a bucket before b
+                self.scale = k / (x[-1] - x[0])
+                b = np.fmin((x[:-1] - x[0]) * self.scale, k - 1).astype(np.intp)
+                self.guide = np.maximum(np.cumsum(np.bincount(b + 1, minlength=k + 1))[:-1] - 1, 0)
+                self.right = np.append(x[1:-1], np.nan)  # the last piece is closed
+            right, guide = self.right, self.guide
+            j = guide[np.fmax(np.fmin((t - x[0]) * self.scale, guide.size - 1), 0).astype(np.intp)]
+            j += right[j] <= t
+            j += right[j] <= t
+            late = right[j] <= t
+            if late.any():
+                j[late] = np.clip(np.searchsorted(x, t[late], "right") - 1, 0, guide.size - 1)
         s = t - x[j]
         ss = s * s
         c = self.c
@@ -172,17 +180,22 @@ class Density1D:
     the potential is a node that no running sum straddles, so a kink there
     (|t|) costs nothing.  The node CDF (`cdf_grid`) is `_running_integrals`
     summed from the left end, the survival function (`sf_grid`) from the
-    right end, and `moment` sums on the same nodes.  Between the nodes `cdf`
-    and `sf` are cubic Hermites of log F and log(1 - F) with the exact slopes
-    pdf / F, which `ppf` inverts from the nearer tail; `ppf_many`, the
-    sampling kernel, is the PCHIP through the CDF nodes, bit for bit scipy's.
-    The raw potential V takes a 1-D float array and returns one, or a scalar.
+    right end, and `moment` sums on the same nodes.  Between the nodes log F
+    and log(1 - F) are cubic Hermites in the logit of x over the end nodes,
+    with the exact slopes, and F (1 - F) is a cubic in x on its end panel
+    (`_log_level`); `cdf` reads F up to the median node and 1 - (1 - F)
+    past it (`sf` likewise), and `ppf` inverts from the nearer tail.
+    `ppf_many`, the sampling kernel, is the PCHIP through the CDF nodes, bit
+    for bit scipy's.  The raw potential V takes a 1-D float array and
+    returns one, or a scalar.
 
     For potentials smooth on the support, or kinked only at x0, log Z and the
-    moments are good to ~1e-14 (|t|: log Z 1e-15, E t^2 4e-14 off), the CDF
-    and survival function to ~1e-12 relative out to F(-8) and 1 - F(8) on
-    the Gaussian.  Across a jump of the potential the node CDF is off by
-    about 1e-4; `ppf` refuses the levels in or next to a flat stretch of it.
+    moments are good to ~1e-14 (|t|: log Z 1e-15, E t^2 4e-14 off); `cdf` and
+    `sf` to ~1e-11 absolute over the whole node range, and ~1e-12 relative in
+    a smooth tail, out to F(-8) and 1 - F(8) on the Gaussian (~1e-7 on the
+    first panels next to an end where the density is positive).  Across a
+    jump of the potential the node CDF is off by about 1e-4; `ppf` refuses
+    the levels in or next to a flat stretch of it.
     """
 
     def __init__(self, potential, support, name="density"):
@@ -213,6 +226,7 @@ class Density1D:
         self.cdf_grid = np.maximum.accumulate(left) / z
         self.sf_grid = np.minimum.accumulate(right) / z
         self.log_z = math.log(z) - float(vals.min())
+        self._median = self.grid[np.searchsorted(self.cdf_grid, 0.5)]
         self._ppf_interp, self._logs = None, [None, None]
 
     def _integrate(self, vals):
@@ -275,77 +289,85 @@ class Density1D:
     def pdf(self, x):
         return np.exp(-self.potential(x))
 
-    def _log_hermite(self, j, upper):
-        """On the node panels j, the function of x that gives log F (log(1 - F)
-        with `upper`) and its slope: the cubic Hermite of the node values with
-        slopes pdf / F, which keeps their relative accuracy into the tail."""
+    def _logit(self, x):
+        """w = log((x - lo) / (hi - x)) between the end nodes (each distance at
+        least `_TINY`) and dx/dw: the variable in which log F and log(1 - F)
+        stay smooth next to an end where F or 1 - F is a power of x - lo."""
+        lo, hi = self.grid[0], self.grid[-1]
+        u, v = np.maximum(x - lo, _TINY), np.maximum(hi - x, _TINY)
+        return np.log(u / v), u * v / (hi - lo)
+
+    def _log_level(self, x, upper, j=None):
+        """log F (log(1 - F) with `upper`) and its slope at x: between the inner
+        nodes the cubic Hermite in w with the exact slopes pdf / F dx/dw, which
+        keeps their relative accuracy into the tail (on the pieces j if given),
+        on the end panel where F is 0 the log of F's cubic Hermite in x."""
+        g = self.grid
         if self._logs[upper] is None:
-            f = np.maximum(self.sf_grid if upper else self.cdf_grid, np.finfo(float).tiny)
-            self._logs[upper] = np.log(f), (-1.0 if upper else 1.0) * self._pdf_grid / f
-        y, d = self._logs[upper]
-        end = self.grid.size - 2 if upper else 0  # F (1 - F) is 0 at its end node
-        j = np.where(j == end, end + (-1 if upper else 1), j)  # a finite stand-in there
-        x0, h, y0 = self.grid[j], self.grid[j + 1] - self.grid[j], y[j]
-        m0, m1, dy = h * d[j], h * d[j + 1], y[j + 1] - y0
-        a, b = 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy
-
-        def at(x):
-            u = (x - x0) / h
-            return y0 + u * (m0 + u * (a + u * b)), (m0 + u * (2.0 * a + 3.0 * u * b)) / h
-
-        return at
+            sign, e = (-1.0, slice(-2, None)) if upper else (1.0, slice(0, 2))
+            big, pdf = self.sf_grid if upper else self.cdf_grid, sign * self._pdf_grid
+            (w, dxdw), f = self._logit(g[1:-1]), np.maximum(big[1:-1], _TINY)
+            self._logs[upper] = (PiecewiseCubic(w, np.log(f), pdf[1:-1] * dxdw / f),
+                                 PiecewiseCubic(g[e], big[e], pdf[e]))
+        fit, end = self._logs[upper]
+        past = (x > g[-2]) if upper else (x < g[1])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w, dxdw = self._logit(x)
+            y, d = fit(w, 0, j), np.asarray(fit(w, 1, j) / dxdw)  # arrays, a point too
+            if past.any():  # the end panel
+                e = end(x[past])
+                y[past], d[past] = np.log(e), end(x[past], 1) / e
+        return y, d
 
     def _hermite(self, x, upper):
-        """exp(`_log_hermite`) at a batch of points, linear on the end panel
-        where F (1 - F) is 0, and 0 or 1 outside the nodes."""
+        """exp(`_log_level`) at a batch of points; 0 or 1 from the end nodes on."""
         x, g = np.asarray(x, dtype=float), self.grid
-        j = np.clip(np.searchsorted(g, x, "right") - 1, 0, g.size - 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.minimum(np.exp(self._log_hermite(j, upper)(x)[0]), 1.0)
-        f, i, o = (self.sf_grid, -2, -1) if upper else (self.cdf_grid, 1, 0)  # 0 at node o
-        out = np.where((x > g[i]) if upper else (x < g[i]), f[i] * (x - g[o]) / (g[i] - g[o]), out)
-        return np.where(x < g[0], float(upper), np.where(x > g[-1], float(not upper), out))
+        j = np.clip(np.searchsorted(g, x, "right") - 2, 0, g.size - 4)  # pieces of the inner nodes
+        with np.errstate(over="ignore"):
+            out = np.minimum(np.exp(self._log_level(x, upper, j)[0]), 1.0)
+        return np.where(x <= g[0], float(upper), np.where(x >= g[-1], float(not upper), out))
 
     def cdf(self, x):
-        """F at a batch of points, a point being a batch of one."""
-        return self._hermite(x, False)
+        """F at a batch of points, a point being a batch of one: `_hermite` up
+        to the median node, 1 minus that of 1 - F past it."""
+        right = np.asarray(x) > self._median
+        return np.where(right, 1.0 - self._hermite(x, True), self._hermite(x, False))
 
     def sf(self, x):
-        """1 - F at a batch of points."""
-        return self._hermite(x, True)
+        """1 - F at a batch of points, as `cdf`."""
+        right = np.asarray(x) > self._median
+        return np.where(right, self._hermite(x, True), 1.0 - self._hermite(x, False))
 
     def _invert(self, level, upper=False):
-        """The points where `cdf` (`sf` with `upper`) takes the positive
-        levels, by Newton on `_log_hermite` in each level's node panel; raises
+        """The points where F (1 - F with `upper`) takes the positive levels,
+        by Newton on `_log_level` in each level's node panel; raises
         CDFInversionFailure where the node values are flat at or next to a
         level (a dead zone or a jump) and where Newton does not settle."""
         sign = -1.0 if upper else 1.0
         vals = sign * (self.sf_grid if upper else self.cdf_grid)  # increasing
-        level, n = np.asarray(level, dtype=float), vals.size
+        level, n, g = np.asarray(level, dtype=float), vals.size, self.grid
         k = np.clip(np.searchsorted(vals, sign * level), 1, n - 1)
         near = ((vals[k] == vals[k - 1]) | ((k > 1) & (vals[k - 1] == vals[k - 2]))
                 | ((k < n - 1) & (vals[np.minimum(k + 1, n - 1)] == vals[k])))
         if near.any():
-            i, g = int(np.argmax(near)), self.grid
+            i = int(np.argmax(near))
             raise CDFInversionFailure(
                 f"{self.name}: CDF flat at or next to level {level[i]:.10g} on "
                 f"[{g[k[i]]:.6g}, {g[min(k[i] + 1, n - 1)]:.6g}]; density vanishes inside support")
-        lo, hi = self.grid[k - 1], self.grid[k]
         frac = (sign * level - vals[k - 1]) / (vals[k] - vals[k - 1])
-        t = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)  # exact on the linear end panel
-        inner = np.flatnonzero(k != (n - 1 if upper else 1))
-        at, target = self._log_hermite(k[inner] - 1, upper), np.log(level[inner])
-        ti, lo, hi = t[inner], lo[inner], hi[inner]
-        for _ in range(60):  # Newton in the panel, until a step is 1e-10 of it or an ulp
-            y, slope = at(ti)
+        lo = np.maximum(g[k - 1], np.nextafter(g[0], g[1]))  # an ulp inside the end nodes,
+        hi = np.minimum(g[k], np.nextafter(g[-1], g[-2]))  # where F (1 - F) is 0
+        t = np.clip(lo + (hi - lo) * frac, lo, hi)  # the start, on the chord
+        j, target = np.clip(k - 2, 0, n - 4), np.log(level)  # the pieces of the inner nodes
+        tol = np.maximum(1e-10 * (hi - lo), np.spacing(2.0 * np.maximum(-lo, hi)))  # or 2 ulps
+        for _ in range(60):  # Newton in the panel, until a move is within tol
+            y, d = self._log_level(t, upper, j)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = (y - target) / slope
-            ti = np.clip(ti - step, lo, hi)
-            if (np.abs(step) <= np.maximum(1e-10 * (hi - lo), 2.0 * np.spacing(np.abs(ti)))).all():
-                t[inner] = ti
+                t, last = np.clip(t - (y - target) / d, lo, hi), t
+            if (np.abs(t - last) <= tol).all():
                 return t
         raise CDFInversionFailure(f"{self.name}: no quantile at some of the levels "
-                                  f"{level[inner][:3]}: Newton does not settle")
+                                  f"{level[:3]}: Newton does not settle")
 
     def ppf(self, u):
         """Quantile at level u, from the nearer tail (`_invert`)."""
@@ -439,8 +461,8 @@ def monotone_map_1d(mu: Density1D, nu: Density1D, x) -> Tuple[float, float]:
     level is 0 (x outside mu's nodes), where nu's CDF is flat at or next to
     it, and where the density of nu vanishes at T(x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))[:1]
-    upper = x > mu.grid[np.searchsorted(mu.cdf_grid, 0.5)]
-    level = mu.sf(x) if upper[0] else mu.cdf(x)
+    upper = x > mu._median
+    level = mu._hermite(x, bool(upper[0]))
     if not level[0] > 0.0:
         raise CDFInversionFailure(
             f"{mu.name}: {'1 - ' if upper[0] else ''}F({x[0]}) = {level[0]} outside the "
@@ -456,13 +478,20 @@ def transport_potential_1d(mu: Density1D, nu: Density1D) -> PotentialField:
 
     Parametrized by level, at the nodes x of mu: T and T' come from
     `_rearrange`, each level from the nearer tail.  Between the nodes T is
-    the cubic Hermite with the slopes T', Phi'' = pdf_mu(x) / pdf_nu(T(x)),
-    Phi is the cubic Hermite of T's running integral, and Phi''' is the
-    finite-difference fallback.  The callbacks take a point of shape (1,) or
-    a column of shape (n, 1), and return values with that leading shape.
-    CDFInversionFailure is raised outside the nodes of mu whose level and
-    image density are positive (nothing is extrapolated), and where nu's CDF
-    is flat at a level the map reaches or crosses (T jumps there).
+    the cubic Hermite with the slopes T', Phi'' is that cubic's slope (T' at
+    the nodes), Phi is the cubic Hermite of T's running integral, built on
+    its first call, and Phi''' is the finite-difference fallback.  The
+    callbacks take a point of shape (1,) or a column of shape (n, 1), and
+    return values with that leading shape.  CDFInversionFailure is raised
+    outside the nodes of mu whose level and image density are positive
+    (nothing is extrapolated), and where nu's CDF is flat at a level the map
+    reaches or crosses (T jumps there).
+
+    Between the nodes G(T(x)) matches F(x) to ~1e-9 relative, each from its
+    nearer tail, except where T runs into an unbounded tail of nu from an
+    end of mu where pdf_mu is positive: T ~ -sqrt(2 log(1/(x - lo))) there,
+    and the level is off by 3e-3 on the first panel and 1e-5 by the sixth
+    (power 1.5 onto the Gaussian).
     """
     upper = mu.cdf_grid > mu.sf_grid
     levels = np.where(upper, mu.sf_grid, mu.cdf_grid)
@@ -479,7 +508,7 @@ def transport_potential_1d(mu: Density1D, nu: Density1D) -> PotentialField:
     ok = np.flatnonzero(np.isfinite(tps))
     xs, ts, tps, dxds = (v[ok[0]:ok[-1] + 1] for v in (xs, ts, tps, dxds))
     t_fit = PiecewiseCubic(xs, ts, tps)
-    phi_fit = PiecewiseCubic(xs, _running_integrals(ts * dxds, mu._hs)[0], ts)
+    phi = functools.cache(lambda: PiecewiseCubic(xs, _running_integrals(ts * dxds, mu._hs)[0], ts))
 
     def inside(x):
         x = np.asarray(x, dtype=float)
@@ -489,9 +518,9 @@ def transport_potential_1d(mu: Density1D, nu: Density1D) -> PotentialField:
         return x
 
     return PotentialField(
-        fn=lambda x: phi_fit(inside(x))[..., 0],
+        fn=lambda x: phi()(inside(x))[..., 0],
         grad=lambda x: t_fit(inside(x)),
-        hess=lambda x: (mu.pdf(inside(x)) / nu.pdf(t_fit(x)))[..., None],
+        hess=lambda x: t_fit(inside(x), 1)[..., None],
         convex=True,
     )
 
@@ -758,10 +787,9 @@ class KESolution:
         return self.d2_vals
 
 
-def _fd5(vals, h):
+def _fd5(v, h):
     """Five-point first derivative on a uniform grid; one-sided copies at the
     two boundary nodes on each end."""
-    v = vals
     out = np.empty(len(v))
     out[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
     out[:2] = out[2]

@@ -127,6 +127,54 @@ class TestMongeAmpere:
         worst = max(abs(tr.monge_ampere_residual(phi, v, w, [x])) for x in grid)
         assert worst < 1e-6
 
+    def test_map_and_its_slope_against_closed_forms(self):
+        # exp(1) and N(0, 1) onto U[0, 1]: T = F and Phi'' = pdf, off the nodes
+        # and over the whole built range; Phi'' is the slope of the map, so
+        # where T runs into 1 it keeps about 1e-13 absolute, not relative
+        rng = np.random.default_rng(11)
+        for mu, cdf, pdf in (
+            (tr.exponential_density(), lambda x: -np.expm1(-x), lambda x: np.exp(-x)),
+            (tr.gaussian_density(),
+             lambda x: np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x]),
+             lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)),
+        ):
+            phi = tr.transport_potential_1d(mu, tr.uniform_density(0.0, 1.0))
+            x = rng.uniform(mu.grid[1], mu.grid[-2], 400)
+            assert np.abs(phi.grad(x[:, None])[:, 0] - cdf(x)).max() < 5e-12, mu.name
+            err = np.abs(phi.hess(x[:, None])[:, 0, 0] - pdf(x))
+            assert np.all(err <= 1e-7 * pdf(x) + 2e-13), mu.name
+
+    def test_second_derivative_is_the_slope_of_the_map(self):
+        # Phi'' is the derivative of the Phi' that is returned, so the
+        # Monge-Ampere residual measures the map; power 1.5 onto the Gaussian
+        # is where the map's cubic is furthest from f(x) / g(T(x)) (4e-5)
+        mu, nu = tr.power_density(1.5), tr.gaussian_density()
+        phi = tr.transport_potential_1d(mu, nu)
+        g = mu.grid[(mu.cdf_grid > 1e-9) & (mu.sf_grid > 1e-9)]
+        rng = np.random.default_rng(3)
+        i = rng.integers(0, g.size - 1, 400)
+        x = g[i] + rng.uniform(0.2, 0.8, 400) * (g[i + 1] - g[i])
+        dx = 1e-3 * (g[i + 1] - g[i])
+        fd = (phi.grad((x + dx)[:, None]) - phi.grad((x - dx)[:, None]))[:, 0] / (2.0 * dx)
+        assert np.abs(phi.hess(x[:, None])[:, 0, 0] / fd - 1.0).max() < 1e-7
+
+    def test_map_matches_levels_between_nodes(self):
+        # G(T(x)) = F(x), each from its nearer tail, at every midpoint of mu's
+        # nodes, to 1e-9; from the positive density of power 1.5 at 0 into
+        # the Gaussian tail T ~ -sqrt(2 log(1/x)), which the cubic in x
+        # follows to 4e-3 / i^3 on the i-th panel (3.3e-3 on the first)
+        for mu, nu, end in ((tr.gaussian_density(), tr.cos_density(), 0.0),
+                            (tr.power_density(1.5), tr.gaussian_density(), 4e-3),
+                            (tr.gaussian_density(), tr.gaussian_density(1.2), 0.0)):
+            phi = tr.transport_potential_1d(mu, nu)
+            g = mu.grid[(mu.cdf_grid > 1e-12) & (mu.sf_grid > 1e-12)]
+            x = 0.5 * (g[:-1] + g[1:])
+            t = phi.grad(x[:, None])[:, 0]
+            low = x <= mu._median
+            err = np.abs(np.where(low, nu.cdf(t) / mu.cdf(x), nu.sf(t) / mu.sf(x)) - 1.0)
+            bound = np.maximum(end / np.arange(1.0, x.size + 1) ** 3, 1e-9)
+            assert np.all(err <= bound), (mu.name, nu.name, err.max())
+
     def test_wrong_variance_gaussian(self):
         # identity map with nu = N(0, 2): residual = x^2/4 - log(2)/2
         phi = fields.quadratic_potential(np.eye(1))
@@ -604,6 +652,29 @@ class TestScipyFreeRoutines:
             else:
                 got, want = dens.sf(x), self._quad(dens, one, kinks, a=x)
             assert abs(got / want - 1.0) <= 1e-9, x
+
+
+    @pytest.mark.parametrize("doc", _PRODUCT_KINDS, ids=lambda doc: doc["kind"])
+    def test_cdf_and_sf_match_quad_over_the_node_range(self, doc):
+        # each is its own Hermite up to the median node and 1 minus the
+        # other's past it, so both keep 2e-11 absolute everywhere, bulk
+        # included, at points spread over the range and over the levels, and
+        # on the twelve panels next to each end, where F or 1 - F is a power
+        # of the distance (a positive density at 0 for exp_product)
+        from riccikit import measures
+
+        dens = measures.from_spec(doc, 1).coord_densities[0]
+        g, kinks, one = dens.grid, self._KINKS.get(doc["kind"]), lambda t: 1.0
+        rng = np.random.default_rng(6)
+        ends = np.r_[0.5 * (g[:12] + g[1:13]), 0.5 * (g[-13:-1] + g[-12:])]
+        xs = np.concatenate([ends, rng.uniform(g[0], g[-1], 50),
+                             dens.ppf_many(rng.uniform(size=50))])
+        for x in xs:
+            low = x <= dens._median
+            near = self._quad(dens, one, kinks, b=x) if low else self._quad(dens, one, kinks, a=x)
+            lower, upper = (near, 1.0 - near) if low else (1.0 - near, near)
+            assert abs(dens.cdf(x) - lower) <= 2e-11, x
+            assert abs(dens.sf(x) - upper) <= 2e-11, x
 
 
 class TestDensityNodes:
