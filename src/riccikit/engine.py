@@ -29,7 +29,7 @@ from .errors import (
     EigensolveFailure,
     HypothesisViolated,
 )
-from .fields import quad_form, row_dots
+from .fields import cos_sin, project, quad_form, row_dots
 
 REL_TOL = 0.02  # relative slack allowance in the pass/fail rule
 SIGMA_FACTOR = 3.0
@@ -48,7 +48,9 @@ class TestFunction:
 def default_suite(d, seed=0) -> List[TestFunction]:
     """Coordinates, |x|^2, the diagonal direction, a coordinate product,
     low-frequency cosines of the diagonal, and five seeded random cubics;
-    constant and cosine gradients are read-only broadcast views."""
+    constant and cosine gradients are read-only broadcast views.  Every
+    projection p.v goes through `fields.project`, and the cosines and their
+    sines through `fields.cos_sin`, one tangent each."""
     funcs = []
     sq = math.sqrt(d)
     ones = np.ones(d)
@@ -78,7 +80,7 @@ def default_suite(d, seed=0) -> List[TestFunction]:
         funcs.append(
             TestFunction(
                 id="sum_x",
-                fn=lambda p: p @ diag,
+                fn=lambda p: project(p, diag),
                 grad=lambda p: np.broadcast_to(diag, p.shape),
                 lipschitz_bound=1.0,
             )
@@ -97,9 +99,9 @@ def default_suite(d, seed=0) -> List[TestFunction]:
         funcs.append(
             TestFunction(
                 id=f"cos{k}",
-                fn=lambda p, w=w: np.cos(w * (p @ ones)),
+                fn=lambda p, w=w: cos_sin(w * project(p, ones))[0],
                 grad=lambda p, w=w: np.broadcast_to(
-                    -w * np.sin(w * (p @ ones)), (d, len(p))
+                    -w * cos_sin(w * project(p, ones))[1], (d, len(p))
                 ).T,
                 lipschitz_bound=k * math.pi,
             )
@@ -112,13 +114,13 @@ def default_suite(d, seed=0) -> List[TestFunction]:
         al, be = 0.5 * rng.uniform(), 0.2 * rng.uniform()
 
         def fn(p, a=a, b=b, c=c, al=al, be=be):
-            u = p @ c
-            return p @ a + al * (p @ b) ** 2 + be * (u * u * u)
+            u = project(p, c)
+            return project(p, a) + al * project(p, b) ** 2 + be * (u * u * u)
 
         def grad(p, abc=np.stack([a, b, c]), al=al, be=be):
             # a + (2 al p.b) b + (3 be (p.c)^2) c as one (d, 3) @ (3, n)
             # product: broadcast row-by-vector products are several times slower
-            pb, pc = p @ abc[1], p @ abc[2]
+            pb, pc = project(p, abc[1]), project(p, abc[2])
             coef = np.stack([np.ones(len(p)), 2.0 * al * pb, 3.0 * be * (pc * pc)])
             return (abc.T @ coef).T
 
@@ -177,14 +179,19 @@ def sample_measure(spec, n, seed):
 
 
 def _mean_se(influence):
-    """Standard error of a mean from per-sample influence values, scaled by
-    an exact power of two where their squares overflow."""
+    """Standard error of a mean from per-sample influence values, bit for bit
+    `influence.std(ddof=1) / sqrt(n)`: centred once and squared in place,
+    then one pairwise sum.  Scaled by an exact power of two where the
+    squares overflow."""
+    n = len(influence)
     with np.errstate(over="ignore"):
-        sd = influence.std(ddof=1)
+        sq = influence - influence.mean()
+        sq *= sq
+        sd = math.sqrt(sq.sum() / (n - 1))
     if not math.isfinite(sd):
         scale = 2.0 ** math.frexp(float(np.abs(influence).max()))[1]
         sd = (influence / scale).std(ddof=1) * scale
-    return float(sd / math.sqrt(len(influence)))
+    return float(sd / math.sqrt(n))
 
 
 def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=None):
@@ -196,8 +203,11 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=
     vals = f.fn(samples) if values is None else values
     n = len(vals)
     if instance.lhs_kind == "variance":
-        est = float(vals.var(ddof=0) * n / (n - 1))
-        err = _mean_se((vals - vals.mean()) ** 2)
+        # the squares of vals.var(ddof=0), kept as the influence values
+        sq = vals - vals.mean()
+        sq *= sq
+        est = float(sq.sum() / n * n / (n - 1))
+        err = _mean_se(sq)
     elif instance.lhs_kind == "entropy_of_square":
         vals = vals - vals.mean()
         t = np.clip(vals**2, 1e-300, None)
@@ -274,10 +284,13 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     if weight_values is None:
         weight_values = instance.rhs_weight.compact(samples)
     vals = quad_form(weight_values, grads)
-    if not np.isfinite(vals).all():
+    # one sum and one min screen the energies; the point is sought on failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(vals.sum())
+    if not finite and not np.isfinite(vals).all():
         i = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise HypothesisViolated("rhs_energy_finite", samples[i], float(vals[i]))
-    if np.any(vals < -1e-10):
+    if vals.min() < -1e-10:
         i = int(np.argmin(vals))
         raise HypothesisViolated("rhs_weight_psd", samples[i], float(vals[i]))
     with np.errstate(over="ignore"):  # a huge constant can overflow the sum

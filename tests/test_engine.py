@@ -20,7 +20,9 @@ from riccikit.fields import (
     QuadraticFormField,
     ScalarPlusRankOne,
     as_matrices,
+    cos_sin,
     least_eig,
+    project,
     quad_form,
 )
 
@@ -58,6 +60,154 @@ class TestSuiteFunctions:
         f = [f for f in eng.default_suite(2) if f.id == "|x|^2"][0]
         g = eng.lipschitz_normalize(f, pts)
         assert np.linalg.norm(g.grad(pts), axis=1).max() <= 1.0 + 1e-9
+
+
+class TestSuiteKernels:
+    def test_tangent_cosine_and_sine_match_libm(self, rng):
+        theta = rng.uniform(-1e4, 1e4, 100000)
+        c, s = cos_sin(theta)
+        assert np.abs(c - np.cos(theta)).max() <= 4.5e-16
+        assert np.abs(s - np.sin(theta)).max() <= 4.5e-16
+
+    def test_tangent_cosine_special_angles(self):
+        c, s = cos_sin(np.array([0.0]))
+        assert (c[0], s[0]) == (1.0, 0.0)
+        turns = np.pi * np.array([0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+        c, s = cos_sin(turns)
+        assert np.isfinite(c).all() and np.isfinite(s).all()
+        assert np.abs(c - np.cos(turns)).max() <= 4.5e-16
+        assert np.abs(s - np.sin(turns)).max() <= 4.5e-16
+        c, s = cos_sin(np.array([np.nan, 1.0]))
+        assert np.isnan(c[0]) and np.isnan(s[0]) and np.isfinite(c[1])
+
+    def test_tangent_cosine_is_elementwise(self, rng):
+        theta = rng.uniform(-30.0, 30.0, 1031)
+        c, s = cos_sin(theta)
+        for k in (0, 1, 15, 16, 17, 512, 1030):
+            assert (cos_sin(theta[k:k + 1])[0][0], cos_sin(theta[k:k + 1])[1][0]) == (
+                c[k], s[k])
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_d1_projection_is_the_matrix_vector_product(self, rng, order):
+        p = np.asarray(ms.laplace_product(1).sample(5000, 3), order=order)
+        for v in (np.array([1.0]), rng.standard_normal(1), np.array([-3e-7])):
+            assert np.array_equal(project(p, v), p @ v)
+        q = np.asarray(rng.standard_normal((300, 4)), order=order)
+        v = rng.standard_normal(4)
+        assert np.array_equal(project(q, v), q @ v)
+
+    def test_point_and_its_batch_of_one(self):
+        # at d = 1 every projection is elementwise; the cubic gradients are
+        # one (1, 3) @ (3, n) product, whose sum order follows n
+        pts = np.asarray(ms.gaussian(1).sample(2000, 5))
+        for f in eng.default_suite(1, seed=5):
+            v, g = f.fn(pts), f.grad(pts)
+            for k in (0, 1, 999, 1999):
+                one = np.array([pts[k]])
+                assert np.array_equal(f.fn(one), v[k:k + 1]), f.id
+                if not f.id.startswith("poly3_"):
+                    assert np.array_equal(f.grad(one), g[k:k + 1]), f.id
+
+
+@pytest.mark.filterwarnings("error")
+class TestSinglePassEstimators:
+    """The estimators keep the bits of the two-pass numpy formulas.  A
+    reordered rounding (say s / (n - 1) for s / n * n / (n - 1)) changes
+    the last bit on about one array in ten, hence the many arrays."""
+
+    @staticmethod
+    def _arrays(n):
+        rng = np.random.default_rng(n)
+        for _ in range(12):
+            yield rng.exponential(size=n) ** 3  # skewed
+            yield rng.standard_t(2.5, size=n)  # heavy-tailed
+            yield 1e6 + rng.pareto(1.5, size=n)  # heavy-tailed, far from 0
+            yield np.asarray(rng.standard_normal((n, 3)), order="C")[:, 1]  # strided
+
+    @pytest.mark.parametrize("n", [101, 50000])
+    def test_variance_lhs_keeps_the_numpy_bits(self, n):
+        inst = cat.InequalityInstance(id="probe", lhs_kind="variance",
+                                      measure=ms.gaussian(1))
+        samples = np.zeros((n, 1))
+        for vals in self._arrays(n):
+            est, err = eng.estimate_lhs(inst, None, samples, values=vals)
+            assert est == float(vals.var(ddof=0) * n / (n - 1))
+            sq = (vals - vals.mean()) ** 2
+            assert err == float(sq.std(ddof=1) / math.sqrt(n))
+
+    @pytest.mark.parametrize("n", [101, 50000])
+    def test_mean_se_keeps_the_numpy_bits(self, n):
+        for vals in self._arrays(n):
+            assert eng._mean_se(vals) == float(vals.std(ddof=1) / math.sqrt(n))
+
+    def test_mean_se_rescales_overflowing_squares(self, rng):
+        vals = 1e200 * (1.0 + rng.standard_normal(5000))
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(vals.std(ddof=1))
+        scale = 2.0 ** math.frexp(float(np.abs(vals).max()))[1]
+        want = float((vals / scale).std(ddof=1) * scale / math.sqrt(len(vals)))
+        assert eng._mean_se(vals) == want
+        assert want == pytest.approx(1e200 / math.sqrt(len(vals)), rel=0.05)
+
+
+@pytest.mark.filterwarnings("error")
+class TestRhsScreen:
+    """estimate_rhs names the first non-finite energy before any negative
+    one, and the least energy for a PSD failure."""
+
+    N = 2000
+
+    def _rhs(self, energies):
+        inst = cat.instantiate("classical_bl", {"measure": ms.gaussian(2)})
+        weight = QuadraticFormField(dim=2, batch=lambda pts: energies, name="probe")
+        inst = dataclasses.replace(inst, rhs_weight=weight)
+        samples = eng.sample_measure(inst.measure, self.N, 3)
+        f = eng.default_suite(2, seed=3)[0]  # x1: |grad f|^2 = 1
+        return lambda: eng.estimate_rhs(inst, f, samples), samples
+
+    def _raise(self, bad):
+        w = np.ones(self.N)
+        w[list(bad)] = list(bad.values())
+        rhs, samples = self._rhs(w)
+        with pytest.raises(HypothesisViolated) as err:
+            rhs()
+        exc = err.value
+        return exc.hypothesis, exc.margin, exc.location, samples
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy(self, value):
+        name, margin, at, samples = self._raise({700: value, 1500: value})
+        assert name == "rhs_energy_finite"
+        assert np.array_equal(at, samples[700])
+        assert margin == value or (math.isnan(value) and math.isnan(margin))
+
+    def test_opposite_infinities(self):
+        name, _, at, samples = self._raise({5: np.inf, 6: -np.inf})
+        assert name == "rhs_energy_finite"
+        assert np.array_equal(at, samples[5])
+
+    def test_negative_energy(self):
+        name, margin, at, samples = self._raise({40: -1e-3, 900: -2.0})
+        assert (name, margin) == ("rhs_weight_psd", -2.0)
+        assert np.array_equal(at, samples[900])
+
+    def test_inf_after_a_negative_energy(self):
+        name, margin, at, samples = self._raise({10: -5.0, 1800: np.inf})
+        assert (name, margin) == ("rhs_energy_finite", np.inf)
+        assert np.array_equal(at, samples[1800])
+
+    def test_overflowing_mean(self):
+        rhs, _ = self._rhs(np.full(self.N, 1e308))
+        with pytest.raises(HypothesisViolated) as err:
+            rhs()
+        assert (err.value.hypothesis, err.value.location, err.value.margin) == (
+            "rhs_energy_finite", None, np.inf)
+
+    def test_tiny_negative_energy_passes(self):
+        w = np.ones(self.N)
+        w[3] = -1e-11
+        est, _ = self._rhs(w)[0]()
+        assert est == pytest.approx(1.0, abs=1e-3)
 
 
 class TestEstimators:
