@@ -48,9 +48,8 @@ class TestFunction:
 def default_suite(d, seed=0) -> List[TestFunction]:
     """Coordinates, |x|^2, the diagonal direction, a coordinate product,
     low-frequency cosines of the diagonal, and five seeded random cubics;
-    constant and cosine gradients are read-only broadcast views.  Every
-    projection p.v goes through `fields.project`, and the cosines and their
-    sines through `fields.cos_sin`, one tangent each."""
+    constant and cosine gradients are read-only broadcast views.  Projections
+    p.v are `fields.project`, cosines and sines `fields.cos_sin`."""
     funcs = []
     sq = math.sqrt(d)
     ones = np.ones(d)
@@ -119,9 +118,14 @@ def default_suite(d, seed=0) -> List[TestFunction]:
 
         def grad(p, abc=np.stack([a, b, c]), al=al, be=be):
             # a + (2 al p.b) b + (3 be (p.c)^2) c as one (d, 3) @ (3, n)
-            # product: broadcast row-by-vector products are several times slower
-            pb, pc = project(p, abc[1]), project(p, abc[2])
-            coef = np.stack([np.ones(len(p)), 2.0 * al * pb, 3.0 * be * (pc * pc)])
+            # product filled in place: broadcast row-by-vector products, and
+            # np.stack of fresh rows (it regrows the heap), are several times slower
+            coef = np.empty((3, len(p)))
+            coef[0] = 1.0
+            np.multiply(2.0 * al, project(p, abc[1]), out=coef[1])
+            pc = project(p, abc[2])
+            np.multiply(pc, pc, out=coef[2])
+            coef[2] *= 3.0 * be
             return (abc.T @ coef).T
 
         funcs.append(TestFunction(id=f"poly3_{j}", fn=fn, grad=grad))
@@ -178,14 +182,14 @@ def sample_measure(spec, n, seed):
     return spec.sample(n, seed)
 
 
-def _mean_se(influence):
+def _mean_se(influence, mean=None):
     """Standard error of a mean from per-sample influence values, bit for bit
-    `influence.std(ddof=1) / sqrt(n)`: centred once and squared in place,
-    then one pairwise sum.  Scaled by an exact power of two where the
-    squares overflow."""
+    `influence.std(ddof=1) / sqrt(n)`: centred once at `mean` (their mean,
+    computed here if not given), squared in place, then one pairwise sum.
+    Scaled by an exact power of two where the squares overflow."""
     n = len(influence)
     with np.errstate(over="ignore"):
-        sq = influence - influence.mean()
+        sq = influence - (influence.mean() if mean is None else mean)
         sq *= sq
         sd = math.sqrt(sq.sum() / (n - 1))
     if not math.isfinite(sd):
@@ -206,8 +210,9 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=
         # the squares of vals.var(ddof=0), kept as the influence values
         sq = vals - vals.mean()
         sq *= sq
-        est = float(sq.sum() / n * n / (n - 1))
-        err = _mean_se(sq)
+        mean = sq.sum() / n
+        est = float(mean * n / (n - 1))
+        err = _mean_se(sq, mean)
     elif instance.lhs_kind == "entropy_of_square":
         vals = vals - vals.mean()
         t = np.clip(vals**2, 1e-300, None)
@@ -220,8 +225,8 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=
         )
     elif instance.lhs_kind == "l2_dirichlet":
         sq = vals**2
-        est = float(sq.mean())
-        err = _mean_se(sq)
+        mean = sq.mean()
+        est, err = float(mean), _mean_se(sq, mean)
     else:
         raise ValueError(f"unknown lhs kind {instance.lhs_kind!r}")
     return instance.lhs_scale * est, instance.lhs_scale * err
@@ -299,10 +304,11 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
             per_sample = per_sample + instance.gradient_surcharge * row_dots(
                 grads, grads
             )
-        est = float(per_sample.mean())
+        mean = per_sample.mean()
+    est = float(mean)
     if not math.isfinite(est):
         raise HypothesisViolated("rhs_energy_finite", None, est)
-    err = _mean_se(per_sample)
+    err = _mean_se(per_sample, mean)
     if instance.boundary is not None:
         best, berr = boundary_quadrature(
             instance, f, len(samples), seed, sample=boundary
