@@ -119,7 +119,7 @@ def default_suite(d, seed=0) -> List[TestFunction]:
         def grad(p, abc=np.stack([a, b, c]), al=al, be=be):
             # a + (2 al p.b) b + (3 be (p.c)^2) c as one (d, 3) @ (3, n)
             # product filled in place: broadcast row-by-vector products, and
-            # np.stack of fresh rows (it regrows the heap), are several times slower
+            # np.stack of fresh rows (new pages on every call), are several times slower
             coef = np.empty((3, len(p)))
             coef[0] = 1.0
             np.multiply(2.0 * al, project(p, abc[1]), out=coef[1])

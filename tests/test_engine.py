@@ -84,8 +84,8 @@ class TestSuiteKernels:
         theta = rng.uniform(-30.0, 30.0, 1031)
         c, s = cos_sin(theta)
         for k in (0, 1, 15, 16, 17, 512, 1030):
-            assert (cos_sin(theta[k:k + 1])[0][0], cos_sin(theta[k:k + 1])[1][0]) == (
-                c[k], s[k])
+            ck, sk = cos_sin(theta[k:k + 1])
+            assert (ck[0], sk[0]) == (c[k], s[k])
 
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_d1_projection_is_the_matrix_vector_product(self, rng, order):
