@@ -78,6 +78,27 @@ class ConvexBody:
     def sample_uniform(self, n, rng):
         raise NotImplementedError
 
+    def _rejection_sample(self, n, rng, half_width, budget_factor):
+        """n uniform draws by rejection from the cube [-half_width,
+        half_width]^d, in rounds of 4 (n - have) + 64 proposals (at most
+        2^20); RejectionBudgetExceeded once more than budget_factor n + 1000
+        proposals have been made."""
+        out = np.empty((n, self.dim))
+        have = tries = 0
+        while have < n:
+            if tries > budget_factor * n + 1000:
+                raise RejectionBudgetExceeded(
+                    f"{self.kind} rejection sampler exceeded {tries} proposals for {n} draws"
+                )
+            m = min(4 * (n - have) + 64, 1 << 20)
+            cand = rng.uniform(-half_width, half_width, size=(m, self.dim))
+            tries += m
+            keep = cand[self.gauge(cand) <= 1.0]
+            k = min(len(keep), n - have)
+            out[have : have + k] = keep[:k]
+            have += k
+        return out
+
     def volume(self):
         raise NotImplementedError
 
@@ -326,22 +347,7 @@ class LpBall(ConvexBody):
             # acceptance probability = vol(B_p)/vol(box)
             acc = self.volume() / (2.0 * self.radius) ** self.dim
             budget_factor = max(int(4.0 / acc), 4)
-        out = np.empty((n, self.dim))
-        have = 0
-        tries = 0
-        while have < n:
-            if tries > budget_factor * n + 1000:
-                raise RejectionBudgetExceeded(
-                    f"l_p rejection sampler exceeded {tries} proposals for {n} draws"
-                )
-            m = min(4 * (n - have) + 64, 1 << 20)
-            cand = rng.uniform(-self.radius, self.radius, size=(m, self.dim))
-            tries += m
-            keep = cand[self.gauge(cand) <= 1.0]
-            k = min(len(keep), n - have)
-            out[have : have + k] = keep[:k]
-            have += k
-        return out
+        return self._rejection_sample(n, rng, self.radius, budget_factor)
 
     def volume(self):
         d, p = self.dim, self.p
@@ -432,20 +438,7 @@ class Curve2D(ConvexBody):
         return kappa[:, None, None] * _projector(self.normal(pts)), kappa
 
     def sample_uniform(self, n, rng, budget_factor=64):
-        rmax = self.radius_bound()
-        out = np.empty((n, 2))
-        have, tries = 0, 0
-        while have < n:
-            if tries > budget_factor * n + 1000:
-                raise RejectionBudgetExceeded("curve2d rejection budget exceeded")
-            m = 4 * (n - have) + 64
-            cand = rng.uniform(-rmax, rmax, size=(m, 2))
-            tries += m
-            keep = cand[self.gauge(cand) <= 1.0]
-            k = min(len(keep), n - have)
-            out[have : have + k] = keep[:k]
-            have += k
-        return out
+        return self._rejection_sample(n, rng, self.radius_bound(), budget_factor)
 
     def volume(self):
         return self.area

@@ -61,7 +61,6 @@ class InequalityInstance:
     rhs_fixed: Optional[float] = None  # f-independent RHS, exact
     constant_known: bool = True  # the catalog entry's, set by instantiate
     lipschitz_only: bool = False
-    eval_mode: str = "standard"  # standard | poincare_ratio
     body: Optional[ConvexBody] = None  # the body of an l2_dirichlet check
     hypothesis_report: dict = field(default_factory=dict)  # set by instantiate
     params: dict = field(default_factory=dict)
@@ -69,6 +68,11 @@ class InequalityInstance:
     @property
     def dim(self):
         return self.measure.dim
+
+    @property
+    def reports_poincare_quotient(self):
+        """No weight field, unknown constant: a check reports Poincare quotients."""
+        return self.rhs_weight is None and not self.constant_known
 
 
 @dataclass
@@ -661,7 +665,6 @@ def _build_l1_type(params, report):
         lhs_kind="variance",
         measure=measures.uniform_body(body),
         rhs_fixed=rhs_base,
-        eval_mode="poincare_ratio",
         params={"lam": lam, "Lam": lam_sup, "rhs_diagonal_form": alt},
     )
 
@@ -840,9 +843,7 @@ def _build_one_lip_reduction(params, report):
     return InequalityInstance(
         lhs_kind="variance",
         measure=measures.uniform_body(body),
-        rhs_fixed=None,
         lipschitz_only=True,
-        eval_mode="poincare_ratio",
         params={"mode": "one_lip"},
     )
 

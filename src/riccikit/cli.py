@@ -33,10 +33,7 @@ from .errors import (
 )
 from .schema import Key, Schema, number, positive, validate
 
-CSV_COLUMNS = [
-    "suite", "inequality", "dim", "function",
-    "lhs", "lhs_err", "rhs", "rhs_err", "slack", "status", "seed", "n",
-]
+CSV_COLUMNS = [f.name for f in dataclasses.fields(engine.ReportRow)]
 
 # the keys of a config document besides `inequality`; its specs and params
 # are checked against the schemas of their kinds and of its catalog entry
@@ -129,12 +126,8 @@ def run_suite(config: ExperimentConfig) -> engine.VerificationReport:
                 seed=config.seed, suite_name=config.suite,
             )
         except RicciKitError as exc:
-            report.add(engine.ReportRow(
-                suite=config.suite, inequality=config.inequality, dim=d,
-                function="-", lhs=math.nan, lhs_err=math.nan, rhs=math.nan,
-                rhs_err=math.nan, slack=math.nan, status="error",
-                seed=config.seed, n=config.samples,
-            ))
+            report.add(engine.report_row(config.suite, config.inequality, d,
+                                         config.seed, config.samples, "-"))
             report.attachments[f"{config.inequality}:d={d}:error"] = str(exc)
             continue
         report.extend(sub)
@@ -167,8 +160,7 @@ def report_to_csv(report: engine.VerificationReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in report.rows:
-        d = r.as_dict()
-        writer.writerow([_fmt(d[c]) for c in CSV_COLUMNS])
+        writer.writerow([_fmt(v) for v in dataclasses.astuple(r)])
     return buf.getvalue()
 
 

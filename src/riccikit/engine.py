@@ -14,6 +14,7 @@ budget, seed).  Sampling draws a fixed number of logical shards, each from
 its own stream spawned from the seed, and concatenates them in shard order.
 """
 
+import functools
 import math
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -260,7 +261,6 @@ def boundary_quadrature(instance, f: TestFunction, n, seed, sample=None):
     a ball and the points come in antithetic pairs (z, -z); for even n the
     influence values are averaged over each pair before the standard error
     is taken, since the two halves of a pair are not independent."""
-    term = instance.boundary
     pts, w, scale = boundary_sample(instance, n, seed) if sample is None else sample
     fv = f.fn(pts)
     mw, mwf = w.mean(), (w * fv).mean()
@@ -481,12 +481,21 @@ class VerificationReport:
         self.attachments.update(other.attachments)
 
 
+def report_row(suite, inequality, dim, seed, n, function, status="error",
+               lhs=math.nan, lhs_err=math.nan, rhs=math.nan, rhs_err=math.nan):
+    """The one constructor of report rows: the slack is rhs - lhs, and an
+    error row (the default status) carries NaN estimates."""
+    return ReportRow(suite, inequality, dim, function, lhs, lhs_err, rhs, rhs_err,
+                     rhs - lhs, status, seed, n)
+
+
 def _status(lhs, lhs_err, rhs, rhs_err, constant_known):
+    """fail iff rhs - lhs < -(3 sigma + rel_tol * |rhs|); report-only when
+    the constant is unknown."""
     if not constant_known:
-        return "report-only", rhs - lhs
-    slack = rhs - lhs
+        return "report-only"
     tol = SIGMA_FACTOR * math.hypot(lhs_err, rhs_err) + REL_TOL * abs(rhs)
-    return ("pass" if slack >= -tol else "fail"), slack
+    return "pass" if rhs - lhs >= -tol else "fail"
 
 
 def check_inequality(
@@ -496,8 +505,12 @@ def check_inequality(
     seed=0,
     suite_name="adhoc",
 ) -> VerificationReport:
-    """One report row per test function, following the slack rule
-    fail iff slack < -(3 sigma + rel_tol * rhs).
+    """One report row per test function, graded by `_status`.
+
+    An instance with no weight field and an unknown constant
+    (`reports_poincare_quotient`: l1_type and one_lip_reduction) reports the
+    Poincare quotient Var f / mean |grad f|^2 against its fixed RHS (or 0),
+    and attaches the largest quotient, a lower bound on the Poincare constant.
 
     What does not depend on the test function is computed once per check
     and shared: the sample, the weights at it, the boundary points with
@@ -518,73 +531,45 @@ def check_inequality(
         weight_values = instance.rhs_weight.compact(samples)
     if instance.boundary is not None:
         boundary = boundary_sample(instance, budget, seed)
-    dirichlet = instance.lhs_kind == "l2_dirichlet"
-    if dirichlet:
-        body = instance.body
-        gauge = (body.gauge(samples), body.gauge_grad(samples))
+    if instance.lhs_kind == "l2_dirichlet":
+        gauge = (instance.body.gauge(samples), instance.body.gauge_grad(samples))
 
-    ratios = []
-    lip_variances = []
+    poincare = instance.reports_poincare_quotient
+    row = functools.partial(report_row, suite_name, instance.id, d, seed, budget)
+    variances = []
     for f in functions:
-        values = grads = None
-        if dirichlet:
+        fid, values, grads = f.id, None, None
+        if gauge is not None:  # f (1 - p^2): values and gradients, no function
             values, grads = _dirichlet_values(f, samples, *gauge)
-            f = dirichlet_wrap(f, instance.body)
+            fid, f = f.id + "*(1-p^2)", None
         elif instance.lipschitz_only:
             f = lipschitz_normalize(f, samples[:4096])
+            fid = f.id
         try:
             lhs, lhs_err = estimate_lhs(instance, f, samples, values=values)
-            if instance.eval_mode == "poincare_ratio":
+            if poincare:
+                variances.append(lhs)
                 grads = f.grad(samples)
-                energy = float(row_dots(grads, grads).mean())
-                quotient = lhs / max(energy, 1e-300)
-                ratios.append(quotient)
-                if instance.lipschitz_only:
-                    lip_variances.append(lhs)
-                rhs = instance.rhs_fixed if instance.rhs_fixed is not None else 0.0
-                row = ReportRow(
-                    suite=suite_name, inequality=instance.id, dim=d,
-                    function=f.id, lhs=quotient, lhs_err=lhs_err / max(energy, 1e-300),
-                    rhs=rhs, rhs_err=0.0, slack=rhs - quotient,
-                    status="report-only", seed=seed, n=budget,
-                )
+                energy = max(float(row_dots(grads, grads).mean()), 1e-300)
+                lhs, lhs_err = lhs / energy, lhs_err / energy
+                rhs, rhs_err = instance.rhs_fixed or 0.0, 0.0
             else:
                 rhs, rhs_err = estimate_rhs(
                     instance, f, samples, seed=seed, boundary=boundary,
                     weight_values=weight_values, grads=grads,
                 )
-                status, slack = _status(
-                    lhs, lhs_err, rhs, rhs_err, instance.constant_known
-                )
-                row = ReportRow(
-                    suite=suite_name, inequality=instance.id, dim=d,
-                    function=f.id, lhs=lhs, lhs_err=lhs_err,
-                    rhs=rhs, rhs_err=rhs_err, slack=slack,
-                    status=status, seed=seed, n=budget,
-                )
+            status = _status(lhs, lhs_err, rhs, rhs_err, instance.constant_known)
+            report.add(row(fid, status, lhs, lhs_err, rhs, rhs_err))
         except HypothesisViolated as exc:
-            row = ReportRow(
-                suite=suite_name, inequality=instance.id, dim=d,
-                function=f.id, lhs=math.nan, lhs_err=math.nan,
-                rhs=math.nan, rhs_err=math.nan, slack=math.nan,
-                status="error", seed=seed, n=budget,
-            )
-            report.attachments[f"{instance.id}:{f.id}:error"] = str(exc)
-        report.add(row)
+            report.add(row(fid))
+            report.attachments[f"{instance.id}:{fid}:error"] = str(exc)
 
-    if instance.eval_mode == "poincare_ratio" and ratios:
-        key = f"{instance.id}:d={d}"
-        cp_lb = max(ratios)
-        info = {
-            "poincare_lower_bound": cp_lb,
-            "rhs_base": instance.rhs_fixed,
-            "fitted_ratio": (
-                cp_lb / instance.rhs_fixed if instance.rhs_fixed else None
-            ),
-        }
-        if lip_variances:
-            sup_var = max(lip_variances)
-            info["sup_one_lip_variance"] = sup_var
-            info["fitted_ratio"] = cp_lb / sup_var if sup_var else None
-        report.attachments[key] = info
+    if variances:  # every row is a quotient row
+        bound = max(r.lhs for r in report.rows)
+        base = max(variances) if instance.lipschitz_only else instance.rhs_fixed
+        info = {"poincare_lower_bound": bound, "rhs_base": instance.rhs_fixed,
+                "fitted_ratio": bound / base if base else None}
+        if instance.lipschitz_only:
+            info["sup_one_lip_variance"] = base
+        report.attachments[f"{instance.id}:d={d}"] = info
     return report

@@ -459,8 +459,11 @@ def monotone_map_1d(mu: Density1D, nu: Density1D, x) -> Tuple[float, float]:
     derivative T' = pdf_mu(x) / pdf_nu(T(x)), by F(x) left of mu's median
     node and 1 - F(x) right of it.  Raises CDFInversionFailure when that
     level is 0 (x outside mu's nodes), where nu's CDF is flat at or next to
-    it, and where the density of nu vanishes at T(x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))[:1]
+    it, and where the density of nu vanishes at T(x).  `x` is one point;
+    ValueError for more than one."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size > 1:
+        raise ValueError(f"monotone_map_1d maps one point, got {x.size}")
     upper = x > mu._median
     level = mu._hermite(x, bool(upper[0]))
     if not level[0] > 0.0:

@@ -109,6 +109,12 @@ class TestMonotoneMap:
         ts = [tr.monotone_map_1d(mu, nu, x)[0] for x in xs]
         assert np.all(np.diff(ts) > 0)
 
+    def test_more_than_one_point_is_refused(self):
+        mu, nu = tr.gaussian_density(), tr.uniform_density(0.0, 1.0)
+        with pytest.raises(ValueError, match="one point, got 2"):
+            tr.monotone_map_1d(mu, nu, [0.5, 1.0])
+        assert tr.monotone_map_1d(mu, nu, [0.5]) == tr.monotone_map_1d(mu, nu, 0.5)
+
 
 class TestMongeAmpere:
     def test_identity_transport(self):
