@@ -1,17 +1,24 @@
 """Numerical evaluation of inequality instances.
 
-Both sides are estimated from i.i.d. samples; each standard error is the
-sample standard deviation of the statistic's influence function over the
-points already drawn, divided by sqrt(n) (the delta method).  Boundary
-terms use antithetic Monte Carlo on the boundary of a ball.
+Both sides are estimated from one point set per check (`sample_points`):
+on a product measure, R randomly shifted copies of one rank-1 lattice
+(`MeasureSpec.lattice`); on any other measure, i.i.d. samples.  Each
+standard error comes from the statistic's influence function over the
+points already drawn (the delta method): the sample standard deviation of
+the R copy means of the influence values over sqrt(R), which is the i.i.d.
+rule sd / sqrt(n) when every copy holds one point.  Boundary terms use
+antithetic Monte Carlo on the boundary of a ball.
 
 `spectral_gap_1d` is the exact 1-D spectral-gap oracle: a numpy Lanczos
 run on the cumulative-sum inverse of a flux discretization, with the end
 nodes where exp(-V) underflows trimmed.
 
 Determinism contract: a report is a pure function of (instance, suite,
-budget, seed).  Sampling draws a fixed number of logical shards, each from
-its own stream spawned from the seed, and concatenates them in shard order.
+budget, seed).  i.i.d. sampling draws a fixed number of logical shards, each
+from its own stream spawned from the seed, and concatenates them in shard
+order; the shifts of a lattice point set come from one stream of the seed
+and a fixed label, and the boundary points from one stream of the seed and
+the instance id.
 """
 
 import functools
@@ -183,11 +190,28 @@ def sample_measure(spec, n, seed):
     return spec.sample(n, seed)
 
 
-def _mean_se(influence, mean=None):
-    """Standard error of a mean from per-sample influence values, bit for bit
-    `influence.std(ddof=1) / sqrt(n)`: centred once at `mean` (their mean,
-    computed here if not given), squared in place, then one pairwise sum.
-    Scaled by an exact power of two where the squares overflow."""
+def sample_points(spec, n, seed):
+    """The point set of a check and its block size: on a product measure
+    (one with `coord_densities`) the randomized lattice of
+    `MeasureSpec.lattice`, whose blocks are its shifted copies; on any other
+    measure `sample_measure`'s n i.i.d. points, each a block of one."""
+    if spec.coord_densities is None:
+        return sample_measure(spec, n, seed), 1
+    if n < 100:
+        raise DegenerateSample(f"budget {n} < 100")
+    return spec.lattice(n, seed)
+
+
+def _mean_se(influence, mean=None, block=1):
+    """Standard error of a mean from per-point influence values whose
+    consecutive blocks of `block` points are independent replicates: the
+    sample standard deviation of the block means over sqrt(blocks).  With
+    blocks of one point it is bit for bit `influence.std(ddof=1) / sqrt(n)`:
+    centred once at `mean` (their mean, computed here if not given), squared
+    in place, then one pairwise sum.  Scaled by an exact power of two where
+    the squares overflow."""
+    if block > 1:
+        influence = influence.reshape(-1, block).mean(axis=1)
     n = len(influence)
     with np.errstate(over="ignore"):
         sq = influence - (influence.mean() if mean is None else mean)
@@ -199,10 +223,15 @@ def _mean_se(influence, mean=None):
     return float(sd / math.sqrt(n))
 
 
-def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=None):
+def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=None,
+                 block=1):
     """LHS functional (variance, entropy of the square, or L^2 mass) with the
-    delta-method standard error of its influence function; entropy recenters
-    f first.  `values` may carry f at the samples, computed by the caller."""
+    delta-method standard error of its influence function over the point
+    set's blocks (`_mean_se`); entropy recenters f first.  `values` may
+    carry f at the samples, computed by the caller.  The variance of i.i.d.
+    points carries the factor n/(n - 1); that of a lattice (blocks of more
+    than one point) does not, since its plug-in mean is far closer to the
+    true one than an i.i.d. mean is."""
     if len(samples) < 100:
         raise DegenerateSample("need at least 100 samples")
     vals = f.fn(samples) if values is None else values
@@ -212,8 +241,8 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=
         sq = vals - vals.mean()
         sq *= sq
         mean = sq.sum() / n
-        est = float(mean * n / (n - 1))
-        err = _mean_se(sq, mean)
+        est = float(mean * n / (n - 1) if block == 1 else mean)
+        err = _mean_se(sq, mean, block)
     elif instance.lhs_kind == "entropy_of_square":
         vals = vals - vals.mean()
         t = np.clip(vals**2, 1e-300, None)
@@ -222,12 +251,13 @@ def estimate_lhs(instance: InequalityInstance, f: TestFunction, samples, values=
         est = float((t * log_t).mean() - m * math.log(m))
         # the last term is the influence of recentering at the sample mean
         err = _mean_se(
-            t * log_t - (math.log(m) + 1.0) * t - 2.0 * np.mean(vals * log_t) * vals
+            t * log_t - (math.log(m) + 1.0) * t - 2.0 * np.mean(vals * log_t) * vals,
+            block=block,
         )
     elif instance.lhs_kind == "l2_dirichlet":
         sq = vals**2
         mean = sq.mean()
-        est, err = float(mean), _mean_se(sq, mean)
+        est, err = float(mean), _mean_se(sq, mean, block)
     else:
         raise ValueError(f"unknown lhs kind {instance.lhs_kind!r}")
     return instance.lhs_scale * est, instance.lhs_scale * err
@@ -272,8 +302,9 @@ def boundary_quadrature(instance, f: TestFunction, n, seed, sample=None):
 
 
 def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
-                 boundary=None, weight_values=None, grads=None):
-    """Interior weighted Dirichlet energy plus surcharge and boundary terms.
+                 boundary=None, weight_values=None, grads=None, block=1):
+    """Interior weighted Dirichlet energy plus surcharge and boundary terms,
+    the interior standard error taken over the point set's blocks.
 
     The caller may pass work it has already done: `boundary`, the
     `boundary_sample` at (len(samples), seed); `weight_values`, the weights
@@ -308,7 +339,7 @@ def estimate_rhs(instance: InequalityInstance, f: TestFunction, samples, seed=0,
     est = float(mean)
     if not math.isfinite(est):
         raise HypothesisViolated("rhs_energy_finite", None, est)
-    err = _mean_se(per_sample, mean)
+    err = _mean_se(per_sample, mean, block)
     if instance.boundary is not None:
         best, berr = boundary_quadrature(
             instance, f, len(samples), seed, sample=boundary
@@ -513,15 +544,18 @@ def check_inequality(
     and attaches the largest quotient, a lower bound on the Poincare constant.
 
     What does not depend on the test function is computed once per check
-    and shared: the sample, the weights at it, the boundary points with
-    their weights, and the gauge of a Dirichlet check."""
+    and shared: the point set (`sample_points`), the weights at it, the
+    boundary points with their weights, and the gauge of a Dirichlet check.
+    The `n` of a row is the number of points used, which a lattice point
+    set may round down from the budget."""
     report = VerificationReport()
     d = instance.dim
     report.attachments[f"{instance.id}:d={d}:hypotheses"] = dict(
         instance.hypothesis_report
     )
 
-    samples = sample_measure(instance.measure, budget, seed)
+    samples, block = sample_points(instance.measure, budget, seed)
+    n = len(samples)
 
     if functions is None:
         functions = default_suite(d, seed=seed)
@@ -530,12 +564,12 @@ def check_inequality(
     if instance.rhs_weight is not None:
         weight_values = instance.rhs_weight.compact(samples)
     if instance.boundary is not None:
-        boundary = boundary_sample(instance, budget, seed)
+        boundary = boundary_sample(instance, n, seed)
     if instance.lhs_kind == "l2_dirichlet":
         gauge = (instance.body.gauge(samples), instance.body.gauge_grad(samples))
 
     poincare = instance.reports_poincare_quotient
-    row = functools.partial(report_row, suite_name, instance.id, d, seed, budget)
+    row = functools.partial(report_row, suite_name, instance.id, d, seed, n)
     variances = []
     for f in functions:
         fid, values, grads = f.id, None, None
@@ -546,7 +580,7 @@ def check_inequality(
             f = lipschitz_normalize(f, samples[:4096])
             fid = f.id
         try:
-            lhs, lhs_err = estimate_lhs(instance, f, samples, values=values)
+            lhs, lhs_err = estimate_lhs(instance, f, samples, values=values, block=block)
             if poincare:
                 variances.append(lhs)
                 grads = f.grad(samples)
@@ -556,7 +590,7 @@ def check_inequality(
             else:
                 rhs, rhs_err = estimate_rhs(
                     instance, f, samples, seed=seed, boundary=boundary,
-                    weight_values=weight_values, grads=grads,
+                    weight_values=weight_values, grads=grads, block=block,
                 )
             status = _status(lhs, lhs_err, rhs, rhs_err, instance.constant_known)
             report.add(row(fid, status, lhs, lhs_err, rhs, rhs_err))

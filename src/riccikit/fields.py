@@ -29,8 +29,9 @@ Conventions:
     never a BLAS dot of two n-vectors: OpenBLAS splits such a dot across
     its threads, and its last bit then follows the thread count;
   * sines and cosines at the n points come from one tangent of the half
-    angle (`cos_sin`): np.tan is vectorized, np.cos and np.sin on float64
-    are not, and cost about ten times as much.
+    angle (`cos_sin`): under numpy's AVX-512 dispatch (X86_V4) np.tan is
+    vectorized, np.cos and np.sin on float64 are not, and cost about ten
+    times as much; under AVX2 (X86_V3) the three cost about the same.
 """
 
 from dataclasses import dataclass

@@ -2,15 +2,19 @@
 
 Product measures are built from per-coordinate `Density1D` objects; sampling
 goes through the coordinate quantile functions, so a sample set is a
-deterministic function of (spec, n, seed).  Uniform measures on bodies defer
-to the body's own sampler, and cone measures project its draws to the
-boundary.
+deterministic function of (spec, n, seed).  A product measure also has a
+randomized lattice point set (`MeasureSpec.lattice`): randomly shifted
+copies of one rank-1 Korobov lattice, pushed through the same quantile
+functions.  Uniform measures on bodies defer to the body's own sampler, and
+cone measures project its draws to the boundary.
 
 `SCHEMA`, beside `CONSTRUCTORS`, gives each measure kind's keys with their
 types, ranges and defaults; `from_spec` fills the defaults.
 """
 
+import functools
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -32,6 +36,13 @@ from .transport import (
 )
 
 N_SHARDS = 8  # logical sampling shards; the layout fixes the random streams
+LATTICE_SHIFTS = 250  # R: randomly shifted copies in a lattice point set
+_LATTICE_LABEL = zlib.crc32(b"lattice")  # with the seed, names the stream of the shifts
+_P2_CHUNK = 1 << 20  # lattice points scored at once by the generator search
+# uniforms pushed through the quantiles per pass: the quantile's temporaries
+# then stay below glibc's 128 KiB mmap threshold and reuse heap pages, which
+# halves its time at n = 5e4 (2.3 against 4.4 ms on the Gaussian at d = 2)
+_LATTICE_CHUNK = 1 << 13
 
 
 @dataclass
@@ -71,6 +82,40 @@ class MeasureSpec:
             start += c
         return out.T
 
+    def lattice(self, n, seed):
+        """A randomized lattice point set of a product measure and its block
+        size m = max(1, n // LATTICE_SHIFTS): R = n // m randomly shifted
+        copies of the rank-1 Korobov lattice {k z / m} (`korobov_generator`),
+        R m <= n points as a column-major (R m, d) array whose rows
+        r m .. (r + 1) m - 1 hold copy r.  Each shifted point u is
+        tent-transformed, u -> 1 - |2u - 1| (Hickernell 2002), and pushed
+        through the coordinate quantiles as `sample` pushes its uniforms.
+        The R shifts come from one stream of (seed, a fixed label), so every
+        check on the measure at one seed shares the points; each copy is an
+        unbiased rule, and the spread of the R copy means gives the standard
+        error (L'Ecuyer and Lemieux 2000)."""
+        m = max(1, n // LATTICE_SHIFTS)
+        r = n // m
+        z = korobov_generator(m, self.dim)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _LATTICE_LABEL]))
+        shifts = rng.uniform(size=(self.dim, r, 1))
+        base = (np.outer(z, np.arange(m)) % m / m)[:, None, :]
+        groups = distinct_densities(self.coord_densities)
+        out = np.empty((self.dim, r * m))
+        step = max(1, _LATTICE_CHUNK // (self.dim * m))  # copies per pass
+        for lo in range(0, r, step):
+            v = (base + shifts[:, lo:lo + step]).reshape(self.dim, -1)
+            # v in [0, 2), so the tent of v mod 1 is 1 - |2 |v - 1| - 1|, in place
+            v -= 1.0
+            np.abs(v, out=v)
+            v *= 2.0
+            v -= 1.0
+            np.abs(v, out=v)
+            np.subtract(1.0, v, out=v)
+            for dens, cols in groups:
+                out[cols, lo * m:lo * m + v.shape[1]] = dens.ppf_many(v[cols])
+        return out.T, m
+
     def hessian_form(self, pts):
         """D^2 V at an (n, d) batch in the compact form its structure allows:
         the (n, d) diagonals V_i''(x_i) of a product measure, else the
@@ -88,6 +133,37 @@ class MeasureSpec:
         for dens, cols in distinct_densities(self.coord_densities):
             out[cols] = dens.moment(k)
         return out
+
+
+@functools.lru_cache(maxsize=None)
+def korobov_generator(m, d):
+    """The generator z = (1, a, a^2, ..., a^(d-1)) mod m of the m-point
+    rank-1 Korobov lattice in d dimensions with the least
+
+        P_2 = -1 + (1/m) sum_k prod_j (1 + 2 pi^2 B_2({k z_j / m})),
+        B_2(x) = x^2 - x + 1/6,
+
+    the squared worst-case error of the lattice rule in the Korobov space
+    of smoothness alpha = 2 (Sloan and Joe 1994), over the a <= m/2 coprime
+    to m (a and m - a give the same P_2); the least such a wins ties.
+    Scored in chunks of at most `_P2_CHUNK` points, so the search costs
+    O(m^2 d) time and bounded memory.  At d = 1 it is (1,), the grid
+    {k / m}."""
+    cands = np.array([a for a in range(1, max(1, m // 2) + 1) if math.gcd(a, m) == 1])
+    if d == 1 or len(cands) == 1:
+        return (1,) * d
+    gens = np.empty((len(cands), d), dtype=np.int64)
+    gens[:, 0] = 1
+    for j in range(1, d):
+        gens[:, j] = gens[:, j - 1] * cands % m
+    k = np.arange(m)
+    p2 = np.empty(len(cands))
+    step = max(1, _P2_CHUNK // (m * d))
+    for lo in range(0, len(cands), step):
+        x = (k[None, :, None] * gens[lo:lo + step, None, :]) % m / m
+        p2[lo:lo + step] = np.prod(1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0),
+                                   axis=2).mean(axis=1)
+    return tuple(int(g) for g in gens[int(np.argmin(p2))])
 
 
 def distinct_densities(densities):

@@ -16,7 +16,7 @@ broadcast.  A single point is a batch of one.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -382,9 +382,12 @@ class Density1D:
         """Quantiles by the PCHIP through the CDF nodes, built once; bit for bit
         scipy's `PchipInterpolator(..., extrapolate=False)` at clipped levels."""
         if self._ppf_interp is None:
-            u0, idx = np.unique(self.cdf_grid, return_index=True)
+            # the node CDF is non-decreasing, so the starts of its runs of
+            # equal values are np.unique's values and first indices
+            cdf = self.cdf_grid
+            idx = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
             try:
-                self._ppf_interp = PiecewiseCubic.pchip(u0, self.grid[idx])
+                self._ppf_interp = PiecewiseCubic.pchip(cdf[idx], self.grid[idx])
             except ValueError as exc:  # slopes beyond float range on a vast support
                 raise CDFInversionFailure(f"{self.name}: no quantile interpolant: {exc}") from exc
         u = np.clip(np.clip(np.asarray(u, dtype=float), 1e-15, 1.0 - 1e-15),
@@ -772,19 +775,25 @@ class KESolution:
     - Phi'' = G(y) / nu(y);
     - x(y) = int nu / G dy, its constant fixed by E_nu[x(y)] = 0.
 
-    Only node values of Phi and Phi'' are kept.  `iterations` is always 1."""
+    Only node values of Phi and Phi'' are kept, with the normalized CDF of
+    exp(-Phi) at the nodes, summed once when the solution is built.
+    `iterations` is always 1."""
 
     grid: np.ndarray
     phi_vals: np.ndarray
     iterations: int
     residual_sup: float
     d2_vals: np.ndarray
+    mass_cdf: np.ndarray = field(init=False, repr=False)
 
-    def interior_mask(self, q_lo=0.005, q_hi=0.995):
-        """Nodes between two quantiles of exp(-Phi), by its running integrals."""
+    def __post_init__(self):
         cdf = np.maximum.accumulate(
             _running_integrals(np.exp(-self.phi_vals), self.grid[1] - self.grid[0])[0])
-        return (cdf / cdf[-1] >= q_lo) & (cdf / cdf[-1] <= q_hi)
+        self.mass_cdf = cdf / cdf[-1]
+
+    def interior_mask(self, q_lo=0.005, q_hi=0.995):
+        """Nodes between two quantiles of exp(-Phi), read from `mass_cdf`."""
+        return (self.mass_cdf >= q_lo) & (self.mass_cdf <= q_hi)
 
     def second_derivative(self):
         return self.d2_vals

@@ -37,6 +37,7 @@ def _measures():
 
 
 _MEASURES = list(_measures())
+_PRODUCTS = [(label, spec) for label, spec in _MEASURES if spec.coord_densities is not None]
 
 
 @pytest.mark.parametrize("label,spec", _MEASURES, ids=[label for label, _ in _MEASURES])
@@ -45,6 +46,14 @@ def test_sample_batches_are_column_major(label, spec):
         pts = spec.sample(n, 3)
         assert pts.shape == (n, spec.dim) and pts.flags["F_CONTIGUOUS"], (label, n)
     assert cat._hypothesis_points(spec).flags["F_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("label,spec", _PRODUCTS, ids=[label for label, _ in _PRODUCTS])
+def test_lattice_batches_are_column_major(label, spec):
+    for n in (100, 1001, 5000):
+        pts, block = spec.lattice(n, 3)
+        assert pts.shape == (len(pts), spec.dim) and pts.flags["F_CONTIGUOUS"], (label, n)
+        assert len(pts) % block == 0
 
 
 @pytest.mark.parametrize("body", [bodies.Ball(3), bodies.Ball(4, radius=2.0, orthant=True)])

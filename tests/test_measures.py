@@ -301,3 +301,56 @@ class TestSampleStream:
         assert len(builds) == 1
         assert len({id(dens) for dens in plus.coord_densities}) == 1
         assert plus.coord_densities[0].support == (0.0, math.inf)
+
+
+def _p2(z, m):
+    """P_2 of the rank-1 lattice {k z / m}, one point at a time."""
+    total = 0.0
+    for k in range(m):
+        term = 1.0
+        for zj in z:
+            x = (k * zj % m) / m
+            term *= 1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)
+        total += term
+    return total / m - 1.0
+
+
+class TestLatticePointSet:
+    @pytest.mark.parametrize("m,d", [(5, 2), (12, 2), (16, 3), (21, 4), (31, 3), (64, 2)])
+    def test_generator_attains_the_least_p2(self, m, d):
+        # against every Korobov generator, a from 1 to m - 1 coprime to m
+        z = ms.korobov_generator(m, d)
+        assert z[0] == 1 and len(z) == d
+        best = min(_p2([pow(a, j, m) for j in range(d)], m)
+                   for a in range(1, m) if math.gcd(a, m) == 1)
+        assert _p2(z, m) == pytest.approx(best, rel=1e-12)
+
+    def test_one_dimension_is_the_grid(self):
+        assert ms.korobov_generator(200, 1) == (1,)
+
+    @pytest.mark.parametrize("n,m,r", [(300, 1, 300), (1001, 4, 250), (50000, 200, 250)])
+    def test_budget_rule(self, n, m, r):
+        pts, block = ms.gaussian(3).lattice(n, 5)
+        assert block == m == max(1, n // ms.LATTICE_SHIFTS)
+        assert pts.shape == (r * m, 3) and r == n // m
+
+    def test_copies_are_the_shifted_tent_lattice(self):
+        # on U[0, 1] the quantile is the identity, so copy r reads back as
+        # tent({k z / m + shift}) with one shift per copy and coordinate; the
+        # point k = 0 is tent(shift), which leaves two candidate shifts
+        spec = ms.uniform_box_orthant(2)
+        pts, m = spec.lattice(5000, 2)
+        base = np.outer(np.arange(m), ms.korobov_generator(m, 2)) % m / m
+        for copy in pts.reshape(-1, m, 2)[:5]:
+            for j in range(2):
+                t = copy[:, j]
+                assert any(
+                    np.allclose(1.0 - np.abs(2.0 * ((base[:, j] + s) % 1.0) - 1.0), t,
+                                rtol=0.0, atol=1e-9)
+                    for s in (t[0] / 2.0, 1.0 - t[0] / 2.0))
+
+    def test_same_seed_same_points(self):
+        spec = ms.exp_product(3)
+        a, b = spec.lattice(5000, 9), spec.lattice(5000, 9)
+        assert a[1] == b[1] and np.array_equal(a[0], b[0])
+        assert not np.array_equal(a[0], spec.lattice(5000, 10)[0])

@@ -322,6 +322,29 @@ _ITERATED = {
 
 
 class TestKESolver:
+    @pytest.mark.parametrize("name", sorted(_KE_TARGETS))
+    def test_mass_cdf_is_summed_once_per_solve(self, name, monkeypatch):
+        # the one running sum over the KE grid is the CDF of exp(-Phi), taken
+        # when the solution is built; every mask reads it, bit for bit the
+        # masks of a fresh sum
+        sums = []
+        running = tr._running_integrals
+
+        def counted(f, h, cut=None):
+            if f.size == tr._KE_GRID:
+                sums.append(f.size)
+            return running(f, h, cut)
+
+        monkeypatch.setattr(tr, "_running_integrals", counted)
+        sol = tr.ke_solve_1d(_KE_TARGETS[name]())
+        masks = [sol.interior_mask(), sol.interior_mask(1e-4, 1.0 - 1e-4),
+                 sol.interior_mask(0.25, 0.75)]
+        assert len(sums) == 1
+        cdf = np.maximum.accumulate(
+            running(np.exp(-sol.phi_vals), sol.grid[1] - sol.grid[0])[0])
+        for mask, (lo, hi) in zip(masks, [(0.005, 0.995), (1e-4, 1.0 - 1e-4), (0.25, 0.75)]):
+            assert np.array_equal(mask, (cdf / cdf[-1] >= lo) & (cdf / cdf[-1] <= hi))
+
     def test_uniform_target_closed_form(self):
         # quantile integration gives the exact solution
         # exp(-Phi) = sech^2(x/4)/8 for nu = uniform[-1/2, 1/2]
@@ -546,6 +569,18 @@ class TestGuidedQuantile:
         assert dens.ppf_many(block).shape == (3, 200)
         assert np.array_equal(dens.ppf_many(block), ref(block))
         assert dens.ppf_many(0.3).shape == () and dens.ppf_many(0.3) == ref(0.3)
+
+    @pytest.mark.parametrize("doc", _PRODUCT_KINDS, ids=lambda doc: doc["kind"])
+    def test_knots_are_the_distinct_node_levels(self, doc):
+        # the run starts of the non-decreasing node CDF are np.unique's
+        # values and first indices, duplicates or not
+        from riccikit import measures
+
+        dens = measures.from_spec(doc, 1).coord_densities[0]
+        dens.ppf_many(0.5)
+        u0, idx = np.unique(dens.cdf_grid, return_index=True)
+        assert np.array_equal(dens._ppf_interp.x, u0)
+        assert np.array_equal(dens._ppf_interp.c[3], dens.grid[idx][:-1])
 
     def test_dense_tail_bucket_falls_back_to_binary_search(self, monkeypatch):
         # the Gaussian's first level bucket holds hundreds of breakpoints
